@@ -383,7 +383,7 @@ def _fit_dict(label: str, fit: FitResult) -> dict:
     }
 
 
-def _run_oracle(config: dict, workers: int):
+def _run_oracle(config: dict):
     profile = build_dyadic_profile()
     claim = DecayClaim(
         config["theorem"], s=config["s"], ell=config["ell"],
@@ -391,8 +391,8 @@ def _run_oracle(config: dict, workers: int):
     )
     density = _density_from(config["density"])
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
-    decay_series = oracle_besov_series(density, claim, times, profile, "decay", workers=workers)
-    preserved = oracle_besov_series(density, claim, times, profile, "preserved", workers=workers)
+    decay_series = oracle_besov_series(density, claim, times, profile, "decay")
+    preserved = oracle_besov_series(density, claim, times, profile, "preserved")
     fit = fit_decay_slope(decay_series, (config["t_lo"], config["t_hi"]))
     report = build_report([fit], [claim], config["tolerance_pct"], [f"oracle:{claim.family}"])
     pv = preserved.values
@@ -418,7 +418,7 @@ def _radial_grid_coefficients(grid: Grid2D, density: RadialSpectralDensity) -> n
     return c.astype(np.complex128)
 
 
-def _run_linear(config: dict, workers: int):
+def _run_linear(config: dict):
     profile = build_dyadic_profile()
     grid = Grid2D(config["n"], config["L"])
     claim = DecayClaim(
@@ -442,7 +442,7 @@ def _run_linear(config: dict, workers: int):
     report = build_report([fit], [claim], config["tolerance_pct"], ["linear-grid"])
     extras = {"theory_exponent": theoretical_exponent(claim)}
     if config["p"] == 2.0:
-        oracle = oracle_besov_series(density, claim, times, profile, "decay", workers=workers)
+        oracle = oracle_besov_series(density, claim, times, profile, "decay")
         dev = np.abs(decay_series.values - oracle.values) / oracle.values
         extras["grid_oracle_max_rel_dev"] = float(dev.max())
     pv = preserved.values
@@ -571,12 +571,9 @@ def _run_selftest(config: dict):
     return {}, [], None, extras, passed
 
 
-def execute(config: dict, out_dir=None, threads: int | None = None) -> ExecutionResult:
+def execute(config: dict, out_dir=None) -> ExecutionResult:
     """Dispatch a validated config, write outputs, and return the record."""
     kind = config["kind"]
-    workers = threads if threads is not None else config.get("threads", 1)
-    if workers == 0:
-        workers = os.cpu_count() or 1
     started = _dt.datetime.now(_dt.timezone.utc)
     t0 = time.monotonic()
     failure = None
@@ -584,9 +581,9 @@ def execute(config: dict, out_dir=None, threads: int | None = None) -> Execution
     series, fits, report, extras, passed = {}, [], None, {}, False
     try:
         if kind == "oracle":
-            series, fits, report, extras, passed = _run_oracle(config, workers)
+            series, fits, report, extras, passed = _run_oracle(config)
         elif kind == "linear":
-            series, fits, report, extras, passed = _run_linear(config, workers)
+            series, fits, report, extras, passed = _run_linear(config)
         elif kind in ("sqg", "ks"):
             series, fits, report, extras, passed = _run_nonlinear(config, kind)
         elif kind == "besov":
@@ -723,7 +720,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed (u64)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads, 0 = auto")
+        p.add_argument(
+            "--threads", type=int, default=None, help="validated (>= 0) but has no effect"
+        )
         p.add_argument("--tolerance", type=float, default=None, help="slope tolerance, percent")
     return parser
 

@@ -63,7 +63,8 @@ class CFLError(RuntimeError):
 
 
 class NumericalAbort(RuntimeError):
-    """Solution became non-finite; carries the last good state."""
+    """Solution became non-finite; carries the last state that passed the
+    velocity check."""
 
     def __init__(self, t: float, last_good: np.ndarray):
         super().__init__(f"non-finite solution detected at t = {t:.6g}; aborting")
@@ -236,12 +237,14 @@ def integrate(
     rhs(c) -> spectral nonlinear term; max_velocity(c) -> max |u| on the
     grid for the CFL check; record(t, c) is called at t = 0 and whenever a
     step boundary reaches the next sample time (recorded at the actual step
-    time). Returns (final_coeffs, n_steps, max_velocity_seen).
+    time). A non-finite velocity or state raises NumericalAbort with the last
+    state whose velocity check passed. Returns (final_coeffs, n_steps,
+    max_velocity_seen).
     """
     sym = np.where(grid.xi_mag > 0, grid.xi_mag, 0.0) ** alpha
     sym[0, 0] = 0.0
     E = np.exp(-dt * sym)
-    c = coeffs0.copy()
+    c = good = coeffs0.copy()
     t = 0.0
     record(t, c)
     samples = [s for s in sorted(sample_times) if s <= T + 0.5 * dt]
@@ -251,9 +254,12 @@ def integrate(
     courant = grid.n / grid.L
     for step in range(n_steps):
         vmax = max_velocity(c)
+        if not math.isfinite(vmax):
+            raise NumericalAbort(t, good)
         vmax_seen = max(vmax_seen, vmax)
         if dt * vmax * courant > CFL_LIMIT:
             raise CFLError(vmax, dt)
+        good = c
         n0 = rhs(c)
         pred = E * (c + dt * n0)
         n1 = rhs(pred)
@@ -263,10 +269,10 @@ def integrate(
             while next_i < len(samples) and t >= samples[next_i] - 1e-12:
                 next_i += 1  # several samples may fall inside one step
             if not np.all(np.isfinite(c.view(np.float64))):
-                raise NumericalAbort(t, c)
+                raise NumericalAbort(t, good)
             record(t, c)
     if not np.all(np.isfinite(c.view(np.float64))):
-        raise NumericalAbort(t, c)
+        raise NumericalAbort(t, good)
     return c, n_steps, vmax_seen
 
 

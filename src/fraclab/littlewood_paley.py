@@ -85,8 +85,7 @@ class DyadicProfile:
     """Radial bump phi: [0, inf) -> [0, 1] supported in [3/4, 8/3].
 
     ``chi`` is the underlying smooth cutoff; both scalar and array
-    evaluation are provided (the scalar path keeps the radial quadrature in
-    the semigroup oracle cheap).
+    evaluation are provided.
     """
 
     inner_edge = INNER_EDGE
@@ -103,7 +102,7 @@ class DyadicProfile:
         # chi(r/2) - chi(r) evaluated piecewise without cancellation: on the
         # inner transition chi(r/2) = 1, and 1 - h(t) = h(1 - t) exactly, so
         # small values keep full relative precision (the naive difference
-        # leaves O(eps) absolute noise that stalls adaptive quadrature).
+        # leaves O(eps) absolute noise).
         if r <= INNER_EDGE or r >= 2.0 * OUTER_EDGE:
             return 0.0
         if r < OUTER_EDGE:

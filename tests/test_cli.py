@@ -1,11 +1,13 @@
 """Config ingestion, dispatch, output emission, and the CLI contract."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fraclab import cli
 from fraclab.bsvf import write_bsvf
 from fraclab.cli import (
     ConfigError,
@@ -16,6 +18,7 @@ from fraclab.cli import (
     validate_config,
 )
 from fraclab.decay import NormSeries
+from fraclab.semigroup import oracle_besov_series
 from fraclab.spectral import Grid2D
 from helpers import random_band_field
 
@@ -130,6 +133,17 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+    def test_threads_do_not_change_csvs(self, tmp_path):
+        # threads is accepted and validated but has no effect
+        base = {"kind": "oracle", "alpha": 1.0, "s": 1.0, "ell": 0.0, "tolerance_pct": 10.0,
+                "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10}
+        r1 = execute(validate_config(dict(base, threads=1)), tmp_path / "t1")
+        r2 = execute(validate_config(dict(base, threads=2)), tmp_path / "t2")
+        assert r1.exit_code == 0 and r2.exit_code == 0
+        for name in ("decay_ell0_r1.csv", "preserved_s1_rinf.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+
 class TestLinearKind:
     def test_plumbing_and_oracle_comparison(self, tmp_path):
         cfg = validate_config(
@@ -178,6 +192,22 @@ class TestNumericalAbort:
         assert result.record["pass"] is False
         # the record is still written for post-mortem inspection
         assert (tmp_path / "out" / "run.json").exists()
+
+
+    def test_quadrature_error_exits_3(self, tmp_path, monkeypatch):
+        # an unreachable node-doubling tolerance is a numerical abort
+        monkeypatch.setattr(
+            cli, "oracle_besov_series", functools.partial(oracle_besov_series, rel_tol=1e-18)
+        )
+        cfg = validate_config(
+            {"kind": "oracle", "alpha": 2.0, "s": 1.0, "ell": 0.0,
+             "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10}
+        )
+        result = execute(cfg, tmp_path / "out")
+        assert result.exit_code == 3
+        assert result.record["failure"]["type"] == "QuadratureError"
+        assert "node-doubling gap" in result.record["failure"]["message"]
+        assert result.record["pass"] is False
 
 
 class TestSelftestKind:

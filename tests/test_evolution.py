@@ -7,6 +7,7 @@ import pytest
 
 from fraclab.evolution import (
     InitialSpectrum,
+    NumericalAbort,
     RunConfig,
     integrate,
     log_spaced_times,
@@ -109,3 +110,31 @@ class TestIntegrate:
         expected = 0.5 * math.exp(-1.0 * 2.0)  # |xi| = 2, t = 1
         assert final[2, 0] == pytest.approx(expected, rel=1e-12)
         assert [t for t, _ in recorded] == [0.0, 0.5, 1.0]
+
+    def test_nan_tendency_aborts_with_finite_last_good(self):
+        # the tendency turns the state to NaN in step 3 (t = 0.3 -> 0.4); the
+        # next velocity check stops the run before the sample at t = 1
+        g = Grid2D(32, 2 * math.pi)
+        c0 = np.zeros((32, 32), dtype=complex)
+        c0[2, 0] = c0[-2, 0] = 0.5
+        calls = []
+
+        def rhs(c):
+            calls.append(None)
+            return np.full_like(c, np.nan) if len(calls) == 7 else np.zeros_like(c)
+
+        recorded = []
+        with pytest.raises(NumericalAbort) as info:
+            integrate(
+                g, c0, 1.0, 0.1, 2.0,
+                rhs=rhs,
+                max_velocity=lambda c: float(np.abs(c).max()),
+                sample_times=[1.0, 2.0],
+                record=lambda t, c: recorded.append(t),
+            )
+        assert info.value.t == pytest.approx(0.4)
+        assert len(calls) == 8  # no step ran after the NaN state
+        assert recorded == [0.0]
+        good = info.value.last_good
+        assert np.all(np.isfinite(good.view(np.float64)))
+        assert good[2, 0] == pytest.approx(0.5 * math.exp(-2.0 * 0.3), rel=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,9 +10,11 @@ from fraclab.decay import DecayClaim, fit_decay_slope
 from fraclab.evolution import log_spaced_times, spectral_besov_norm
 from fraclab.littlewood_paley import BesovParams, block_norms
 from fraclab.semigroup import (
+    GL_NODES,
+    QuadratureError,
     RadialSpectralDensity,
-    adaptive_simpson,
     evolve_linear,
+    gauss_legendre_panels,
     oracle_besov_series,
     oracle_block_norm,
     oracle_l2_norm,
@@ -71,23 +74,42 @@ class TestEvolveLinear:
             prev = weighted
 
 
-class TestAdaptiveSimpson:
+def phi_mp(x):
+    # the dyadic bump in mpmath, written from its definition
+    def step(u):
+        a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+        return a / (a + b)
+
+    width = mpmath.mpf(4) / 3 - mpmath.mpf(3) / 4
+    if x <= 0.75 or x >= mpmath.mpf(8) / 3:
+        return mpmath.mpf(0)
+    if x < mpmath.mpf(4) / 3:
+        return step((x - mpmath.mpf(3) / 4) / width)
+    if x <= 1.5:
+        return mpmath.mpf(1)
+    return step((mpmath.mpf(4) / 3 - x / 2) / width)
+
+
+class TestPanelRule:
     def test_polynomial_exact(self):
-        val, err = adaptive_simpson(lambda x: x ** 3 - 2 * x, 0.0, 2.0)
-        assert val == pytest.approx(0.0, abs=1e-13)
+        r, w = gauss_legendre_panels([0.0, 2.0])
+        assert w @ (r ** 3 - 2 * r) == pytest.approx(0.0, abs=1e-13)
+        for k in range(2 * GL_NODES):  # every degree up to 2m - 1
+            assert w @ r ** k == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-13)
+
+    def test_nodes_match_leggauss(self):
+        r, w = gauss_legendre_panels([-1.0, 1.0])
+        x, wx = np.polynomial.legendre.leggauss(GL_NODES)
+        assert np.abs(r - x).max() <= 1e-14 and np.abs(w - wx).max() <= 1e-14
 
     def test_matches_closed_form(self):
-        val, _ = adaptive_simpson(math.sin, 0.0, math.pi, 1e-12)
-        assert val == pytest.approx(2.0, rel=1e-11)
-
-    def test_concentrated_integrand(self):
-        # mass within 1e-2 of the left endpoint of a unit interval
-        t = 2.0e4
-        val, _ = adaptive_simpson(lambda r: math.exp(-t * r * r) * r, 0.0, 1.0, 1e-10)
-        assert val == pytest.approx((1.0 - math.exp(-t)) / (2.0 * t), rel=1e-9)
+        r, w = gauss_legendre_panels([0.0, math.pi])
+        assert w @ np.sin(r) == pytest.approx(2.0, rel=1e-11)
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.sin, 1.0, 1.0) == (0.0, 0.0)
+        r, w = gauss_legendre_panels([1.0, 1.0], 4)
+        assert len(r) == len(w) == 0
+        assert w @ np.sin(r) == 0.0
 
 
 class TestDensities:
@@ -131,6 +153,36 @@ class TestOracleBlocks:
         vals = [oracle_block_norm(ball, -2, t, 1.0, profile) for t in (0.0, 0.5, 1.0, 4.0, 16.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_against_mpmath(self, profile):
+        # 30-digit reference at t = 0, a deep level at large t, alpha = 2
+        # and alpha = 1/2
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        for j, t, alpha in ((-2, 0.0, 1.0), (-13, 1e4, 1.0), (-3, 5.0, 2.0), (-5, 30.0, 0.5)):
+            with mpmath.workdps(30):
+                scale = mpmath.mpf(2) ** j
+                edges = [scale * e for e in (0.75, mpmath.mpf(4) / 3, 1.5, mpmath.mpf(8) / 3)]
+                integral = mpmath.quad(
+                    lambda r: phi_mp(r / scale) ** 2 * mpmath.exp(-2 * t * r ** alpha) * r, edges
+                )
+                ref = float(mpmath.sqrt(integral / (2 * mpmath.pi)))
+            quad = oracle_block_norm(ball, j, t, alpha, profile)
+            assert quad == pytest.approx(ref, rel=1e-12)
+
+    def test_unreachable_tolerance_raises(self, profile):
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        with pytest.raises(QuadratureError, match="node-doubling gap"):
+            oracle_block_norm(ball, -3, 1.0, 1.0, profile, rel_tol=1e-18)
+        with pytest.raises(QuadratureError, match="node-doubling gap"):
+            oracle_l2_norm(ball, 1.0, 1.0, rel_tol=1e-18)
+
+    def test_concentrated_integrand(self):
+        # mass within 1e-2 (t = 2e4) and 1e-4 (t = 1e8) of the origin of the
+        # unit ball
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        for t in (2.0e4, 1.0e8):
+            closed = math.sqrt((2 * math.pi) ** -2 * math.pi * (1 - math.exp(-2 * t)) / (2 * t))
+            assert oracle_l2_norm(ball, t, 2.0) == pytest.approx(closed, rel=1e-9)
+
     def test_l2_closed_form_alpha2(self):
         # ||u(t)||_{L^2}^2 = (2pi)^-2 * pi * (1 - exp(-2t)) / (2t) for unit-ball data
         ball = RadialSpectralDensity.ball_indicator(1.0)
@@ -148,14 +200,9 @@ class TestOracleBlocks:
                 lo, hi = 0.75 * 2.0 ** j, min(8.0 / 3.0 * 2.0 ** j, 1.0)
                 if hi <= lo:
                     continue
-                val, _ = adaptive_simpson(
-                    lambda r, jj=j: profile.phi(r * 2.0 ** -jj)
-                    * math.exp(-2 * t * r ** 2)
-                    * r,
-                    lo,
-                    hi,
-                    1e-11,
-                )
+                edges = np.clip(np.array([0.75, 4.0 / 3.0, 1.5, 8.0 / 3.0]) * 2.0 ** j, lo, hi)
+                r, w = gauss_legendre_panels(edges, 4)
+                val = w @ (profile.phi_array(r * 2.0 ** -j) * np.exp(-2 * t * r ** 2) * r)
                 total += val
                 if total > 0 and val < 1e-14 * total:
                     break
@@ -182,13 +229,13 @@ class TestOracleSeries:
         fit = fit_decay_slope(series, (10.0, 1e4))
         assert abs(fit.slope - (-0.5)) <= 0.02 * 0.5
 
-    def test_workers_do_not_change_values(self, profile):
+    def test_unreachable_tolerance_raises(self, profile):
         ball = RadialSpectralDensity.ball_indicator(1.0)
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
         times = log_spaced_times(1.0, 10.0, 6)
-        seq = oracle_besov_series(ball, claim, times, profile, workers=1)
-        par = oracle_besov_series(ball, claim, times, profile, workers=4)
-        assert np.array_equal(seq.values, par.values)
+        for kind in ("decay", "preserved"):
+            with pytest.raises(QuadratureError, match="node-doubling gap"):
+                oracle_besov_series(ball, claim, times, profile, kind, rel_tol=1e-18)
 
 
 class TestGridOracleAgreement:
