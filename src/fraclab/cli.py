@@ -38,9 +38,11 @@ from .bsvf import read_bsvf, write_bsvf
 from .decay import (
     ClaimError,
     DecayClaim,
+    DecayReport,
     FitError,
     FitResult,
     NormSeries,
+    ReportEntry,
     build_report,
     fit_decay_slope,
     theoretical_exponent,
@@ -242,7 +244,7 @@ def validate_config(raw: dict) -> dict:
     threads = _want_number(raw, "threads", 1, integer=True)
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
-    out["threads"] = threads
+    # threads has no effect, so it stays out of the canonical config and its hash
 
     if kind == "selftest":
         return out
@@ -459,6 +461,18 @@ def _run_nonlinear(config: dict, kind: str):
     profile = build_dyadic_profile()
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["r"], math.inf)
+    claim = DecayClaim(kind, s=config["s"], ell=config["ell"],
+                       alpha=config["alpha"] if kind == "sqg" else 1.0, p=config["p"], r=config["r"])
+    theory = theoretical_exponent(claim)
+    subcritical = kind == "ks" and config["alpha"] != 1.0
+    if subcritical:
+        # subcritical extension: the alpha-general rate formula
+        theory = (
+            -(config["ell"] + config["s"]) / config["alpha"]
+            - (2.0 / config["alpha"]) * (1.0 / config["r"] - 1.0 / config["p"])
+        )
+    if theory == 0.0:
+        raise FitError("claim predicts zero exponent; relative comparison undefined")
     run_config = RunConfig(
         n=config["n"],
         L=config["L"],
@@ -481,39 +495,13 @@ def _run_nonlinear(config: dict, kind: str):
     result = runner(run_config, profile)
     decay_series = result.series[decay_params.label()]
     fit = fit_decay_slope(decay_series, (config["window_lo"], config["window_hi"]))
-    if kind == "sqg":
-        claim = DecayClaim("sqg", s=config["s"], ell=config["ell"],
-                           alpha=config["alpha"], p=config["p"], r=config["r"])
-        theory = theoretical_exponent(claim)
-    else:
-        claim = DecayClaim("ks", s=config["s"], ell=config["ell"],
-                           alpha=1.0, p=config["p"], r=config["r"])
-        if config["alpha"] == 1.0:
-            theory = theoretical_exponent(claim)
-        else:
-            # subcritical extension: the alpha-general rate formula
-            theory = (
-                -(config["ell"] + config["s"]) / config["alpha"]
-                - (2.0 / config["alpha"]) * (1.0 / config["r"] - 1.0 / config["p"])
-            )
     rel = abs(fit.slope - theory) / abs(theory)
-    fit_ok = rel <= config["tolerance_pct"] / 100.0
+    entry = ReportEntry(f"{kind}:{decay_params.label()}", theory, fit.slope, rel,
+                        rel <= config["tolerance_pct"] / 100.0)
+    report = DecayReport([entry], config["tolerance_pct"])
     preserved_series = result.series[preserved_params.label()]
     initial_preserved = result.extras["initial_norms"][preserved_params.label()]
     bounded = bool(np.all(preserved_series.values <= 2.0 * initial_preserved + 1e-300))
-    report = {
-        "tolerance_pct": config["tolerance_pct"],
-        "passed": bool(fit_ok),
-        "entries": [
-            {
-                "descriptor": f"{kind}:{decay_params.label()}",
-                "theory": theory,
-                "slope": fit.slope,
-                "relative_error": rel,
-                "passed": bool(fit_ok),
-            }
-        ],
-    }
     extras = {
         "theory_exponent": theory,
         "initial_critical_norm": result.initial_critical_norm,
@@ -527,12 +515,12 @@ def _run_nonlinear(config: dict, kind: str):
         "config_hash_run": result.config_hash,
         "_final_field": result.final_values,  # persisted as final.bsvf, then dropped
     }
-    passed = bool(fit_ok)
+    passed = report.passed
     if kind == "ks":
         extras["min_u"] = result.extras["min_u"]
         extras["mass_relative_drift"] = result.extras["mass_relative_drift"]
         passed = passed and bounded and result.extras["mass_relative_drift"] <= 1e-12
-        if config["alpha"] != 1.0:
+        if subcritical:
             extras["subcritical"] = True
     series = {
         f"decay_ell{config['ell']:g}_r1": decay_series,
@@ -612,7 +600,7 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
     if fits:
         record["fits"] = fits
     if report is not None:
-        record["report"] = report.to_dict() if hasattr(report, "to_dict") else report
+        record["report"] = report.to_dict()
     if failure is not None:
         record["failure"] = failure
     if exit_code == EXIT_PASS and not record["pass"]:
@@ -761,10 +749,8 @@ def main(argv=None) -> int:
             if args.tolerance <= 0:
                 raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
             config["tolerance_pct"] = args.tolerance
-        if args.threads is not None:
-            if args.threads < 0:
-                raise ConfigError(f"--threads must be >= 0, got {args.threads}")
-            config["threads"] = args.threads
+        if args.threads is not None and args.threads < 0:
+            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         out_dir = _resolve_out_dir(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

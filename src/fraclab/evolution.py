@@ -1,6 +1,6 @@
 """Shared machinery for the nonlinear runs: configuration, seeded initial
-spectra, the exponential-integrating-factor RK2 time loop, and norm
-recording.
+spectra, the one exponential-integrating-factor RK2 time loop, the one run
+driver, and norm recording.
 
 Both solvers advance coefficients c of the state via
 
@@ -15,10 +15,19 @@ nonlinearity at second order:
 
 With N = 0 the step reduces to the exact linear flow, so vanishing-amplitude
 runs coincide with ``evolve_linear`` by construction.
+
+An equation module supplies only its physics: a state class, its
+critical-norm index, and a flux, which is a ``GridOperators`` subclass with
+``rhs(c)`` -> N(c) and ``max_velocity(c)`` -> max |u| for the CFL check.
+``integrate`` is the only time loop (a single step is an ``integrate`` call
+with T = dt), and ``run_flow`` is the only driver: seeded data rescaled to
+the critical norm, the smallness refusal, norm recording at the sample
+schedule, and the final state.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -30,10 +39,19 @@ from .decay import NormSeries
 from .littlewood_paley import (
     BesovParams,
     DyadicProfile,
-    block_multiplier,
-    block_range,
+    build_dyadic_profile,
+    spectral_besov_norm,
 )
-from .spectral import Grid2D, RealField, SpectralError, dealias_mask
+from .spectral import (
+    Grid2D,
+    MultiplierSpec,
+    RealField,
+    SpectralError,
+    SpectralField,
+    dealias_mask,
+    inverse_transform,
+    multiplier_symbol,
+)
 
 __all__ = [
     "CFLError",
@@ -41,8 +59,10 @@ __all__ = [
     "InitialSpectrum",
     "RunConfig",
     "RunResult",
+    "GridOperators",
     "make_initial_coefficients",
     "integrate",
+    "run_flow",
     "spectral_besov_norm",
     "log_spaced_times",
 ]
@@ -196,29 +216,30 @@ def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) ->
     return coeffs
 
 
-def spectral_besov_norm(
-    grid: Grid2D, coeffs: np.ndarray, params: BesovParams, profile: DyadicProfile
-) -> float:
-    """Besov norm straight from coefficients (p = 2 fast path, no FFTs)."""
-    rng = block_range(grid, profile)
-    levels = np.arange(rng.j_min, rng.j_max + 1)
-    norms = np.empty(len(levels))
-    for i, j in enumerate(levels):
-        mask = block_multiplier(grid, int(j), "block", profile)
-        masked = mask * coeffs
-        if params.p == 2.0:
-            norms[i] = grid.L * math.sqrt(float(np.sum(np.abs(masked) ** 2)))
-        else:
-            w = np.fft.ifft2(masked * (grid.n * grid.n)).real
-            a = np.abs(w)
-            if math.isinf(params.p):
-                norms[i] = float(a.max())
-            else:
-                norms[i] = float((grid.h ** 2 * np.sum(a ** params.p)) ** (1.0 / params.p))
-    weighted = (2.0 ** (levels * params.s)) * norms
-    if math.isinf(params.r):
-        return float(weighted.max())
-    return float(np.sum(weighted ** params.r) ** (1.0 / params.r))
+class GridOperators:
+    """Transforms, first-derivative symbols and the 2/3-rule mask of one grid.
+
+    Equation modules subclass it with their flux (``rhs``, ``max_velocity``).
+    ``on(grid)`` builds one instance per (subclass, grid) and reuses it.
+    """
+
+    def __init__(self, grid: Grid2D):
+        self.grid = grid
+        self.n2 = grid.n * grid.n
+        self.d1 = multiplier_symbol(grid, MultiplierSpec.partial(1))
+        self.d2 = multiplier_symbol(grid, MultiplierSpec.partial(2))
+        self.mask = dealias_mask(grid)
+
+    @classmethod
+    @functools.cache
+    def on(cls, grid: Grid2D):
+        return cls(grid)
+
+    def to_phys(self, c):
+        return np.fft.ifft2(c * self.n2).real
+
+    def to_spec(self, w):
+        return np.fft.fft2(w) / self.n2
 
 
 def integrate(
@@ -241,9 +262,7 @@ def integrate(
     state whose velocity check passed. Returns (final_coeffs, n_steps,
     max_velocity_seen).
     """
-    sym = np.where(grid.xi_mag > 0, grid.xi_mag, 0.0) ** alpha
-    sym[0, 0] = 0.0
-    E = np.exp(-dt * sym)
+    E = np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
     c = good = coeffs0.copy()
     t = 0.0
     record(t, c)
@@ -308,3 +327,50 @@ class NormRecorder:
         for i, params in enumerate(self.norms):
             out[params.label()] = float(self.values[i][0]) if self.values[i] else 0.0
         return out
+
+
+def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: RunConfig,
+             profile: DyadicProfile | None = None, on_sample=None) -> RunResult:
+    """Integrate one flow to T, recording the configured norms at the samples.
+
+    The initial field is the seeded shell-localized spectrum on the flux's
+    grid, scaled so its critical norm equals the configured amplitude; runs
+    whose amplitude exceeds the smallness budget are refused. on_sample(t, c)
+    sees every recorded state after the norms are taken.
+    """
+    profile = profile or build_dyadic_profile()
+    grid = flux.grid
+    coeffs = make_initial_coefficients(grid, config.initial, config.seed)
+    raw = spectral_besov_norm(grid, coeffs, critical, profile)
+    if raw > 0:
+        coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
+    crit = spectral_besov_norm(grid, coeffs, critical, profile)
+    if crit > config.smallness_budget * (1.0 + 1e-9):
+        raise SpectralError(
+            f"initial critical norm {crit:.3e} exceeds the smallness budget "
+            f"{config.smallness_budget:.3e}"
+        )
+    norms = list(config.norms) or [BesovParams(0.0, 2.0, 1.0)]
+    recorder = NormRecorder(grid, norms, profile, f"{equation}:seed={config.seed}")
+
+    def record(t, c):
+        recorder(t, c)
+        if on_sample is not None:
+            on_sample(t, c)
+
+    final_c, n_steps, vmax = integrate(grid, coeffs, config.alpha, config.dt, config.T, flux.rhs,
+                                      flux.max_velocity, config.sample_times, record)
+    return RunResult(
+        series=recorder.series(),
+        final_values=inverse_transform(SpectralField(grid, final_c, check=False)),
+        final_time=n_steps * config.dt,
+        config_hash=config.config_hash(),
+        seed=config.seed,
+        initial_critical_norm=crit,
+        max_velocity_seen=vmax,
+        extras={
+            "initial_norms": recorder.initial_values(),
+            "critical_norm_label": critical.label(),
+            "n_steps": n_steps,
+        },
+    )

@@ -13,33 +13,24 @@ conserved exactly because the divergence kills the zero mode.
 The critical exponent is alpha = 1; subcritical alpha in (1, 2] is allowed.
 Positivity of u is not enforced by the spectral scheme; the running minimum
 is tracked and reported.
+Only the physics lives here: the state, the critical-norm index, the flux
+``_KSFlux`` and the per-sample mass and minimum tracking; the time loop and
+the run driver are the shared ones of ``evolution``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    CFL_LIMIT,
-    CFLError,
-    NormRecorder,
-    RunConfig,
-    RunResult,
-    integrate,
-    make_initial_coefficients,
-    spectral_besov_norm,
-)
-from .littlewood_paley import BesovParams, DyadicProfile, build_dyadic_profile
+from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
+from .littlewood_paley import BesovParams, DyadicProfile
 from .spectral import (
-    Grid2D,
     MultiplierSpec,
     RealField,
     SpectralError,
     SpectralField,
-    dealias_mask,
     forward_transform,
     inverse_transform,
     multiplier_symbol,
@@ -70,22 +61,12 @@ def ks_critical_norm_params(p: float = 2.0) -> BesovParams:
     return BesovParams(-1.0 + 2.0 / p, p, 1.0)
 
 
-class _KSOperators:
-    """Precomputed symbols and work buffers for one grid."""
+class _KSFlux(GridOperators):
+    """Chemotactic drift down the self-generated potential on one grid."""
 
-    def __init__(self, grid: Grid2D):
-        self.grid = grid
-        self.n2 = grid.n * grid.n
+    def __init__(self, grid):
+        super().__init__(grid)
         self.inv_lap = multiplier_symbol(grid, MultiplierSpec.inverse_laplacian())
-        self.d1 = multiplier_symbol(grid, MultiplierSpec.partial(1))
-        self.d2 = multiplier_symbol(grid, MultiplierSpec.partial(2))
-        self.mask = dealias_mask(grid)
-
-    def to_phys(self, c):
-        return np.fft.ifft2(c * self.n2).real
-
-    def to_spec(self, w):
-        return np.fft.fft2(w) / self.n2
 
     def grad_psi(self, c_u):
         """Physical components of grad psi with psi = (-Laplace)^-1 (u - mean)."""
@@ -106,110 +87,39 @@ class _KSOperators:
         return float(np.sqrt(g1 * g1 + g2 * g2).max())
 
 
-_OPS_CACHE: dict = {}
-
-
-def _ops(grid: Grid2D) -> _KSOperators:
-    key = (grid.n, grid.L)
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = _KSOperators(grid)
-        _OPS_CACHE[key] = ops
-    return ops
-
-
 def ks_potential(u: RealField) -> RealField:
     """Mean-free potential psi solving -Laplace psi = u - mean(u)."""
-    ops = _ops(u.grid)
-    c = forward_transform(u).coefficients
-    return RealField(u.grid, ops.to_phys(ops.inv_lap * c))
+    flux = _KSFlux.on(u.grid)
+    return RealField(u.grid, flux.to_phys(flux.inv_lap * forward_transform(u).coefficients))
 
 
 def ks_rhs(u: RealField) -> RealField:
     """Nonlinear tendency -div(u grad psi), dealiased, exactly mean-free."""
-    ops = _ops(u.grid)
-    c = forward_transform(u).coefficients
-    return RealField(u.grid, ops.to_phys(ops.rhs(c)))
+    flux = _KSFlux.on(u.grid)
+    return RealField(u.grid, flux.to_phys(flux.rhs(forward_transform(u).coefficients)))
 
 
 def ks_step(state: KSState, dt: float) -> KSState:
     """One integrating-factor RK2 step; raises CFLError when dt is too big."""
-    grid = state.u.grid
-    ops = _ops(grid)
-    c = forward_transform(state.u).coefficients
-    vmax = ops.max_velocity(c)
-    if dt * vmax * grid.n / grid.L > CFL_LIMIT:
-        raise CFLError(vmax, dt)
-    sym = np.where(grid.xi_mag > 0, grid.xi_mag, 0.0) ** state.alpha
-    sym[0, 0] = 0.0
-    E = np.exp(-dt * sym)
-    n0 = ops.rhs(c)
-    pred = E * (c + dt * n0)
-    n1 = ops.rhs(pred)
-    c_next = E * c + (0.5 * dt) * (E * n0 + n1)
-    u_next = inverse_transform(SpectralField(grid, c_next, check=False))
-    return KSState(u_next, state.t + dt, state.alpha)
+    grid, flux = state.u.grid, _KSFlux.on(state.u.grid)
+    c = integrate(grid, forward_transform(state.u).coefficients, state.alpha, dt, dt,
+                  flux.rhs, flux.max_velocity, [], lambda t, c: None)[0]
+    return KSState(inverse_transform(SpectralField(grid, c, check=False)), state.t + dt, state.alpha)
 
 
 def run_ks(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult:
-    """Integrate to T recording configured norms, mass, and min(u).
+    """Integrate to T recording configured norms, mass, and min(u); smallness
+    is measured in the critical norm ``ks_critical_norm_params``."""
+    flux = _KSFlux.on(config.grid())
+    area = flux.grid.L ** 2
+    minima, masses = [], []
 
-    Smallness is measured in the critical norm with index -1 + 2/p; the run
-    is refused when the scaled initial data exceeds the budget.
-    """
-    profile = profile or build_dyadic_profile()
-    grid = config.grid()
-    ops = _ops(grid)
-    coeffs = make_initial_coefficients(grid, config.initial, config.seed)
-    crit_params = ks_critical_norm_params()
-    raw = spectral_besov_norm(grid, coeffs, crit_params, profile)
-    if raw > 0:
-        coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
-    crit = spectral_besov_norm(grid, coeffs, crit_params, profile)
-    if crit > config.smallness_budget * (1.0 + 1e-9):
-        raise SpectralError(
-            f"initial critical norm {crit:.3e} exceeds the smallness budget "
-            f"{config.smallness_budget:.3e}"
-        )
-    norms = list(config.norms) or [BesovParams(0.0, 2.0, 1.0)]
-    recorder = NormRecorder(grid, norms, profile, f"ks:seed={config.seed}")
-    mass0 = grid.L ** 2 * coeffs[0, 0].real
-    min_u_seen = [math.inf]
-    mass_drift = [0.0]
+    def track(t, c):
+        minima.append(float(flux.to_phys(c).min()))
+        masses.append(area * c[0, 0].real)
 
-    def record(t, c):
-        recorder(t, c)
-        w = ops.to_phys(c)
-        min_u_seen[0] = min(min_u_seen[0], float(w.min()))
-        mass = grid.L ** 2 * c[0, 0].real
-        mass_drift[0] = max(mass_drift[0], abs(mass - mass0))
-
-    final_c, n_steps, vmax = integrate(
-        grid,
-        coeffs,
-        config.alpha,
-        config.dt,
-        config.T,
-        ops.rhs,
-        ops.max_velocity,
-        config.sample_times,
-        record,
-    )
-    final = inverse_transform(SpectralField(grid, final_c, check=False))
-    denom = abs(mass0) if mass0 != 0.0 else 1.0
-    return RunResult(
-        series=recorder.series(),
-        final_values=final,
-        final_time=n_steps * config.dt,
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        initial_critical_norm=crit,
-        max_velocity_seen=vmax,
-        extras={
-            "initial_norms": recorder.initial_values(),
-            "critical_norm_label": crit_params.label(),
-            "n_steps": n_steps,
-            "min_u": min_u_seen[0],
-            "mass_relative_drift": mass_drift[0] / denom,
-        },
-    )
+    result = run_flow("ks", flux, ks_critical_norm_params(), config, profile, track)
+    drift = max(abs(m - masses[0]) for m in masses)  # masses[0]: the t = 0 record
+    result.extras["min_u"] = min(minima)
+    result.extras["mass_relative_drift"] = drift / (abs(masses[0]) or 1.0)
+    return result

@@ -47,6 +47,7 @@ __all__ = [
     "block_norms",
     "BesovNormResult",
     "besov_norm",
+    "spectral_besov_norm",
     "chemin_lerner_norm",
     "bony_decompose",
 ]
@@ -254,13 +255,12 @@ def _coeffs_of(field) -> tuple[Grid2D, np.ndarray]:
     raise SpectralError(f"expected RealField or SpectralField, got {type(field).__name__}")
 
 
-def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None = None):
-    """L^p norms of every block in the range; returns (levels, norms).
+def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProfile,
+                 rng: BlockRange | None = None):
+    """L^p norms of every block of the coefficients; returns (levels, norms).
 
     For p = 2 the norms come straight from Parseval (no inverse transforms).
     """
-    p = _check_exponent(p, "p")
-    grid, coeffs = _coeffs_of(field)
     rng = rng or block_range(grid, profile)
     levels = np.arange(rng.j_min, rng.j_max + 1)
     out = np.empty(len(levels))
@@ -278,6 +278,13 @@ def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None 
             else:
                 out[i] = float((grid.h ** 2 * np.sum(w ** p)) ** (1.0 / p))
     return levels, out
+
+
+def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None = None):
+    """L^p norms of every block in the range; returns (levels, norms)."""
+    p = _check_exponent(p, "p")
+    grid, coeffs = _coeffs_of(field)
+    return _level_norms(grid, coeffs, p, profile, rng)
 
 
 class BesovNormResult(NamedTuple):
@@ -308,8 +315,16 @@ def besov_norm(field, params: BesovParams, profile: DyadicProfile) -> BesovNormR
             stacklevel=2,
         )
     rng = block_range(grid, profile)
-    levels, norms = block_norms(SpectralField(grid, coeffs, check=False), params.p, profile, rng)
+    levels, norms = _level_norms(grid, coeffs, params.p, profile, rng)
     return BesovNormResult(_combine(levels, norms, params.s, params.r), rng.j_min, rng.j_max)
+
+
+def spectral_besov_norm(
+    grid: Grid2D, coeffs: np.ndarray, params: BesovParams, profile: DyadicProfile
+) -> float:
+    """Besov norm straight from coefficients (p = 2 fast path, no FFTs)."""
+    levels, norms = _level_norms(grid, coeffs, params.p, profile)
+    return _combine(levels, norms, params.s, params.r)
 
 
 def chemin_lerner_norm(times, fields, rho: float, params: BesovParams, profile: DyadicProfile) -> float:

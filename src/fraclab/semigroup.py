@@ -32,7 +32,7 @@ import numpy as np
 
 from .decay import DecayClaim, NormSeries
 from .littlewood_paley import DyadicProfile
-from .spectral import SpectralField, SpectralError
+from .spectral import MultiplierSpec, SpectralError, SpectralField, multiplier_symbol
 
 __all__ = [
     "evolve_linear",
@@ -56,11 +56,8 @@ def evolve_linear(field: SpectralField, alpha: float, t: float) -> SpectralField
         raise SpectralError(f"alpha must be in (0, 2], got {alpha}")
     if t < 0.0:
         raise SpectralError(f"evolution time must be nonnegative, got t={t}")
-    grid = field.grid
-    sym = np.zeros_like(grid.xi_mag)
-    nz = grid.xi_mag > 0
-    sym[nz] = grid.xi_mag[nz] ** alpha
-    return SpectralField(grid, field.coefficients * np.exp(-t * sym), check=False)
+    sym = multiplier_symbol(field.grid, MultiplierSpec.fractional_laplacian(alpha))
+    return SpectralField(field.grid, field.coefficients * np.exp(-t * sym), check=False)
 
 
 def sphere_measure(n: int) -> float:

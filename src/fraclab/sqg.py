@@ -9,11 +9,12 @@ and damped by the fractional dissipation Lambda^alpha with unit viscosity:
 
     d theta/dt + u . grad theta + Lambda^alpha theta = 0.
 
-Gradients and the velocity law are applied spectrally; the advection product
-is formed pointwise in physical space and dealiased by the 2/3 rule. The
-time stepper applies exp(-dt |xi|^alpha) exactly (see ``evolution``), so a
-single-mode state, whose self-advection vanishes identically, follows the
-linear flow to rounding.
+Only the physics lives here: the state, the critical-norm index and the flux
+``_SQGFlux``. Gradients and the velocity law are applied spectrally; the
+advection product is formed pointwise and dealiased by the 2/3 rule. The
+shared loop and driver of ``evolution`` apply exp(-dt |xi|^alpha) exactly,
+so a single-mode state, whose self-advection vanishes identically, follows
+the linear flow to rounding.
 """
 
 from __future__ import annotations
@@ -22,24 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (
-    CFL_LIMIT,
-    CFLError,
-    NormRecorder,
-    RunConfig,
-    RunResult,
-    integrate,
-    make_initial_coefficients,
-    spectral_besov_norm,
-)
-from .littlewood_paley import BesovParams, DyadicProfile, build_dyadic_profile
+from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
+from .littlewood_paley import BesovParams, DyadicProfile
 from .spectral import (
-    Grid2D,
     MultiplierSpec,
     RealField,
     SpectralError,
     SpectralField,
-    dealias_mask,
     forward_transform,
     inverse_transform,
     multiplier_symbol,
@@ -66,23 +56,13 @@ def critical_norm_params(alpha: float, p: float = 2.0) -> BesovParams:
     return BesovParams(1.0 + 2.0 / p - alpha, p, 1.0)
 
 
-class _SQGOperators:
-    """Precomputed symbols and work buffers for one grid."""
+class _SQGFlux(GridOperators):
+    """Advection by the Riesz-transform velocity on one grid."""
 
-    def __init__(self, grid: Grid2D):
-        self.grid = grid
-        self.n2 = grid.n * grid.n
+    def __init__(self, grid):
+        super().__init__(grid)
         self.riesz1 = multiplier_symbol(grid, MultiplierSpec.riesz(1))
         self.riesz2 = multiplier_symbol(grid, MultiplierSpec.riesz(2))
-        self.d1 = multiplier_symbol(grid, MultiplierSpec.partial(1))
-        self.d2 = multiplier_symbol(grid, MultiplierSpec.partial(2))
-        self.mask = dealias_mask(grid)
-
-    def to_phys(self, c):
-        return np.fft.ifft2(c * self.n2).real
-
-    def to_spec(self, w):
-        return np.fft.fft2(w) / self.n2
 
     def velocity(self, c_theta):
         """Physical velocity components (u1, u2) = (-R2 theta, R1 theta)."""
@@ -103,98 +83,28 @@ class _SQGOperators:
         return float(np.sqrt(u1 * u1 + u2 * u2).max())
 
 
-_OPS_CACHE: dict = {}
-
-
-def _ops(grid: Grid2D) -> _SQGOperators:
-    key = (grid.n, grid.L)
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = _SQGOperators(grid)
-        _OPS_CACHE[key] = ops
-    return ops
-
-
 def sqg_velocity(theta: RealField):
     """Velocity fields (u1, u2) = (-R2 theta, R1 theta); divergence-free."""
-    ops = _ops(theta.grid)
-    c = forward_transform(theta).coefficients
-    u1, u2 = ops.velocity(c)
+    u1, u2 = _SQGFlux.on(theta.grid).velocity(forward_transform(theta).coefficients)
     return RealField(theta.grid, u1), RealField(theta.grid, u2)
 
 
 def sqg_rhs(theta: RealField) -> RealField:
     """Nonlinear tendency -(u . grad theta), dealiased, mean-free."""
-    ops = _ops(theta.grid)
-    c = forward_transform(theta).coefficients
-    return RealField(theta.grid, ops.to_phys(ops.rhs(c)))
+    flux = _SQGFlux.on(theta.grid)
+    return RealField(theta.grid, flux.to_phys(flux.rhs(forward_transform(theta).coefficients)))
 
 
 def sqg_step(state: SQGState, dt: float) -> SQGState:
     """One integrating-factor RK2 step; raises CFLError when dt is too big."""
-    grid = state.theta.grid
-    ops = _ops(grid)
-    c = forward_transform(state.theta).coefficients
-    vmax = ops.max_velocity(c)
-    if dt * vmax * grid.n / grid.L > CFL_LIMIT:
-        raise CFLError(vmax, dt)
-    sym = np.where(grid.xi_mag > 0, grid.xi_mag, 0.0) ** state.alpha
-    sym[0, 0] = 0.0
-    E = np.exp(-dt * sym)
-    n0 = ops.rhs(c)
-    pred = E * (c + dt * n0)
-    n1 = ops.rhs(pred)
-    c_next = E * c + (0.5 * dt) * (E * n0 + n1)
-    theta_next = inverse_transform(SpectralField(grid, c_next, check=False))
-    return SQGState(theta_next, state.t + dt, state.alpha)
+    grid, flux = state.theta.grid, _SQGFlux.on(state.theta.grid)
+    c = integrate(grid, forward_transform(state.theta).coefficients, state.alpha, dt, dt,
+                  flux.rhs, flux.max_velocity, [], lambda t, c: None)[0]
+    return SQGState(inverse_transform(SpectralField(grid, c, check=False)), state.t + dt, state.alpha)
 
 
 def run_sqg(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult:
-    """Integrate to T recording the configured norms at the sample schedule.
-
-    The initial field is the seeded shell-localized spectrum scaled so its
-    scaling-critical norm equals the configured amplitude; runs whose
-    amplitude exceeds the smallness budget are refused.
-    """
-    profile = profile or build_dyadic_profile()
-    grid = config.grid()
-    ops = _ops(grid)
-    coeffs = make_initial_coefficients(grid, config.initial, config.seed)
-    crit_params = critical_norm_params(config.alpha)
-    raw = spectral_besov_norm(grid, coeffs, crit_params, profile)
-    if raw > 0:
-        coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
-    crit = spectral_besov_norm(grid, coeffs, crit_params, profile)
-    if crit > config.smallness_budget * (1.0 + 1e-9):
-        raise SpectralError(
-            f"initial critical norm {crit:.3e} exceeds the smallness budget "
-            f"{config.smallness_budget:.3e}"
-        )
-    norms = list(config.norms) or [BesovParams(0.0, 2.0, 1.0)]
-    recorder = NormRecorder(grid, norms, profile, f"sqg:seed={config.seed}")
-    final_c, n_steps, vmax = integrate(
-        grid,
-        coeffs,
-        config.alpha,
-        config.dt,
-        config.T,
-        ops.rhs,
-        ops.max_velocity,
-        config.sample_times,
-        recorder,
-    )
-    final = inverse_transform(SpectralField(grid, final_c, check=False))
-    return RunResult(
-        series=recorder.series(),
-        final_values=final,
-        final_time=n_steps * config.dt,
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        initial_critical_norm=crit,
-        max_velocity_seen=vmax,
-        extras={
-            "initial_norms": recorder.initial_values(),
-            "critical_norm_label": crit_params.label(),
-            "n_steps": n_steps,
-        },
-    )
+    """Integrate to T recording the configured norms at the sample schedule;
+    smallness is measured in the critical norm ``critical_norm_params``."""
+    flux = _SQGFlux.on(config.grid())
+    return run_flow("sqg", flux, critical_norm_params(config.alpha), config, profile)

@@ -142,6 +142,9 @@ class TestDeterminism:
         assert r1.exit_code == 0 and r2.exit_code == 0
         for name in ("decay_ell0_r1.csv", "preserved_s1_rinf.csv"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+        # nor on the run identity: the hash and the default output directory
+        assert r1.record["config_hash"] == r2.record["config_hash"]
+        assert "threads" not in r1.record["config"]
 
 
 class TestLinearKind:
@@ -158,6 +161,34 @@ class TestLinearKind:
         assert record["extras"]["grid_oracle_max_rel_dev"] <= 0.01
         assert record["extras"]["preserved_nonincreasing"] is True
         assert (tmp_path / "out" / "decay_ell0_r1.csv").exists()
+
+
+class TestNonlinearReport:
+    def test_zero_predicted_exponent_is_a_fit_error(self, tmp_path):
+        # ell = -s - 2(1/r - 1/p) is inside the claim range but predicts slope 0
+        cfg = validate_config(
+            {"kind": "sqg", "ell": -1.0, "s": 1.0, "n": 32, "L": 2 * math.pi, "dt": 0.01,
+             "T": 2.0, "t_lo": 0.05, "window_lo": 0.1, "window_hi": 2.0}
+        )
+        result = execute(cfg, tmp_path / "out")
+        assert result.exit_code == 2
+        assert result.record["failure"]["type"] == "FitError"
+        assert result.record["pass"] is False
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["failure"]["type"] == "FitError"
+
+    def test_subcritical_ks_uses_alpha_general_exponent(self, tmp_path):
+        ell, s, p, r, alpha = -0.5, 1.0, 4.0, 2.0, 1.5
+        cfg = validate_config(
+            {"kind": "ks", "alpha": alpha, "s": s, "ell": ell, "p": p, "r": r,
+             "n": 32, "L": 2 * math.pi * 4, "dt": 0.05, "T": 1.0, "t_lo": 0.05,
+             "window_lo": 0.1, "window_hi": 1.0, "tolerance_pct": 1e6}
+        )
+        result = execute(cfg, tmp_path / "out")
+        assert result.exit_code == 0
+        theory = -(ell + s) / alpha - (2.0 / alpha) * (1.0 / r - 1.0 / p)
+        assert result.record["report"]["entries"][0]["theory"] == theory
+        assert result.record["extras"]["theory_exponent"] == theory
+        assert result.record["extras"]["subcritical"] is True
 
 
 class TestCheckpointLoop:

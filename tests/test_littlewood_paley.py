@@ -14,6 +14,7 @@ from fraclab.littlewood_paley import (
     chemin_lerner_norm,
     lebesgue_norm,
     project,
+    spectral_besov_norm,
 )
 from fraclab.spectral import (
     Grid2D,
@@ -218,6 +219,15 @@ class TestBesov:
         res = besov_norm(random_band_field(g, rng), BesovParams(0.0, 2.0, 1.0), profile)
         rb = block_range(g, profile)
         assert (res.j_min, res.j_max) == (rb.j_min, rb.j_max)
+
+    def test_coefficient_norm_matches_field_norm(self, profile, rng):
+        # spectral_besov_norm and besov_norm share one level loop: equal bit for bit
+        g = Grid2D(64, 2 * math.pi * 4)
+        f = random_band_field(g, rng)
+        c = forward_transform(f).coefficients
+        for s, p, r in ((0, 2, 1), (-1, 2, math.inf), (0.5, 3, 2), (0, math.inf, 1), (0, 1, math.inf)):
+            params = BesovParams(s, p, r)
+            assert spectral_besov_norm(g, c, params, profile) == besov_norm(f, params, profile).value
 
 
 class TestCheminLerner:
