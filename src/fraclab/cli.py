@@ -507,6 +507,8 @@ def _run_nonlinear(config: dict, kind: str):
         "initial_critical_norm": result.initial_critical_norm,
         "critical_norm_label": result.extras["critical_norm_label"],
         "max_velocity_seen": result.max_velocity_seen,
+        "peak_courant": result.extras["peak_courant"],
+        "courant_margin": result.extras["courant_margin"],
         "n_steps": result.extras["n_steps"],
         "final_time": result.final_time,
         "preserved_initial": initial_preserved,

@@ -16,13 +16,24 @@ nonlinearity at second order:
 With N = 0 the step reduces to the exact linear flow, so vanishing-amplitude
 runs coincide with ``evolve_linear`` by construction.
 
+The state is real, so its spectrum is Hermitian and the loop keeps only the
+rfft2 half-plane: an (n, n/2 + 1) array of columns k2 = 0..n/2
+(``half_plane``). E, the state and every tendency live in that layout, and
+``full_plane`` rebuilds the full (n, n) spectrum by Hermitian extension
+wherever a state leaves the loop. Column n/2 (the Nyquist column, which is
+its own mirror) is kept as it is; the 2/3-rule mask zeroes it in every
+tendency, so the nonlinearity never writes there.
+
 An equation module supplies only its physics: a state class, its
 critical-norm index, and a flux, which is a ``GridOperators`` subclass with
-``rhs(c)`` -> N(c) and ``max_velocity(c)`` -> max |u| for the CFL check.
-``integrate`` is the only time loop (a single step is an ``integrate`` call
-with T = dt), and ``run_flow`` is the only driver: seeded data rescaled to
-the critical norm, the smallness refusal, norm recording at the sample
-schedule, and the final state.
+``rhs(c)`` -> N(c) and ``max_velocity(c)`` -> max |u| for the CFL check,
+both on half-plane coefficients. ``max_velocity(c)`` keeps the physical
+fields it built, and the ``rhs`` call that follows on the same array reuses
+them, so the stage-1 velocity is transformed once per step. ``integrate``
+is the only time loop (a single step is an ``integrate`` call with T = dt),
+and ``run_flow`` is the only driver: seeded data rescaled to the critical
+norm, the smallness refusal, norm recording at the sample schedule, and the
+final state.
 """
 
 from __future__ import annotations
@@ -60,6 +71,8 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "GridOperators",
+    "half_plane",
+    "full_plane",
     "make_initial_coefficients",
     "integrate",
     "run_flow",
@@ -216,30 +229,71 @@ def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) ->
     return coeffs
 
 
-class GridOperators:
-    """Transforms, first-derivative symbols and the 2/3-rule mask of one grid.
+def half_plane(c: np.ndarray) -> np.ndarray:
+    """The rfft2 half-plane (columns k2 = 0..n/2) of full-plane coefficients, as a view."""
+    return c[..., : c.shape[-1] // 2 + 1]
 
-    Equation modules subclass it with their flux (``rhs``, ``max_velocity``).
-    ``on(grid)`` builds one instance per (subclass, grid) and reuses it.
+
+def full_plane(h: np.ndarray) -> np.ndarray:
+    """Hermitian extension of (n, n/2 + 1) half-plane coefficients to the full plane.
+
+    Columns 0..n/2 are copied as they are; column k2 > n/2 is the conjugate
+    of the mirrored mode, c(k1, k2) = conj(c(-k1, n - k2)).
+    """
+    n = h.shape[0]
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, : n // 2 + 1] = h
+    full[:, n // 2 + 1:] = np.conj(h[(-np.arange(n)) % n, n // 2 - 1:0:-1])
+    return full
+
+
+class GridOperators:
+    """Real transforms, derivative symbols and the 2/3-rule mask of one grid.
+
+    Spectral arrays are rfft2 half-planes (see ``half_plane``), normalized as
+    ``SpectralField``. Equation modules subclass it with their flux (``rhs``,
+    ``max_velocity``); ``remember``/``recall`` let ``rhs`` reuse the physical
+    fields that ``max_velocity`` built for the same state array. ``on(grid)``
+    builds one instance per (subclass, grid) and reuses it.
     """
 
     def __init__(self, grid: Grid2D):
         self.grid = grid
         self.n2 = grid.n * grid.n
-        self.d1 = multiplier_symbol(grid, MultiplierSpec.partial(1))
-        self.d2 = multiplier_symbol(grid, MultiplierSpec.partial(2))
-        self.mask = dealias_mask(grid)
+        self.shape = (grid.n, grid.n)
+        self.d1 = self.symbol(MultiplierSpec.partial(1))
+        self.d2 = self.symbol(MultiplierSpec.partial(2))
+        self.mask = np.ascontiguousarray(half_plane(dealias_mask(grid)))
+        self._last = (None, None)  # (state array, its physical fields)
 
     @classmethod
     @functools.cache
     def on(cls, grid: Grid2D):
         return cls(grid)
 
+    def symbol(self, spec: MultiplierSpec) -> np.ndarray:
+        return np.ascontiguousarray(half_plane(multiplier_symbol(self.grid, spec)))
+
     def to_phys(self, c):
-        return np.fft.ifft2(c * self.n2).real
+        return np.fft.irfft2(c * self.n2, s=self.shape)
 
     def to_spec(self, w):
-        return np.fft.fft2(w) / self.n2
+        return np.fft.rfft2(w) / self.n2
+
+    def remember(self, c, fields):
+        """Keep the physical fields of state c for the next ``recall``; returns them."""
+        self._last = (c, fields)
+        return fields
+
+    def recall(self, c, build):
+        """The fields remembered for this very array c, else build(c).
+
+        One entry, consumed by the call: the key is the array's identity,
+        which is sound because states are never modified in place.
+        """
+        last, fields = self._last
+        self._last = (None, None)
+        return fields if last is c else build(c)
 
 
 def integrate(
@@ -255,17 +309,24 @@ def integrate(
 ):
     """Integrating-factor RK2 loop with CFL monitoring and sampling.
 
-    rhs(c) -> spectral nonlinear term; max_velocity(c) -> max |u| on the
-    grid for the CFL check; record(t, c) is called at t = 0 and whenever a
-    step boundary reaches the next sample time (recorded at the actual step
-    time). A non-finite velocity or state raises NumericalAbort with the last
-    state whose velocity check passed. Returns (final_coeffs, n_steps,
-    max_velocity_seen).
+    coeffs0 is the full-plane spectrum of a real field; only its half-plane
+    (columns k2 = 0..n/2) is read, and the loop steps that half-plane. So
+    rhs(c) -> spectral nonlinear term and max_velocity(c) -> max |u| on the
+    grid for the CFL check both receive and return (n, n/2 + 1) arrays; the
+    Nyquist column n/2 of the state is kept as it is and every tendency must
+    be zero there (the 2/3-rule mask does that). max_velocity(c) is called
+    once per step, right before rhs(c) on the same array. record(t, c) is
+    called at t = 0 and whenever a step boundary reaches the next sample time
+    (recorded at the actual step time) with the full-plane spectrum. A
+    non-finite velocity or state raises NumericalAbort with the last state
+    whose velocity check passed, full-plane. Returns (final_coeffs, n_steps,
+    max_velocity_seen), final_coeffs full-plane.
     """
     E = np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
-    c = good = coeffs0.copy()
+    E = np.ascontiguousarray(half_plane(E))
+    c = good = np.array(half_plane(coeffs0), dtype=np.complex128)
     t = 0.0
-    record(t, c)
+    record(t, full_plane(c))
     samples = [s for s in sorted(sample_times) if s <= T + 0.5 * dt]
     next_i = 0
     n_steps = int(math.ceil(T / dt - 1e-12))
@@ -274,7 +335,7 @@ def integrate(
     for step in range(n_steps):
         vmax = max_velocity(c)
         if not math.isfinite(vmax):
-            raise NumericalAbort(t, good)
+            raise NumericalAbort(t, full_plane(good))
         vmax_seen = max(vmax_seen, vmax)
         if dt * vmax * courant > CFL_LIMIT:
             raise CFLError(vmax, dt)
@@ -288,11 +349,11 @@ def integrate(
             while next_i < len(samples) and t >= samples[next_i] - 1e-12:
                 next_i += 1  # several samples may fall inside one step
             if not np.all(np.isfinite(c.view(np.float64))):
-                raise NumericalAbort(t, good)
-            record(t, c)
+                raise NumericalAbort(t, full_plane(good))
+            record(t, full_plane(c))
     if not np.all(np.isfinite(c.view(np.float64))):
-        raise NumericalAbort(t, good)
-    return c, n_steps, vmax_seen
+        raise NumericalAbort(t, full_plane(good))
+    return full_plane(c), n_steps, vmax_seen
 
 
 class NormRecorder:
@@ -360,6 +421,7 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
 
     final_c, n_steps, vmax = integrate(grid, coeffs, config.alpha, config.dt, config.T, flux.rhs,
                                       flux.max_velocity, config.sample_times, record)
+    peak_courant = config.dt * vmax * grid.n / grid.L
     return RunResult(
         series=recorder.series(),
         final_values=inverse_transform(SpectralField(grid, final_c, check=False)),
@@ -372,5 +434,7 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
             "initial_norms": recorder.initial_values(),
             "critical_norm_label": critical.label(),
             "n_steps": n_steps,
+            "peak_courant": peak_courant,
+            "courant_margin": CFL_LIMIT - peak_courant,
         },
     )

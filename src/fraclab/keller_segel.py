@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
+from .evolution import GridOperators, RunConfig, RunResult, half_plane, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
 from .spectral import (
     MultiplierSpec,
@@ -33,7 +33,6 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
-    multiplier_symbol,
 )
 
 __all__ = ["KSState", "ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
@@ -66,7 +65,7 @@ class _KSFlux(GridOperators):
 
     def __init__(self, grid):
         super().__init__(grid)
-        self.inv_lap = multiplier_symbol(grid, MultiplierSpec.inverse_laplacian())
+        self.inv_lap = self.symbol(MultiplierSpec.inverse_laplacian())
 
     def grad_psi(self, c_u):
         """Physical components of grad psi with psi = (-Laplace)^-1 (u - mean)."""
@@ -75,7 +74,7 @@ class _KSFlux(GridOperators):
 
     def rhs(self, c_u):
         """Spectral tendency -div(u grad psi), dealiased; zero mode exactly 0."""
-        g1, g2 = self.grad_psi(c_u)
+        g1, g2 = self.recall(c_u, self.grad_psi)
         w = self.to_phys(c_u)
         f1 = self.to_spec(w * g1)
         f2 = self.to_spec(w * g2)
@@ -83,20 +82,20 @@ class _KSFlux(GridOperators):
         return np.where(self.mask, -div, 0.0)
 
     def max_velocity(self, c_u):
-        g1, g2 = self.grad_psi(c_u)
+        g1, g2 = self.remember(c_u, self.grad_psi(c_u))
         return float(np.sqrt(g1 * g1 + g2 * g2).max())
 
 
 def ks_potential(u: RealField) -> RealField:
     """Mean-free potential psi solving -Laplace psi = u - mean(u)."""
     flux = _KSFlux.on(u.grid)
-    return RealField(u.grid, flux.to_phys(flux.inv_lap * forward_transform(u).coefficients))
+    return RealField(u.grid, flux.to_phys(flux.inv_lap * flux.to_spec(u.values)))
 
 
 def ks_rhs(u: RealField) -> RealField:
     """Nonlinear tendency -div(u grad psi), dealiased, exactly mean-free."""
     flux = _KSFlux.on(u.grid)
-    return RealField(u.grid, flux.to_phys(flux.rhs(forward_transform(u).coefficients)))
+    return RealField(u.grid, flux.to_phys(flux.rhs(flux.to_spec(u.values))))
 
 
 def ks_step(state: KSState, dt: float) -> KSState:
@@ -115,7 +114,7 @@ def run_ks(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult
     minima, masses = [], []
 
     def track(t, c):
-        minima.append(float(flux.to_phys(c).min()))
+        minima.append(float(flux.to_phys(half_plane(c)).min()))
         masses.append(area * c[0, 0].real)
 
     result = run_flow("ks", flux, ks_critical_norm_params(), config, profile, track)

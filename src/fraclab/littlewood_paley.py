@@ -57,78 +57,58 @@ OUTER_EDGE = 4.0 / 3.0  # chi == 0 on r >= 4/3
 _WIDTH = OUTER_EDGE - INNER_EDGE
 
 
-def _smooth_step(t: float) -> float:
-    # h(0) = 0, h(1) = 1, C-infinity, monotone; h(t) + h(1-t) = 1.
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
-    return a / (a + b)
-
-
 def _smooth_step_array(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    tm = t[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    return out
+    # h(0) = 0, h(1) = 1, C-infinity, monotone; h(t) + h(1-t) = 1. At the
+    # clipped ends one exponent is -inf, so h is exactly 0 or 1 there.
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a = np.exp(-1.0 / t)
+        b = np.exp(-1.0 / (1.0 - t))
+    return a / (a + b)
 
 
 class DyadicProfile:
     """Radial bump phi: [0, inf) -> [0, 1] supported in [3/4, 8/3].
 
-    ``chi`` is the underlying smooth cutoff; both scalar and array
-    evaluation are provided.
+    ``chi`` is the underlying smooth cutoff. ``phi_array``/``chi_array`` are
+    the implementation; ``phi``/``chi`` evaluate them at one radius.
     """
 
     inner_edge = INNER_EDGE
     outer_edge = OUTER_EDGE
 
     def chi(self, r: float) -> float:
-        if r <= INNER_EDGE:
-            return 1.0
-        if r >= OUTER_EDGE:
-            return 0.0
-        return _smooth_step((OUTER_EDGE - r) / _WIDTH)
+        return float(self.chi_array(r))
 
     def phi(self, r: float) -> float:
-        # chi(r/2) - chi(r) evaluated piecewise without cancellation: on the
-        # inner transition chi(r/2) = 1, and 1 - h(t) = h(1 - t) exactly, so
-        # small values keep full relative precision (the naive difference
-        # leaves O(eps) absolute noise).
-        if r <= INNER_EDGE or r >= 2.0 * OUTER_EDGE:
-            return 0.0
-        if r < OUTER_EDGE:
-            return _smooth_step((r - INNER_EDGE) / _WIDTH)
-        if r <= 2.0 * INNER_EDGE:
-            return 1.0
-        return self.chi(0.5 * r)
+        return float(self.phi_array(r))
 
     def chi_array(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         return _smooth_step_array((OUTER_EDGE - r) / _WIDTH)
 
     def phi_array(self, r: np.ndarray) -> np.ndarray:
+        # chi(r/2) - chi(r) evaluated piecewise without cancellation: below
+        # 4/3, chi(r/2) = 1 and 1 - h(t) = h(1 - t) exactly, so phi is the
+        # inner edge's rising step; above it, chi(r) = 0 and phi = chi(r/2).
+        # Small values keep full relative precision (the naive difference
+        # leaves O(eps) absolute noise). Outside [3/4, 8/3] the step's
+        # argument leaves [0, 1], which gives the support.
         r = np.asarray(r, dtype=np.float64)
-        inner = _smooth_step_array((r - INNER_EDGE) / _WIDTH)
-        outer = _smooth_step_array((OUTER_EDGE - 0.5 * r) / _WIDTH)
-        out = np.where(r < OUTER_EDGE, inner, np.where(r <= 2.0 * INNER_EDGE, 1.0, outer))
-        return np.where((r <= INNER_EDGE) | (r >= 2.0 * OUTER_EDGE), 0.0, out)
+        return _smooth_step_array(
+            np.where(r < OUTER_EDGE, (r - INNER_EDGE) / _WIDTH, (OUTER_EDGE - 0.5 * r) / _WIDTH))
 
-    def partition_sum(self, r: float, j_pad: int = 3) -> float:
-        """sum_j phi(2^-j r) over every level whose annulus can contain r."""
-        if r <= 0.0:
-            return 0.0
-        jc = math.floor(math.log2(r))
-        return sum(self.phi(2.0 ** -j * r) for j in range(jc - j_pad, jc + j_pad + 1))
+    def partition_sum(self, r, j_pad: int = 3):
+        """sum_j phi(2^-j r) over every level whose annulus can contain r.
+
+        r may be a scalar (returns a float) or an array (returns an array).
+        """
+        r = np.asarray(r, dtype=np.float64)
+        safe = np.where(r > 0.0, r, 1.0)
+        levels = np.floor(np.log2(safe))[..., None] + np.arange(-j_pad, j_pad + 1)
+        total = self.phi_array(np.exp2(-levels) * safe[..., None]).sum(axis=-1)
+        total = np.where(r > 0.0, total, 0.0)
+        return float(total) if total.ndim == 0 else total
 
     @property
     def cache_key(self):

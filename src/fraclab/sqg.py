@@ -32,7 +32,6 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
-    multiplier_symbol,
 )
 
 __all__ = ["SQGState", "sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
@@ -61,8 +60,8 @@ class _SQGFlux(GridOperators):
 
     def __init__(self, grid):
         super().__init__(grid)
-        self.riesz1 = multiplier_symbol(grid, MultiplierSpec.riesz(1))
-        self.riesz2 = multiplier_symbol(grid, MultiplierSpec.riesz(2))
+        self.riesz1 = self.symbol(MultiplierSpec.riesz(1))
+        self.riesz2 = self.symbol(MultiplierSpec.riesz(2))
 
     def velocity(self, c_theta):
         """Physical velocity components (u1, u2) = (-R2 theta, R1 theta)."""
@@ -72,27 +71,28 @@ class _SQGFlux(GridOperators):
 
     def rhs(self, c_theta):
         """Spectral tendency -(u . grad theta), dealiased."""
-        u1, u2 = self.velocity(c_theta)
+        u1, u2 = self.recall(c_theta, self.velocity)
         g1 = self.to_phys(self.d1 * c_theta)
         g2 = self.to_phys(self.d2 * c_theta)
         adv = self.to_spec(u1 * g1 + u2 * g2)
         return np.where(self.mask, -adv, 0.0)
 
     def max_velocity(self, c_theta):
-        u1, u2 = self.velocity(c_theta)
+        u1, u2 = self.remember(c_theta, self.velocity(c_theta))
         return float(np.sqrt(u1 * u1 + u2 * u2).max())
 
 
 def sqg_velocity(theta: RealField):
     """Velocity fields (u1, u2) = (-R2 theta, R1 theta); divergence-free."""
-    u1, u2 = _SQGFlux.on(theta.grid).velocity(forward_transform(theta).coefficients)
+    flux = _SQGFlux.on(theta.grid)
+    u1, u2 = flux.velocity(flux.to_spec(theta.values))
     return RealField(theta.grid, u1), RealField(theta.grid, u2)
 
 
 def sqg_rhs(theta: RealField) -> RealField:
     """Nonlinear tendency -(u . grad theta), dealiased, mean-free."""
     flux = _SQGFlux.on(theta.grid)
-    return RealField(theta.grid, flux.to_phys(flux.rhs(forward_transform(theta).coefficients)))
+    return RealField(theta.grid, flux.to_phys(flux.rhs(flux.to_spec(theta.values))))
 
 
 def sqg_step(state: SQGState, dt: float) -> SQGState:

@@ -190,6 +190,21 @@ class TestNonlinearReport:
         assert result.record["extras"]["theory_exponent"] == theory
         assert result.record["extras"]["subcritical"] is True
 
+    @pytest.mark.parametrize("kind", ["sqg", "ks"])
+    def test_run_record_carries_peak_courant_and_margin(self, tmp_path, kind):
+        n, L, dt = 32, 2 * math.pi * 4, 0.05
+        cfg = validate_config(
+            {"kind": kind, "n": n, "L": L, "dt": dt, "T": 1.0, "t_lo": 0.05,
+             "window_lo": 0.1, "window_hi": 1.0, "tolerance_pct": 1e6}
+        )
+        result = execute(cfg, tmp_path / "out")
+        extras = json.loads((tmp_path / "out" / "run.json").read_text())["extras"]
+        assert result.exit_code == 0
+        peak = extras["peak_courant"]
+        assert peak == pytest.approx(dt * extras["max_velocity_seen"] * n / L, rel=1e-14)
+        assert 0.0 < peak < 0.5
+        assert extras["courant_margin"] == pytest.approx(0.5 - peak, rel=1e-14)
+
 
 class TestCheckpointLoop:
     def test_run_produces_bsvf_that_besov_consumes(self, tmp_path):

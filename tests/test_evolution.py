@@ -9,12 +9,17 @@ from fraclab.evolution import (
     InitialSpectrum,
     NumericalAbort,
     RunConfig,
+    full_plane,
+    half_plane,
     integrate,
     log_spaced_times,
     make_initial_coefficients,
 )
+from fraclab.keller_segel import KSState, _KSFlux, ks_step
 from fraclab.littlewood_paley import BesovParams
-from fraclab.spectral import Grid2D, SpectralError, hermitian_defect
+from fraclab.spectral import Grid2D, RealField, SpectralError, forward_transform, hermitian_defect
+from fraclab.sqg import SQGState, _SQGFlux, sqg_step
+from helpers import convolution_product_coefficients, hermitian_noise, random_band_field
 
 
 class TestLogSpacedTimes:
@@ -97,10 +102,9 @@ class TestIntegrate:
         def record(t, c):
             recorded.append((t, c.copy()))
 
-        zero = np.zeros_like(c0)
         final, n_steps, vmax = integrate(
             g, c0, 1.0, 0.1, 1.0,
-            rhs=lambda c: zero,
+            rhs=lambda c: np.zeros_like(c),
             max_velocity=lambda c: 0.0,
             sample_times=[0.5, 1.0],
             record=record,
@@ -138,3 +142,88 @@ class TestIntegrate:
         good = info.value.last_good
         assert np.all(np.isfinite(good.view(np.float64)))
         assert good[2, 0] == pytest.approx(0.5 * math.exp(-2.0 * 0.3), rel=1e-12)
+
+
+def _reference_step(g, c, alpha, dt, tendency):
+    """Full-plane integrating-factor RK2 step, written out independently."""
+    E = np.exp(-dt * g.xi_mag ** alpha)
+    n0 = tendency(c)
+    n1 = tendency(E * (c + dt * n0))
+    return E * c + 0.5 * dt * (E * n0 + n1)
+
+
+def _sqg_tendency(g, c):
+    # -(u . grad theta) by direct convolution; u = (-R2 theta, R1 theta)
+    safe = np.where(g.xi_mag > 0, g.xi_mag, 1.0)
+    u1, u2 = -1j * g.xi2 / safe * c, 1j * g.xi1 / safe * c
+    band = g.n // 3
+    return -(convolution_product_coefficients(u1, 1j * g.xi1 * c, band)
+             + convolution_product_coefficients(u2, 1j * g.xi2 * c, band))
+
+
+def _ks_tendency(g, c):
+    # -div(u grad psi) by direct convolution; -Laplace psi = u - mean(u)
+    psi = np.where(g.xi_mag > 0, c / np.where(g.xi_mag > 0, g.xi_mag, 1.0) ** 2, 0.0)
+    band = g.n // 3
+    f1 = convolution_product_coefficients(c, 1j * g.xi1 * psi, band)
+    f2 = convolution_product_coefficients(c, 1j * g.xi2 * psi, band)
+    return -(1j * g.xi1 * f1 + 1j * g.xi2 * f2)
+
+
+class TestHalfPlaneStepper:
+    def test_extension_roundtrips_hermitian_array(self, rng):
+        g = Grid2D(16, 1.0)
+        z = hermitian_noise(g, rng)
+        assert np.all(z[g.n // 2, :] != 0) and np.all(z[:, g.n // 2] != 0)
+        back = full_plane(half_plane(z))
+        assert np.array_equal(back.view(np.float64), z.view(np.float64))
+
+    def test_sqg_step_matches_full_plane_convolution_step(self, rng):
+        g = Grid2D(32, 2 * math.pi)
+        w = random_band_field(g, rng).values
+        theta = RealField(g, 0.5 * w / np.abs(w).max())
+        out = sqg_step(SQGState(theta, 0.0, 1.0), 0.05)
+        ref = _reference_step(g, forward_transform(theta).coefficients, 1.0, 0.05,
+                              lambda c: _sqg_tendency(g, c))
+        got = forward_transform(out.theta).coefficients
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_ks_step_matches_full_plane_convolution_step(self, rng):
+        g = Grid2D(32, 2 * math.pi)
+        w = random_band_field(g, rng).values
+        u = RealField(g, 1.0 + 0.5 * w / np.abs(w).max())
+        out = ks_step(KSState(u, 0.0, 1.0), 0.05)
+        ref = _reference_step(g, forward_transform(u).coefficients, 1.0, 0.05,
+                              lambda c: _ks_tendency(g, c))
+        got = forward_transform(out.u).coefficients
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
+class TestVelocityReuse:
+    def _states(self, flux, rng):
+        return [flux.to_spec(random_band_field(flux.grid, rng).values) for _ in range(2)]
+
+    def test_rhs_bits_do_not_depend_on_prior_max_velocity(self, flux_class, rng, monkeypatch):
+        flux = flux_class(Grid2D(32, 2 * math.pi))
+        c, _ = self._states(flux, rng)
+        plain = flux.rhs(c)
+        calls = []
+        irfft2 = np.fft.irfft2
+        monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: calls.append(None) or irfft2(*a, **k))
+        flux.rhs(c)
+        cold = len(calls)
+        flux.max_velocity(c)
+        del calls[:]
+        reused = flux.rhs(c)
+        assert len(calls) == cold - 2  # the two velocity fields came from max_velocity
+        assert np.array_equal(plain.view(np.float64), reused.view(np.float64))
+
+    def test_fields_of_another_state_are_not_reused(self, flux_class, rng):
+        flux = flux_class(Grid2D(32, 2 * math.pi))
+        c0, c1 = self._states(flux, rng)
+        want = flux_class(flux.grid).rhs(c1)
+        flux.max_velocity(c0)
+        got = flux.rhs(c1)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert not np.array_equal(got, flux.rhs(c0))

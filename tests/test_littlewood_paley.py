@@ -50,10 +50,10 @@ class TestProfile:
 
     def test_step_complement_identity(self, profile):
         # chi's transition step satisfies h(t) + h(1-t) = 1
-        from fraclab.littlewood_paley import _smooth_step
+        from fraclab.littlewood_paley import _smooth_step_array
 
         for t in np.linspace(0.01, 0.99, 37):
-            assert _smooth_step(t) + _smooth_step(1.0 - t) == pytest.approx(1.0, abs=1e-15)
+            assert _smooth_step_array(t) + _smooth_step_array(1.0 - t) == pytest.approx(1.0, abs=1e-15)
 
     def test_scalar_array_agree(self, profile):
         r = np.exp(np.linspace(math.log(0.05), math.log(20.0), 1000))
