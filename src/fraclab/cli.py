@@ -374,6 +374,10 @@ def _series_to_rows(series: NormSeries):
     return [(float(t), float(v)) for t, v in zip(series.times, series.values)]
 
 
+def _series_files(config: dict, decay_series: NormSeries, preserved: NormSeries) -> dict:
+    return {f"decay_ell{config['ell']:g}_r1": decay_series, f"preserved_s{config['s']:g}_rinf": preserved}
+
+
 def _fit_dict(label: str, fit: FitResult) -> dict:
     return {
         "label": label,
@@ -399,10 +403,7 @@ def _run_oracle(config: dict):
     report = build_report([fit], [claim], config["tolerance_pct"], [f"oracle:{claim.family}"])
     pv = preserved.values
     preserved_ok = bool(np.all(pv <= pv[0] * (1.0 + 1e-12) + 1e-300))
-    series = {
-        f"decay_ell{config['ell']:g}_r1": decay_series,
-        f"preserved_s{config['s']:g}_rinf": preserved,
-    }
+    series = _series_files(config, decay_series, preserved)
     extras = {
         "theory_exponent": theoretical_exponent(claim),
         "preserved_nonincreasing": preserved_ok,
@@ -450,10 +451,7 @@ def _run_linear(config: dict):
     pv = preserved.values
     preserved_ok = bool(np.all(pv <= pv[0] * (1.0 + 1e-12) + 1e-300))
     extras["preserved_nonincreasing"] = preserved_ok
-    series = {
-        f"decay_ell{config['ell']:g}_r1": decay_series,
-        f"preserved_s{config['s']:g}_rinf": preserved,
-    }
+    series = _series_files(config, decay_series, preserved)
     return series, [_fit_dict("decay", fit)], report, extras, report.passed and preserved_ok
 
 
@@ -524,10 +522,7 @@ def _run_nonlinear(config: dict, kind: str):
         passed = passed and bounded and result.extras["mass_relative_drift"] <= 1e-12
         if subcritical:
             extras["subcritical"] = True
-    series = {
-        f"decay_ell{config['ell']:g}_r1": decay_series,
-        f"preserved_s{config['s']:g}_rinf": preserved_series,
-    }
+    series = _series_files(config, decay_series, preserved_series)
     return series, [_fit_dict("decay", fit)], report, extras, passed
 
 
@@ -535,13 +530,7 @@ def _run_besov(config: dict):
     field = read_bsvf(config["field"])
     params = BesovParams(config["s"], config["p"], config["r"])
     result = besov_norm(field, params, build_dyadic_profile())
-    extras = {
-        "value": result.value,
-        "j_min": result.j_min,
-        "j_max": result.j_max,
-        "grid_n": field.grid.n,
-        "grid_L": field.grid.L,
-    }
+    extras = {**result._asdict(), "grid_n": field.grid.n, "grid_L": field.grid.L}
     print(f"{params.label()} = {result.value!r}  blocks j in [{result.j_min}, {result.j_max}]")
     return {}, [], None, extras, True
 

@@ -365,29 +365,22 @@ class NormRecorder:
         self.profile = profile
         self.prefix = descriptor_prefix
         self.times: list[float] = []
-        self.values: dict[int, list[float]] = {i: [] for i in range(len(self.norms))}
+        self.values: list[list[float]] = [[] for _ in self.norms]
 
     def __call__(self, t: float, coeffs: np.ndarray):
         self.times.append(t)
-        for i, params in enumerate(self.norms):
-            self.values[i].append(spectral_besov_norm(self.grid, coeffs, params, self.profile))
+        for params, vals in zip(self.norms, self.values):
+            vals.append(spectral_besov_norm(self.grid, coeffs, params, self.profile))
 
     def series(self) -> dict:
-        out = {}
-        for i, params in enumerate(self.norms):
-            label = params.label()
-            times = np.asarray(self.times)
-            vals = np.asarray(self.values[i])
-            keep = times > 0  # NormSeries wants positive times; drop the t=0 record
-            out[label] = NormSeries(times[keep], vals[keep], f"{self.prefix}:{label}")
-        return out
+        times = np.asarray(self.times)
+        keep = times > 0  # NormSeries wants positive times; drop the t=0 record
+        return {p.label(): NormSeries(times[keep], np.asarray(v)[keep], f"{self.prefix}:{p.label()}")
+                for p, v in zip(self.norms, self.values)}
 
     def initial_values(self) -> dict:
         """Norm values recorded at t = 0, keyed like series()."""
-        out = {}
-        for i, params in enumerate(self.norms):
-            out[params.label()] = float(self.values[i][0]) if self.values[i] else 0.0
-        return out
+        return {p.label(): float(v[0]) if v else 0.0 for p, v in zip(self.norms, self.values)}
 
 
 def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: RunConfig,

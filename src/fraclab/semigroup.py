@@ -32,7 +32,7 @@ import numpy as np
 
 from .decay import DecayClaim, NormSeries
 from .littlewood_paley import DyadicProfile
-from .spectral import MultiplierSpec, SpectralError, SpectralField, multiplier_symbol
+from .spectral import Grid2D, MultiplierSpec, SpectralError, SpectralField, multiplier_symbol
 
 __all__ = [
     "evolve_linear",
@@ -56,8 +56,16 @@ def evolve_linear(field: SpectralField, alpha: float, t: float) -> SpectralField
         raise SpectralError(f"alpha must be in (0, 2], got {alpha}")
     if t < 0.0:
         raise SpectralError(f"evolution time must be nonnegative, got t={t}")
-    sym = multiplier_symbol(field.grid, MultiplierSpec.fractional_laplacian(alpha))
+    sym = _dissipation_symbol(field.grid, alpha)
     return SpectralField(field.grid, field.coefficients * np.exp(-t * sym), check=False)
+
+
+@functools.cache
+def _dissipation_symbol(grid: Grid2D, alpha: float) -> np.ndarray:
+    """|xi|^alpha of one grid, built once and shared read-only by every sample time."""
+    sym = multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha))
+    sym.setflags(write=False)
+    return sym
 
 
 def sphere_measure(n: int) -> float:

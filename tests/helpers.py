@@ -70,3 +70,29 @@ def convolution_product_coefficients(cf: np.ndarray, cg: np.ndarray, band: int) 
 
 def l2_of_coeffs(grid: Grid2D, coeffs: np.ndarray) -> float:
     return grid.L * math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+
+
+def reference_block_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile, levels) -> np.ndarray:
+    """Per-level block L^p norms by one full mask product per level.
+
+    p = 2 sums |block_multiplier(j) * c|^2 (Parseval); other p take the real
+    part of each block's inverse FFT. Test-only reference for the level table.
+    """
+    from fraclab.littlewood_paley import block_multiplier
+
+    out = []
+    for j in levels:
+        masked = block_multiplier(grid, int(j), "block", profile) * coeffs
+        if p == 2.0:
+            out.append(grid.L * math.sqrt(float(np.sum(np.abs(masked) ** 2))))
+            continue
+        w = np.abs(np.fft.ifft2(masked * (grid.n * grid.n)).real)
+        out.append(float(w.max()) if math.isinf(p) else float((grid.h ** 2 * np.sum(w ** p)) ** (1.0 / p)))
+    return np.asarray(out)
+
+
+def random_complex_coefficients(grid: Grid2D, rng) -> np.ndarray:
+    """Non-Hermitian complex coefficients on every mode, with a nonzero mean."""
+    c = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    c[0, 0] = 3.0 - 2.0j
+    return c

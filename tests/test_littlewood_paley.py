@@ -7,7 +7,10 @@ import pytest
 
 from fraclab.littlewood_paley import (
     BesovParams,
+    BlockRange,
+    _level_table,
     besov_norm,
+    block_multiplier,
     block_norms,
     block_range,
     bony_decompose,
@@ -20,11 +23,18 @@ from fraclab.spectral import (
     Grid2D,
     RealField,
     SpectralError,
+    SpectralField,
     dealias,
     forward_transform,
     inverse_transform,
 )
-from helpers import l2_of_coeffs, random_band_field, shell_field
+from helpers import (
+    l2_of_coeffs,
+    random_band_field,
+    random_complex_coefficients,
+    reference_block_norms,
+    shell_field,
+)
 
 
 class TestProfile:
@@ -228,6 +238,71 @@ class TestBesov:
         for s, p, r in ((0, 2, 1), (-1, 2, math.inf), (0.5, 3, 2), (0, math.inf, 1), (0, 1, math.inf)):
             params = BesovParams(s, p, r)
             assert spectral_besov_norm(g, c, params, profile) == besov_norm(f, params, profile).value
+
+
+# Grids of the level-table tests: every tested size at two torus lengths.
+TABLE_GRIDS = [(n, L) for n in (8, 16, 64, 256) for L in (2 * math.pi, 50.0)]
+
+
+class TestLevelTable:
+    """The p = 2 pipeline against a per-level mask loop and an inverse FFT."""
+
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    def test_p2_matches_per_level_mask_loop(self, profile, n, L):
+        g = Grid2D(n, L)
+        c = random_complex_coefficients(g, np.random.default_rng(n))
+        full = block_range(g, profile)
+        # a narrowed range leaves energy outside it, at both ends
+        narrow = BlockRange(full.j_min + 1, full.j_max - 1)
+        for rng_ in (full, narrow):
+            levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile, rng_)
+            assert list(levels) == list(rng_)
+            ref = reference_block_norms(g, c, 2.0, profile, levels)
+            assert np.all(ref > 0)
+            np.testing.assert_allclose(norms, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    def test_p2_block_norms_match_inverse_fft(self, profile, n, L):
+        g = Grid2D(n, L)
+        c = random_complex_coefficients(g, np.random.default_rng(n + 1))
+        levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile)
+        for j, norm in zip(levels, norms):
+            w = np.fft.ifft2(block_multiplier(g, int(j), "block", profile) * c * (n * n))
+            assert norm == pytest.approx(math.sqrt(g.h ** 2 * float(np.sum(np.abs(w) ** 2))), rel=1e-12)
+
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    def test_at_most_two_adjacent_levels_summing_to_one(self, profile, n, L):
+        g = Grid2D(n, L)
+        rng_ = block_range(g, profile)
+        # every level whose annulus can hold a mode of the grid
+        wide = range(math.floor(math.log2(g.xi_min)) - 2, math.ceil(math.log2(g.xi_mag.max())) + 2)
+        masks = np.array([block_multiplier(g, j, "block", profile) for j in wide])
+        active = masks > 0.0
+        count = active.sum(axis=0)
+        assert count.max() <= 2
+        first = np.argmax(active, axis=0)
+        two = count == 2
+        assert np.all(active[first[two] + 1, two])  # the second active level is the next one
+        total = masks.sum(axis=0)
+        total[0, 0] = 1.0  # the mean mode lies in no block
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
+        # the table holds exactly the squared masks of the range
+        low, w_low, w_next = _level_table(g, profile, rng_)
+        for i, j in enumerate(rng_):
+            encoded = np.where(low == i, w_low, 0.0) + np.where(low == i - 1, w_next, 0.0)
+            assert np.array_equal(encoded, block_multiplier(g, j, "block", profile).ravel() ** 2)
+
+    @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf)])
+    def test_other_p_bit_identical_to_fft_loop(self, profile, s, p, r):
+        g = Grid2D(64, 50.0)
+        c = random_complex_coefficients(g, np.random.default_rng(7))
+        params = BesovParams(s, p, r)
+        levels, norms = block_norms(SpectralField(g, c, check=False), params.p, profile)
+        ref = reference_block_norms(g, c, params.p, profile, levels)
+        assert np.array_equal(norms, ref)
+        weighted = (2.0 ** (levels * params.s)) * ref
+        combined = float(weighted.max()) if math.isinf(r) else float(np.sum(weighted ** r) ** (1.0 / r))
+        assert spectral_besov_norm(g, c, params, profile) == combined
 
 
 class TestCheminLerner:

@@ -13,6 +13,7 @@ from fraclab.semigroup import (
     GL_NODES,
     QuadratureError,
     RadialSpectralDensity,
+    _dissipation_symbol,
     evolve_linear,
     gauss_legendre_panels,
     oracle_besov_series,
@@ -20,7 +21,16 @@ from fraclab.semigroup import (
     oracle_l2_norm,
     sphere_measure,
 )
-from fraclab.spectral import Grid2D, RealField, SpectralError, SpectralField, dealias_mask, forward_transform
+from fraclab.spectral import (
+    Grid2D,
+    MultiplierSpec,
+    RealField,
+    SpectralError,
+    SpectralField,
+    dealias_mask,
+    forward_transform,
+    multiplier_symbol,
+)
 from helpers import random_band_field
 
 
@@ -54,6 +64,17 @@ class TestEvolveLinear:
         sp = forward_transform(f)
         out = evolve_linear(sp, 0.7, 5.0)
         assert out.coefficients[0, 0] == sp.coefficients[0, 0]
+
+    def test_symbol_built_once_and_bit_identical(self, rng):
+        g = Grid2D(64, 7.0)
+        sp = forward_transform(random_band_field(g, rng))
+        sym = multiplier_symbol(g, MultiplierSpec.fractional_laplacian(0.8))
+        for t in (0.0, 0.37, 4.0):
+            out = evolve_linear(sp, 0.8, t)
+            assert np.array_equal(out.coefficients, sp.coefficients * np.exp(-t * sym))
+        cached = _dissipation_symbol(Grid2D(64, 7.0), 0.8)
+        assert cached is _dissipation_symbol(g, 0.8)
+        assert np.array_equal(cached, sym) and not cached.flags.writeable
 
     def test_negative_time_rejected(self, rng):
         g = Grid2D(32, 1.0)
