@@ -21,6 +21,7 @@ abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import hashlib
 import json
@@ -38,11 +39,8 @@ from .bsvf import read_bsvf, write_bsvf
 from .decay import (
     ClaimError,
     DecayClaim,
-    DecayReport,
     FitError,
-    FitResult,
     NormSeries,
-    ReportEntry,
     build_report,
     fit_decay_slope,
     theoretical_exponent,
@@ -83,11 +81,15 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------- config load
 
 
+class _DuplicateKey(Exception):
+    """A key repeated inside one JSON object; carries the key."""
+
+
 def _reject_duplicates_hook(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise ConfigError(f"duplicate key {key!r} inside one object")
+            raise _DuplicateKey(key)
         seen[key] = value
     return seen
 
@@ -115,8 +117,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates_hook)
-    except ConfigError as exc:
-        key = str(exc).split("'")[1]
+    except _DuplicateKey as exc:
+        key = exc.args[0]
         lines = _locate_key(text, key)
         where = " and ".join(f"line {ln}" for ln in lines) or "unknown location"
         raise ConfigError(f"{path}: duplicate key {key!r} at {where}") from None
@@ -130,19 +132,29 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _want_number(cfg, key, default=None, *, integer=False, allow_inf=False):
+def _want_number(cfg, key, default=None, *, integer=False, allow_inf=False, above=None, at_least=None):
+    """The finite number under key (the default if absent), range-checked."""
     if key not in cfg or cfg[key] is None:
         return default
     v = cfg[key]
-    if allow_inf and v == "inf":
+    if allow_inf and v in ("inf", math.inf):  # math.inf: the canonical form of "inf"
         return math.inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"key {key!r} must be a number, got {v!r}")
-    if integer:
-        if float(v) != int(v):
-            raise ConfigError(f"key {key!r} must be an integer, got {v!r}")
-        return int(v)
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"key {key!r} must be a finite number, got {v!r}")
+    if integer and not x.is_integer():
+        raise ConfigError(f"key {key!r} must be an integer, got {v!r}")
+    v = int(v) if integer else x
+    if above is not None and not v > above:
+        raise ConfigError(f"{key} must be > {above}, got {v}")
+    if at_least is not None and not v >= at_least:
+        raise ConfigError(f"{key} must be >= {at_least}, got {v}")
+    return v
 
 
 def _want_str(cfg, key, default=None, choices=None):
@@ -168,13 +180,12 @@ _DENSITY_KEYS = {"form", "radius", "exponent", "r_lo", "r_hi", "sigma", "dimensi
 
 
 def _validate_density(cfg, dimension):
-    if cfg is None:
-        return {"form": "ball_indicator", "radius": 1.0, "dimension": dimension}
+    cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError("key 'density' must be an object")
     _check_unknown(cfg, _DENSITY_KEYS, "density")
     form = _want_str(cfg, "form", "ball_indicator", ("ball_indicator", "power_law", "gaussian"))
-    out = {"form": form, "dimension": _want_number(cfg, "dimension", dimension, integer=True)}
+    out = {"form": form, "dimension": _want_number(cfg, "dimension", dimension, integer=True, at_least=1)}
     if form == "ball_indicator":
         out["radius"] = _want_number(cfg, "radius", 1.0)
     elif form == "gaussian":
@@ -183,40 +194,38 @@ def _validate_density(cfg, dimension):
         out["exponent"] = _want_number(cfg, "exponent", 0.0)
         out["r_lo"] = _want_number(cfg, "r_lo", 0.0)
         out["r_hi"] = _want_number(cfg, "r_hi", 1.0)
-    _density_from(out)  # range checks
+    RadialSpectralDensity(**out)  # range checks
     return out
 
 
-def _density_from(cfg) -> RadialSpectralDensity:
-    form = cfg["form"]
-    dim = int(cfg.get("dimension", 2))
-    if form == "ball_indicator":
-        return RadialSpectralDensity.ball_indicator(cfg["radius"], dim)
-    if form == "gaussian":
-        return RadialSpectralDensity.gaussian(cfg["sigma"], dim)
-    return RadialSpectralDensity.power_law(cfg["exponent"], cfg["r_lo"], cfg["r_hi"], dim)
-
-
+# key sets: every kind's keys, then those of the decay experiments, then
+# those of the grid kinds, then those of the nonlinear flows
 _COMMON_KEYS = {"kind", "seed", "out", "tolerance_pct", "threads"}
+_DECAY_KEYS = _COMMON_KEYS | {"alpha", "s", "ell", "p", "r", "t_lo", "samples_per_decade"}
+_GRID_KEYS = _DECAY_KEYS | {"n", "L", "window_lo", "window_hi"}
+_FLOW_KEYS = _GRID_KEYS | {"epsilon", "smallness_budget", "j_lo", "j_hi", "taper", "dt", "T"}
 
 _SCHEMAS = {
-    "oracle": _COMMON_KEYS
-    | {"theorem", "alpha", "s", "ell", "p", "r", "dimension", "density", "t_lo", "t_hi", "samples_per_decade"},
-    "linear": _COMMON_KEYS
-    | {"n", "L", "alpha", "theorem", "s", "ell", "p", "r", "density", "t_lo", "t_hi",
-       "samples_per_decade", "window_lo", "window_hi"},
-    "sqg": _COMMON_KEYS
-    | {"n", "L", "alpha", "s", "ell", "p", "r", "epsilon", "smallness_budget", "j_lo", "j_hi",
-       "taper", "dt", "T", "t_lo", "samples_per_decade", "window_lo", "window_hi"},
-    "ks": _COMMON_KEYS
-    | {"n", "L", "alpha", "s", "ell", "p", "r", "epsilon", "smallness_budget", "j_lo", "j_hi",
-       "taper", "dt", "T", "t_lo", "samples_per_decade", "window_lo", "window_hi"},
+    "oracle": _DECAY_KEYS | {"theorem", "dimension", "density", "t_hi"},
+    "linear": _GRID_KEYS | {"theorem", "density", "t_hi"},
+    "sqg": _FLOW_KEYS,
+    "ks": _FLOW_KEYS,
     "besov": _COMMON_KEYS | {"field", "s", "p", "r"},
     "selftest": _COMMON_KEYS,
 }
 
 _DEFAULT_TOLERANCE = {"oracle": 2.0, "linear": 20.0, "sqg": 20.0, "ks": 20.0}
 _DEFAULT_L = 2.0 * math.pi * 64.0
+
+
+def _claim(config: dict) -> DecayClaim:
+    """The row of the exponent table that a decay experiment puts to the test."""
+    family = config.get("theorem", config["kind"])
+    if config["kind"] == "ks" and config["alpha"] != 1.0:
+        family = "ks_subcritical"
+    return DecayClaim(
+        family, s=config["s"], ell=config["ell"], alpha=config["alpha"], p=config["p"], r=config["r"]
+    )
 
 
 def validate_config(raw: dict) -> dict:
@@ -229,22 +238,16 @@ def validate_config(raw: dict) -> dict:
     if kind is None:
         raise ConfigError(f"config requires key 'kind' (one of {KINDS})")
     _check_unknown(raw, _SCHEMAS[kind])
-    out = {"kind": kind}
-    seed = _want_number(raw, "seed", 0, integer=True)
-    if seed < 0 or seed >= 2 ** 64:
-        raise ConfigError(f"seed must fit in u64, got {seed}")
-    out["seed"] = seed
+    out = {"kind": kind, "seed": _want_number(raw, "seed", 0, integer=True, at_least=0)}
+    if out["seed"] >= 2 ** 64:
+        raise ConfigError(f"seed must fit in u64, got {out['seed']}")
     if "out" in raw and raw["out"] is not None:
         out["out"] = _want_str(raw, "out")
-    tol = _want_number(raw, "tolerance_pct", _DEFAULT_TOLERANCE.get(kind))
+    tol = _want_number(raw, "tolerance_pct", _DEFAULT_TOLERANCE.get(kind), above=0)
     if tol is not None:
-        if tol <= 0:
-            raise ConfigError(f"tolerance_pct must be positive, got {tol}")
         out["tolerance_pct"] = tol
-    threads = _want_number(raw, "threads", 1, integer=True)
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
     # threads has no effect, so it stays out of the canonical config and its hash
+    _want_number(raw, "threads", 1, integer=True, at_least=0)
 
     if kind == "selftest":
         return out
@@ -263,91 +266,61 @@ def validate_config(raw: dict) -> dict:
         BesovParams(out["s"], out["p"], out["r"])  # range check
         return out
 
+    out["alpha"] = _want_number(raw, "alpha", 1.0)
     if kind == "oracle":
         out["theorem"] = _want_str(raw, "theorem", "linear", ("linear", "sqg", "ks", "lebesgue"))
-        out["alpha"] = _want_number(raw, "alpha", 1.0)
-        out["s"] = _want_number(raw, "s", 1.0)
-        out["ell"] = _want_number(raw, "ell", 0.0)
-        out["p"] = _want_number(raw, "p", 2.0)
-        out["r"] = _want_number(raw, "r", 2.0)
-        out["dimension"] = _want_number(raw, "dimension", 2, integer=True)
-        DecayClaim(out["theorem"], s=out["s"], ell=out["ell"], alpha=out["alpha"], p=out["p"], r=out["r"])
-        out["density"] = _validate_density(raw.get("density"), out["dimension"])
-        out["t_lo"] = _want_number(raw, "t_lo", 10.0)
-        out["t_hi"] = _want_number(raw, "t_hi", 1e4)
-        if not (0 < out["t_lo"] < out["t_hi"]):
-            raise ConfigError(f"need 0 < t_lo < t_hi, got [{out['t_lo']}, {out['t_hi']}]")
-        out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True)
-        if out["samples_per_decade"] < 2:
-            raise ConfigError("samples_per_decade must be >= 2")
-        return out
-
-    # grid-based kinds share n, L, alpha
-    out["n"] = _want_number(raw, "n", 256, integer=True)
-    out["L"] = _want_number(raw, "L", _DEFAULT_L)
-    out["alpha"] = _want_number(raw, "alpha", 1.0)
-    Grid2D(out["n"], out["L"])  # range check
-    xi_min = 2.0 * math.pi / out["L"]
-    cutoff = 0.1 * xi_min ** -out["alpha"]
-
+        out["dimension"] = _want_number(raw, "dimension", 2, integer=True, at_least=1)
+    else:
+        # grid-based kinds share n and L
+        out["n"] = _want_number(raw, "n", 256, integer=True)
+        out["L"] = _want_number(raw, "L", _DEFAULT_L)
+        grid = Grid2D(out["n"], out["L"])  # range check
+        cutoff = 0.1 * (2.0 * math.pi / out["L"]) ** -out["alpha"]
     if kind == "linear":
         out["theorem"] = _want_str(raw, "theorem", "linear", ("linear",))
-        out["s"] = _want_number(raw, "s", 1.0)
-        out["ell"] = _want_number(raw, "ell", 0.0)
-        out["p"] = _want_number(raw, "p", 2.0)
-        out["r"] = _want_number(raw, "r", 2.0)
-        DecayClaim("linear", s=out["s"], ell=out["ell"], alpha=out["alpha"], p=out["p"], r=out["r"])
+    for key, default in (("s", 1.0), ("ell", 0.0), ("p", 2.0), ("r", 2.0)):
+        out[key] = _want_number(raw, key, default)
+    _claim(out)  # range check
+
+    if kind == "oracle":
+        out["density"] = _validate_density(raw.get("density"), out["dimension"])
+        t_hi = out["t_hi"] = _want_number(raw, "t_hi", 1e4)
+        out["t_lo"] = _want_number(raw, "t_lo", 10.0)
+    elif kind == "linear":
         out["density"] = _validate_density(raw.get("density"), 2)
         if out["density"]["dimension"] != 2:
             raise ConfigError("linear grid runs require a 2-dimensional density")
-        out["t_hi"] = _want_number(raw, "t_hi", cutoff)
-        out["t_lo"] = _want_number(raw, "t_lo", out["t_hi"] / 100.0)
-        if not (0 < out["t_lo"] < out["t_hi"]):
-            raise ConfigError(f"need 0 < t_lo < t_hi, got [{out['t_lo']}, {out['t_hi']}]")
-        out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True)
-        out["window_lo"] = _want_number(raw, "window_lo", max(1.0, out["t_lo"]))
-        out["window_hi"] = _want_number(raw, "window_hi", out["t_hi"])
-        return out
+        t_hi = out["t_hi"] = _want_number(raw, "t_hi", cutoff)
+        out["t_lo"] = _want_number(raw, "t_lo", t_hi / 100.0)
+    else:
+        out["epsilon"] = _want_number(raw, "epsilon", 1e-2, at_least=0)
+        out["smallness_budget"] = _want_number(raw, "smallness_budget", 1e-2, above=0)
+        rng = block_range(grid, build_dyadic_profile())
+        out["j_lo"] = _want_number(raw, "j_lo", rng.j_min, integer=True)
+        out["j_hi"] = _want_number(raw, "j_hi", rng.j_max - 1, integer=True)
+        if out["j_lo"] > out["j_hi"]:
+            raise ConfigError(f"need j_lo <= j_hi, got [{out['j_lo']}, {out['j_hi']}]")
+        out["taper"] = _want_number(raw, "taper", 1.0, above=0)
+        out["dt"] = _want_number(raw, "dt", 0.02, above=0)
+        t_hi = out["T"] = _want_number(raw, "T", 1.25 * cutoff, above=0)
+        out["t_lo"] = _want_number(raw, "t_lo", max(out["dt"], t_hi / 200.0))
+    if not (0 < out["t_lo"] < t_hi):
+        raise ConfigError(f"need 0 < t_lo < t_hi (T for sqg/ks), got [{out['t_lo']}, {t_hi}]")
+    out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True, at_least=2)
+    if kind == "oracle":
+        return out  # the fit window is [t_lo, t_hi]
 
-    # sqg / ks
-    family = "sqg" if kind == "sqg" else "ks"
-    out["s"] = _want_number(raw, "s", 1.0)
-    out["ell"] = _want_number(raw, "ell", 0.0)
-    out["p"] = _want_number(raw, "p", 2.0)
-    out["r"] = _want_number(raw, "r", 2.0)
-    claim_alpha = out["alpha"] if family == "sqg" else 1.0
-    if family == "ks" and not (1.0 <= out["alpha"] <= 2.0):
-        raise ConfigError(
-            f"ks runs support alpha in [1, 2] (critical and subcritical), got {out['alpha']}"
-        )
-    DecayClaim(family, s=out["s"], ell=out["ell"], alpha=claim_alpha, p=out["p"], r=out["r"])
-    out["epsilon"] = _want_number(raw, "epsilon", 1e-2)
-    out["smallness_budget"] = _want_number(raw, "smallness_budget", 1e-2)
-    if out["epsilon"] < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {out['epsilon']}")
-    grid = Grid2D(out["n"], out["L"])
-    rng = block_range(grid, build_dyadic_profile())
-    out["j_lo"] = _want_number(raw, "j_lo", rng.j_min, integer=True)
-    out["j_hi"] = _want_number(raw, "j_hi", rng.j_max - 1, integer=True)
-    if out["j_lo"] > out["j_hi"]:
-        raise ConfigError(f"need j_lo <= j_hi, got [{out['j_lo']}, {out['j_hi']}]")
-    out["taper"] = _want_number(raw, "taper", 1.0)
-    if out["taper"] <= 0:
-        raise ConfigError(f"taper must be positive, got {out['taper']}")
-    out["dt"] = _want_number(raw, "dt", 0.02)
-    out["T"] = _want_number(raw, "T", 1.25 * cutoff)
-    if out["dt"] <= 0 or out["T"] <= 0:
-        raise ConfigError("dt and T must be positive")
-    out["t_lo"] = _want_number(raw, "t_lo", max(out["dt"], out["T"] / 200.0))
-    out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True)
-    samples = log_spaced_times(out["t_lo"], out["T"], out["samples_per_decade"])
-    first_gap = samples[1] - samples[0] if len(samples) > 1 else out["dt"]
-    out["window_lo"] = _want_number(raw, "window_lo", max(1.0, 10.0 * first_gap))
-    out["window_hi"] = _want_number(raw, "window_hi", cutoff)
+    if kind == "linear":
+        window = (max(1.0, out["t_lo"]), t_hi)
+    else:
+        samples = log_spaced_times(out["t_lo"], t_hi, out["samples_per_decade"])
+        window = (max(1.0, 10.0 * (samples[1] - samples[0])), cutoff)
+    out["window_lo"] = _want_number(raw, "window_lo", window[0])
+    out["window_hi"] = _want_number(raw, "window_hi", window[1])
     if not (out["window_lo"] < out["window_hi"]):
         raise ConfigError(
             f"empty fit window [{out['window_lo']}, {out['window_hi']}]; "
-            "widen [t_lo, T] or override window_lo/window_hi"
+            "widen the sampled range or override window_lo/window_hi"
         )
     return out
 
@@ -370,47 +343,27 @@ def _canonical_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _series_to_rows(series: NormSeries):
-    return [(float(t), float(v)) for t, v in zip(series.times, series.values)]
+def _nonincreasing(series: NormSeries) -> bool:
+    v = series.values
+    return bool(np.all(v <= v[0] * (1.0 + 1e-12) + 1e-300))
 
 
-def _series_files(config: dict, decay_series: NormSeries, preserved: NormSeries) -> dict:
-    return {f"decay_ell{config['ell']:g}_r1": decay_series, f"preserved_s{config['s']:g}_rinf": preserved}
+# Series producers: each returns the decaying and the preserved norm series,
+# the report descriptor, its kind's extras and its kind's own pass condition.
 
 
-def _fit_dict(label: str, fit: FitResult) -> dict:
-    return {
-        "label": label,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "window": [fit.window[0], fit.window[1]],
-        "n_samples": fit.n_samples,
-    }
-
-
-def _run_oracle(config: dict):
-    profile = build_dyadic_profile()
-    claim = DecayClaim(
-        config["theorem"], s=config["s"], ell=config["ell"],
-        alpha=config["alpha"], p=config["p"], r=config["r"],
-    )
-    density = _density_from(config["density"])
+def _oracle_series(config: dict, claim: DecayClaim, profile):
+    density = RadialSpectralDensity(**config["density"])
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
-    decay_series = oracle_besov_series(density, claim, times, profile, "decay")
+    decay = oracle_besov_series(density, claim, times, profile, "decay")
     preserved = oracle_besov_series(density, claim, times, profile, "preserved")
-    fit = fit_decay_slope(decay_series, (config["t_lo"], config["t_hi"]))
-    report = build_report([fit], [claim], config["tolerance_pct"], [f"oracle:{claim.family}"])
+    ok = _nonincreasing(preserved)
     pv = preserved.values
-    preserved_ok = bool(np.all(pv <= pv[0] * (1.0 + 1e-12) + 1e-300))
-    series = _series_files(config, decay_series, preserved)
     extras = {
-        "theory_exponent": theoretical_exponent(claim),
-        "preserved_nonincreasing": preserved_ok,
+        "preserved_nonincreasing": ok,
         "preserved_final_over_initial": float(pv[-1] / pv[0]) if pv[0] > 0 else 0.0,
     }
-    passed = report.passed and preserved_ok
-    return series, [_fit_dict("decay", fit)], report, extras, passed
+    return decay, preserved, f"oracle:{claim.family}", extras, ok
 
 
 def _radial_grid_coefficients(grid: Grid2D, density: RadialSpectralDensity) -> np.ndarray:
@@ -421,87 +374,47 @@ def _radial_grid_coefficients(grid: Grid2D, density: RadialSpectralDensity) -> n
     return c.astype(np.complex128)
 
 
-def _run_linear(config: dict):
-    profile = build_dyadic_profile()
+def _linear_series(config: dict, claim: DecayClaim, profile):
     grid = Grid2D(config["n"], config["L"])
-    claim = DecayClaim(
-        "linear", s=config["s"], ell=config["ell"],
-        alpha=config["alpha"], p=config["p"], r=config["r"],
-    )
-    density = _density_from(config["density"])
-    coeffs = _radial_grid_coefficients(grid, density)
+    density = RadialSpectralDensity(**config["density"])
+    base = SpectralField(grid, _radial_grid_coefficients(grid, density), check=False)
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["p"], math.inf)
-    base = SpectralField(grid, coeffs, check=False)
     decay_vals, preserved_vals = [], []
     for t in times:
         ct = evolve_linear(base, config["alpha"], float(t)).coefficients
         decay_vals.append(spectral_besov_norm(grid, ct, decay_params, profile))
         preserved_vals.append(spectral_besov_norm(grid, ct, preserved_params, profile))
-    decay_series = NormSeries(times, np.asarray(decay_vals), f"linear-grid:{decay_params.label()}")
-    preserved = NormSeries(times, np.asarray(preserved_vals), f"linear-grid:{preserved_params.label()}")
-    fit = fit_decay_slope(decay_series, (config["window_lo"], config["window_hi"]))
-    report = build_report([fit], [claim], config["tolerance_pct"], ["linear-grid"])
-    extras = {"theory_exponent": theoretical_exponent(claim)}
+    decay = NormSeries(times, decay_vals, f"linear-grid:{decay_params.label()}")
+    preserved = NormSeries(times, preserved_vals, f"linear-grid:{preserved_params.label()}")
+    ok = _nonincreasing(preserved)
+    extras = {"preserved_nonincreasing": ok}
     if config["p"] == 2.0:
         oracle = oracle_besov_series(density, claim, times, profile, "decay")
-        dev = np.abs(decay_series.values - oracle.values) / oracle.values
+        dev = np.abs(decay.values - oracle.values) / oracle.values
         extras["grid_oracle_max_rel_dev"] = float(dev.max())
-    pv = preserved.values
-    preserved_ok = bool(np.all(pv <= pv[0] * (1.0 + 1e-12) + 1e-300))
-    extras["preserved_nonincreasing"] = preserved_ok
-    series = _series_files(config, decay_series, preserved)
-    return series, [_fit_dict("decay", fit)], report, extras, report.passed and preserved_ok
+    return decay, preserved, "linear-grid", extras, ok
 
 
-def _run_nonlinear(config: dict, kind: str):
-    profile = build_dyadic_profile()
+def _flow_series(config: dict, claim: DecayClaim, profile):
+    kind = config["kind"]
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["r"], math.inf)
-    claim = DecayClaim(kind, s=config["s"], ell=config["ell"],
-                       alpha=config["alpha"] if kind == "sqg" else 1.0, p=config["p"], r=config["r"])
-    theory = theoretical_exponent(claim)
-    subcritical = kind == "ks" and config["alpha"] != 1.0
-    if subcritical:
-        # subcritical extension: the alpha-general rate formula
-        theory = (
-            -(config["ell"] + config["s"]) / config["alpha"]
-            - (2.0 / config["alpha"]) * (1.0 / config["r"] - 1.0 / config["p"])
-        )
-    if theory == 0.0:
-        raise FitError("claim predicts zero exponent; relative comparison undefined")
     run_config = RunConfig(
-        n=config["n"],
-        L=config["L"],
-        alpha=config["alpha"],
-        dt=config["dt"],
-        T=config["T"],
-        seed=config["seed"],
+        **{key: config[key] for key in ("n", "L", "alpha", "dt", "T", "seed", "smallness_budget")},
         initial=InitialSpectrum(
-            epsilon=config["epsilon"],
-            j_lo=config["j_lo"],
-            j_hi=config["j_hi"],
-            s_data=config["s"],
-            taper=config["taper"],
+            s_data=config["s"], **{key: config[key] for key in ("epsilon", "j_lo", "j_hi", "taper")}
         ),
         sample_times=log_spaced_times(config["t_lo"], config["T"], config["samples_per_decade"]),
         norms=[decay_params, preserved_params],
-        smallness_budget=config["smallness_budget"],
     )
     runner = run_sqg if kind == "sqg" else run_ks
     result = runner(run_config, profile)
-    decay_series = result.series[decay_params.label()]
-    fit = fit_decay_slope(decay_series, (config["window_lo"], config["window_hi"]))
-    rel = abs(fit.slope - theory) / abs(theory)
-    entry = ReportEntry(f"{kind}:{decay_params.label()}", theory, fit.slope, rel,
-                        rel <= config["tolerance_pct"] / 100.0)
-    report = DecayReport([entry], config["tolerance_pct"])
-    preserved_series = result.series[preserved_params.label()]
+    preserved = result.series[preserved_params.label()]
     initial_preserved = result.extras["initial_norms"][preserved_params.label()]
-    bounded = bool(np.all(preserved_series.values <= 2.0 * initial_preserved + 1e-300))
+    bounded = bool(np.all(preserved.values <= 2.0 * initial_preserved + 1e-300))
     extras = {
-        "theory_exponent": theory,
         "initial_critical_norm": result.initial_critical_norm,
         "critical_norm_label": result.extras["critical_norm_label"],
         "max_velocity_seen": result.max_velocity_seen,
@@ -510,20 +423,43 @@ def _run_nonlinear(config: dict, kind: str):
         "n_steps": result.extras["n_steps"],
         "final_time": result.final_time,
         "preserved_initial": initial_preserved,
-        "preserved_max": float(preserved_series.values.max()),
+        "preserved_max": float(preserved.values.max()),
         "preserved_bounded_2x": bounded,
         "config_hash_run": result.config_hash,
         "_final_field": result.final_values,  # persisted as final.bsvf, then dropped
     }
-    passed = report.passed
+    ok = True
     if kind == "ks":
         extras["min_u"] = result.extras["min_u"]
         extras["mass_relative_drift"] = result.extras["mass_relative_drift"]
-        passed = passed and bounded and result.extras["mass_relative_drift"] <= 1e-12
-        if subcritical:
+        ok = bounded and result.extras["mass_relative_drift"] <= 1e-12
+        if claim.family == "ks_subcritical":
             extras["subcritical"] = True
-    series = _series_files(config, decay_series, preserved_series)
-    return series, [_fit_dict("decay", fit)], report, extras, passed
+    decay = result.series[decay_params.label()]
+    return decay, preserved, f"{kind}:{decay_params.label()}", extras, ok
+
+
+_SERIES = {"oracle": _oracle_series, "linear": _linear_series, "sqg": _flow_series, "ks": _flow_series}
+
+
+def _run_decay(config: dict):
+    """Fit the decaying norm of a decay experiment and grade it against its claim."""
+    claim = _claim(config)
+    theory = theoretical_exponent(claim)
+    if theory == 0.0:  # build_report refuses it too, but only after the series are computed
+        raise FitError("claim predicts zero exponent; relative comparison undefined")
+    decay, preserved, descriptor, extras, ok = _SERIES[config["kind"]](
+        config, claim, build_dyadic_profile()
+    )
+    if "window_lo" in config:
+        window = (config["window_lo"], config["window_hi"])
+    else:
+        window = (config["t_lo"], config["t_hi"])
+    fit = fit_decay_slope(decay, window)
+    report = build_report([fit], [claim], config["tolerance_pct"], [descriptor])
+    fits = [{"label": "decay", **dataclasses.asdict(fit), "window": list(fit.window)}]
+    series = {f"decay_ell{config['ell']:g}_r1": decay, f"preserved_s{config['s']:g}_rinf": preserved}
+    return series, fits, report, {"theory_exponent": theory, **extras}, report.passed and ok
 
 
 def _run_besov(config: dict):
@@ -550,6 +486,9 @@ def _run_selftest(config: dict):
     return {}, [], None, extras, passed
 
 
+_RUNNERS = {**dict.fromkeys(_SERIES, _run_decay), "besov": _run_besov, "selftest": _run_selftest}
+
+
 def execute(config: dict, out_dir=None) -> ExecutionResult:
     """Dispatch a validated config, write outputs, and return the record."""
     kind = config["kind"]
@@ -559,16 +498,7 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
     exit_code = EXIT_PASS
     series, fits, report, extras, passed = {}, [], None, {}, False
     try:
-        if kind == "oracle":
-            series, fits, report, extras, passed = _run_oracle(config)
-        elif kind == "linear":
-            series, fits, report, extras, passed = _run_linear(config)
-        elif kind in ("sqg", "ks"):
-            series, fits, report, extras, passed = _run_nonlinear(config, kind)
-        elif kind == "besov":
-            series, fits, report, extras, passed = _run_besov(config)
-        elif kind == "selftest":
-            series, fits, report, extras, passed = _run_selftest(config)
+        series, fits, report, extras, passed = _RUNNERS[kind](config)
     except (CFLError, NumericalAbort, QuadratureError) as exc:
         failure = {"type": type(exc).__name__, "message": str(exc)}
         exit_code = EXIT_NUMERICAL_ABORT
@@ -627,8 +557,8 @@ def _atomic_write(path: Path, data: bytes):
 
 def _format_csv(series: NormSeries) -> bytes:
     lines = ["t,value"]
-    for t, v in _series_to_rows(series):
-        lines.append(f"{t!r},{v!r}")
+    for t, v in zip(series.times, series.values):
+        lines.append(f"{float(t)!r},{float(v)!r}")
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -722,26 +652,15 @@ def _resolve_out_dir(args, config: dict) -> Path:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            config = load_config(args.config)
-        else:
-            if args.command in ("besov",):
-                raise ConfigError(f"the {args.command} subcommand requires --config")
-            config = validate_config({"kind": args.command})
+        if args.config is None and args.command == "besov":
+            raise ConfigError("the besov subcommand requires --config")
+        config = load_config(args.config) if args.config is not None else {"kind": args.command}
         if config["kind"] != args.command:
             raise ConfigError(
                 f"config kind {config['kind']!r} does not match subcommand {args.command!r}"
             )
-        if args.seed is not None:
-            if args.seed < 0 or args.seed >= 2 ** 64:
-                raise ConfigError(f"--seed must fit in u64, got {args.seed}")
-            config["seed"] = args.seed
-        if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
-            config["tolerance_pct"] = args.tolerance
-        if args.threads is not None and args.threads < 0:
-            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
+        overrides = {"seed": args.seed, "tolerance_pct": args.tolerance, "threads": args.threads}
+        config = validate_config(config | {k: v for k, v in overrides.items() if v is not None})
         out_dir = _resolve_out_dir(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,17 +4,19 @@ Each supported decay claim predicts ||solution(t)|| <= C (1 + t)^exponent
 for a specific homogeneous Besov (or Lebesgue) norm, with the exponent a
 closed-form function of the regularity/integrability parameters:
 
-    family      norm decaying          exponent
-    ----------  ---------------------  -------------------------------------
-    linear      B^ell_{p,1}            -(ell + s) / alpha
-    sqg         B^ell_{r,1}            -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
-    ks          B^ell_{r,1}            -(ell + s) - 2 (1/r - 1/p)   [alpha = 1]
-    lebesgue    L^r                    -s/alpha - (2/alpha)(1 - 1/r - 1/p)
+    family          norm decaying    exponent
+    --------------  ---------------  ---------------------------------------
+    linear          B^ell_{p,1}      -(ell + s) / alpha
+    sqg             B^ell_{r,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
+    ks              B^ell_{r,1}      -(ell + s) - 2 (1/r - 1/p)   [alpha = 1]
+    ks_subcritical  B^ell_{r,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
+    lebesgue        L^r              -s/alpha - (2/alpha)(1 - 1/r - 1/p)
 
 Here s indexes the negative-regularity class B^{-s}_{.,inf} the initial data
 sits in, which is preserved by the flow and converts into decay of the
 higher norms. The ``ks`` family is the alpha = 1 specialization of ``sqg``
-and the two formulas agree identically there.
+and the two formulas agree identically there. ``ks_subcritical`` is the
+``sqg`` formula on the ``ks`` ranges, for Keller-Segel with alpha in (1, 2].
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
     "build_report",
 ]
 
-CLAIM_FAMILIES = ("linear", "sqg", "ks", "lebesgue")
+CLAIM_FAMILIES = ("linear", "sqg", "ks", "ks_subcritical", "lebesgue")
 
 
 class ClaimError(ValueError):
@@ -61,6 +63,7 @@ class DecayClaim:
                 -s - 2(1/r - 1/p) <= ell <= 1 + 2/p - alpha
     - ks:       alpha = 1, 2 <= r <= p < inf, 1 - 2/p < s < 1 + 2/p,
                 -s - 2(1/r - 1/p) <= ell <= -1 + 2/p
+    - ks_subcritical: alpha in (1, 2], with the ks ranges of s, ell, r, p
     - lebesgue: alpha in (0, 1], 2 <= r < inf, p in [2, inf),
                 -2/p < s < 1 + 2/p, with the implied Besov index
                 ell = 1 - 2/r inside the sqg range for (2, p)
@@ -121,17 +124,27 @@ class DecayClaim:
     def _check_ks(self):
         if self.alpha != 1.0:
             raise ClaimError(f"ks claims require alpha = 1, got alpha={self.alpha}")
-        self._check_r_le_p("ks")
+        self._check_ks_ranges("ks")
+
+    def _check_ks_subcritical(self):
+        if not (1.0 < self.alpha <= 2.0):
+            raise ClaimError(
+                f"ks_subcritical claims require alpha in (1, 2] (ks is alpha = 1), got alpha={self.alpha}"
+            )
+        self._check_ks_ranges("ks_subcritical")
+
+    def _check_ks_ranges(self, family):
+        self._check_r_le_p(family)
         if not (1.0 - 2.0 / self.p < self.s < 1.0 + 2.0 / self.p):
             raise ClaimError(
-                f"ks claims require 1 - 2/p < s < 1 + 2/p "
+                f"{family} claims require 1 - 2/p < s < 1 + 2/p "
                 f"(= {1.0 - 2.0 / self.p} < s < {1.0 + 2.0 / self.p}), got s={self.s}"
             )
         lo = -self.s - 2.0 * (1.0 / self.r - 1.0 / self.p)
         hi = -1.0 + 2.0 / self.p
         if not (lo <= self.ell <= hi):
             raise ClaimError(
-                f"ks claims require -s - 2(1/r - 1/p) <= ell <= -1 + 2/p "
+                f"{family} claims require -s - 2(1/r - 1/p) <= ell <= -1 + 2/p "
                 f"(= {lo} <= ell <= {hi}), got ell={self.ell}"
             )
 
@@ -163,7 +176,7 @@ def theoretical_exponent(claim: DecayClaim) -> float:
     s, ell, alpha, p, r = claim.s, claim.ell, claim.alpha, claim.p, claim.r
     if claim.family == "linear":
         return -(ell + s) / alpha
-    if claim.family == "sqg":
+    if claim.family in ("sqg", "ks_subcritical"):
         return -(ell + s) / alpha - (2.0 / alpha) * (1.0 / r - 1.0 / p)
     if claim.family == "ks":
         return -(ell + s) - 2.0 * (1.0 / r - 1.0 / p)

@@ -232,7 +232,13 @@ def _level_rules(density: RadialSpectralDensity, j: int, profile: DyadicProfile)
 
 def _damped_integrals(rules, alpha: float, times: np.ndarray):
     """Integral of each rule against exp(-2 t r^alpha), at every time at once."""
-    return [np.exp(np.multiply.outer(-2.0 * times, r ** alpha)) @ w for r, w in rules]
+    integrals = []
+    for r, w in rules:
+        # exponentiated in place: a second ~230 KiB temporary per rule made
+        # glibc trim and re-fault its heap on every call
+        e = np.multiply.outer(-2.0 * times, r ** alpha)
+        integrals.append(np.exp(e, out=e) @ w)
+    return integrals
 
 
 def _check_gap(what: str, times, coarse, fine, scale, rel_tol: float):

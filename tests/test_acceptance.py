@@ -400,6 +400,19 @@ def test_11_exponent_table_consistency():
                 count += 1
     checked += count
     assert count >= 20
+    # ks_subcritical family: the sqg formula carried to alpha in (1, 2]
+    count = 0
+    for p in (2.0, 4.0, 8.0):
+        for r in sorted({2.0, p}):
+            for alpha in (1.25, 1.5, 2.0):
+                for s in (1.0, 1.2):
+                    ell = 0.5 * (-s - 2.0 * (1.0 / r - 1.0 / p) + (-1.0 + 2.0 / p))
+                    claim = DecayClaim("ks_subcritical", s=s, ell=ell, alpha=alpha, p=p, r=r)
+                    expected = -(ell + s) / alpha - (2.0 / alpha) * (1.0 / r - 1.0 / p)
+                    assert theoretical_exponent(claim) == expected
+                    count += 1
+    checked += count
+    assert count >= 10
     # lebesgue family: -s/alpha - (2/alpha)(1 - 1/r - 1/p)
     count = 0
     for p in (2.0, 4.0, 8.0):

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,47 @@ class TestLoadConfig:
         assert cfg["window_hi"] == pytest.approx(0.1 / xi_min)
         assert cfg["window_lo"] >= 1.0
 
+    def test_duplicate_key_with_apostrophe_is_named(self, tmp_path):
+        text = '{\n  "kind": "oracle",\n  "it\'s": 1,\n  "it\'s": 2\n}\n'
+        with pytest.raises(ConfigError, match="duplicate key \"it's\" at line 3 and line 4"):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # non-finite numbers (Python's JSON parser accepts NaN and Infinity)
+            ('{"kind": "sqg", "n": Infinity}', "'n' must be a finite number"),
+            ('{"kind": "sqg", "seed": Infinity}', "'seed' must be a finite number"),
+            pytest.param('{"kind": "sqg", "L": 1' + "0" * 400 + "}", "'L' must be a finite number",
+                         id="integer-past-float-range"),
+            ('{"kind": "oracle", "tolerance_pct": NaN}', "'tolerance_pct' must be a finite number"),
+            ('{"kind": "sqg", "epsilon": NaN}', "'epsilon' must be a finite number"),
+            ('{"kind": "ks", "taper": NaN}', "'taper' must be a finite number"),
+            ('{"kind": "sqg", "smallness_budget": NaN}', "'smallness_budget' must be a finite number"),
+            ('{"kind": "besov", "field": "f.bsvf", "s": NaN}', "'s' must be a finite number"),
+            ('{"kind": "oracle", "density": {"form": "power_law", "exponent": NaN}}',
+             "'exponent' must be a finite number"),
+            ('{"kind": "oracle", "dimension": NaN}', "'dimension' must be a finite number"),
+            # one range per shared key, checked for every kind
+            ('{"kind": "linear", "samples_per_decade": 1}', "samples_per_decade must be >= 2"),
+            ('{"kind": "linear", "samples_per_decade": 0}', "samples_per_decade must be >= 2"),
+            ('{"kind": "linear", "window_lo": 5.0, "window_hi": 2.0}', "empty fit window"),
+            ('{"kind": "sqg", "smallness_budget": 0}', "smallness_budget must be > 0"),
+            ('{"kind": "ks", "smallness_budget": -0.001}', "smallness_budget must be > 0"),
+            ('{"kind": "oracle", "dimension": 0}', "dimension must be >= 1"),
+        ],
+    )
+    def test_rejected_before_any_computation(self, tmp_path, text, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, text))
+
+    def test_shipped_configs_load_and_revalidate(self):
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+        assert len(paths) >= 3
+        for path in paths:
+            cfg = load_config(path)
+            assert validate_config(cfg) == cfg, path.name
+
 
 class TestExecuteBesov:
     def test_prints_norm_and_range(self, tmp_path, rng, capsys):
@@ -91,6 +133,21 @@ class TestExecuteBesov:
         assert record["extras"]["grid_n"] == 64
         # one-line record
         assert (tmp_path / "out" / "run.json").read_text().count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["p", "r"])
+    def test_inf_exponent_through_main(self, tmp_path, rng, capsys, monkeypatch, key):
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        fpath = tmp_path / "field.bsvf"
+        write_bsvf(fpath, random_band_field(Grid2D(64, 2 * math.pi), rng))
+        raw = {"kind": "besov", "field": str(fpath), "s": 0.0, "p": 2.0, "r": 1.0, key: "inf"}
+        path = write_config(tmp_path, raw)
+        cfg = load_config(path)
+        assert cfg[key] == math.inf
+        assert validate_config(cfg) == cfg
+        assert main(["besov", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert record["config"][key] == math.inf
+        assert record["extras"]["value"] > 0
 
 
 class TestEmitOutputs:
@@ -204,6 +261,37 @@ class TestNonlinearReport:
         assert peak == pytest.approx(dt * extras["max_velocity_seen"] * n / L, rel=1e-14)
         assert 0.0 < peak < 0.5
         assert extras["courant_margin"] == pytest.approx(0.5 - peak, rel=1e-14)
+
+
+_FLOW_EXTRAS = {
+    "theory_exponent", "initial_critical_norm", "critical_norm_label", "max_velocity_seen",
+    "peak_courant", "courant_margin", "n_steps", "final_time", "preserved_initial",
+    "preserved_max", "preserved_bounded_2x", "config_hash_run", "final_state_file",
+}
+_SMALL_FLOW = {"n": 32, "L": 2 * math.pi * 4, "dt": 0.05, "T": 1.0, "t_lo": 0.05,
+               "window_lo": 0.1, "window_hi": 1.0, "tolerance_pct": 1e6}
+
+
+@pytest.mark.parametrize(
+    "raw, keys",
+    [
+        ({"kind": "oracle", "alpha": 2.0, "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10,
+          "tolerance_pct": 1e6},
+         {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial"}),
+        ({"kind": "linear", "n": 32, "tolerance_pct": 1e6},
+         {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev"}),
+        ({"kind": "sqg", **_SMALL_FLOW}, _FLOW_EXTRAS),
+        ({"kind": "ks", **_SMALL_FLOW}, _FLOW_EXTRAS | {"min_u", "mass_relative_drift"}),
+        ({"kind": "ks", "alpha": 1.5, "ell": -0.5, "p": 4.0, **_SMALL_FLOW},
+         _FLOW_EXTRAS | {"min_u", "mass_relative_drift", "subcritical"}),
+    ],
+    ids=["oracle", "linear", "sqg", "ks", "ks-subcritical"],
+)
+def test_run_record_extras_keys(tmp_path, raw, keys):
+    result = execute(validate_config(raw), tmp_path / "out")
+    assert result.exit_code == 0
+    extras = json.loads((tmp_path / "out" / "run.json").read_text())["extras"]
+    assert set(extras) == keys
 
 
 class TestCheckpointLoop:
@@ -325,3 +413,14 @@ class TestMain:
         record = json.loads((out / "run.json").read_text())
         assert record["config"]["seed"] == 99
         assert record["config"]["tolerance_pct"] == 7.5
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "0"],
+         ["--seed", "-1"], ["--seed", str(2 ** 64)], ["--threads", "-1"]],
+    )
+    def test_bad_override_is_config_error(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setenv("FRACLAB_OUT", str(tmp_path / "out"))
+        assert main(["oracle", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -42,6 +42,22 @@ class TestClaims:
         with pytest.raises(ClaimError, match="alpha = 1"):
             DecayClaim("ks", s=1.0, ell=0.0, alpha=1.5, p=2.0, r=2.0)
 
+    def test_ks_subcritical_ranges(self):
+        for alpha in (1.5, 2.0):
+            DecayClaim("ks_subcritical", s=1.0, ell=0.0, alpha=alpha, p=2.0, r=2.0)
+        for alpha in (1.0, 2.5):
+            with pytest.raises(ClaimError, match="alpha in \\(1, 2\\]"):
+                DecayClaim("ks_subcritical", s=1.0, ell=0.0, alpha=alpha, p=2.0, r=2.0)
+        # s and ell keep the ks ranges, not the wider sqg ones
+        with pytest.raises(ClaimError, match="1 - 2/p < s < 1 \\+ 2/p"):
+            DecayClaim("ks_subcritical", s=0.5, ell=-0.5, alpha=1.5, p=4.0, r=2.0)
+        with pytest.raises(ClaimError, match="ell <= -1 \\+ 2/p"):
+            DecayClaim("ks_subcritical", s=1.0, ell=0.5, alpha=1.5, p=2.0, r=2.0)
+        with pytest.raises(ClaimError, match="-s - 2\\(1/r - 1/p\\) <= ell"):
+            DecayClaim("ks_subcritical", s=1.0, ell=-1.6, alpha=1.5, p=4.0, r=2.0)
+        with pytest.raises(ClaimError, match="2 <= r <= p"):
+            DecayClaim("ks_subcritical", s=1.0, ell=0.0, alpha=1.5, p=2.0, r=4.0)
+
     def test_unknown_family(self):
         with pytest.raises(ClaimError, match="unknown claim family"):
             DecayClaim("heat", s=1.0)
