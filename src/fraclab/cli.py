@@ -280,6 +280,11 @@ def validate_config(raw: dict) -> dict:
         out["theorem"] = _want_str(raw, "theorem", "linear", ("linear",))
     for key, default in (("s", 1.0), ("ell", 0.0), ("p", 2.0), ("r", 2.0)):
         out[key] = _want_number(raw, key, default)
+    # The oracle takes L^2 blocks of L^2 data whatever p and r say, and the
+    # linear grid norms read p but never r: refuse values that would be ignored.
+    for key in {"oracle": ("p", "r"), "linear": ("r",)}.get(kind, ()):
+        if out[key] != 2.0:
+            raise ConfigError(f"{kind} runs measure with {key} = 2 only, got {key} = {out[key]:g}")
     _claim(out)  # range check
 
     if kind == "oracle":
@@ -476,10 +481,10 @@ def _run_selftest(config: dict):
 
     results = run_selftest(seed=config["seed"])
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.value:.3e} <= {r.bound:g}  ({r.detail})")
     passed = all(r.passed for r in results)
     extras = {
-        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "checks": [{**dataclasses.asdict(r), "passed": r.passed} for r in results],
         "n_checks": len(results),
         "n_failed": sum(not r.passed for r in results),
     }

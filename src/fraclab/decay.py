@@ -7,15 +7,17 @@ closed-form function of the regularity/integrability parameters:
     family          norm decaying    exponent
     --------------  ---------------  ---------------------------------------
     linear          B^ell_{p,1}      -(ell + s) / alpha
-    sqg             B^ell_{r,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
-    ks              B^ell_{r,1}      -(ell + s) - 2 (1/r - 1/p)   [alpha = 1]
-    ks_subcritical  B^ell_{r,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
+    sqg             B^ell_{p,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
+    ks              B^ell_{p,1}      -(ell + s) - 2 (1/r - 1/p)   [alpha = 1]
+    ks_subcritical  B^ell_{p,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
     lebesgue        L^r              -s/alpha - (2/alpha)(1 - 1/r - 1/p)
 
 Here s indexes the negative-regularity class B^{-s}_{.,inf} the initial data
-sits in, which is preserved by the flow and converts into decay of the
-higher norms. The ``ks`` family is the alpha = 1 specialization of ``sqg``
-and the two formulas agree identically there. ``ks_subcritical`` is the
+sits in (B^{-s}_{r,inf} for the nonlinear families), which is preserved by
+the flow and converts into decay of the higher norms; the
+-(2/alpha)(1/r - 1/p) term is the gain of the L^r -> L^p smoothing. The
+``ks`` family is the alpha = 1 specialization of ``sqg`` and the two
+formulas agree identically there. ``ks_subcritical`` is the
 ``sqg`` formula on the ``ks`` ranges, for Keller-Segel with alpha in (1, 2].
 """
 

@@ -60,6 +60,7 @@ from .spectral import (
     SpectralError,
     SpectralField,
     dealias_mask,
+    hermitian_noise,
     inverse_transform,
     multiplier_symbol,
 )
@@ -211,10 +212,7 @@ def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) ->
     Deterministic in (grid, spec, seed). The caller rescales to the target
     critical norm.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    idx = (-np.arange(grid.n)) % grid.n
-    z = 0.5 * (z + np.conj(z[np.ix_(idx, idx)]))  # Hermitianize: field is real
+    z = hermitian_noise(grid, np.random.default_rng(seed))  # Hermitian: the field is real
     r = grid.xi_mag
     band = (
         dealias_mask(grid)

@@ -1,15 +1,27 @@
-"""Bundled property suite: every module's invariants at default tolerances.
+"""Bundled property suite: the one place where each module invariant is measured.
 
-Each check returns a PropertyResult; the CLI selftest subcommand prints one
-line per check and exits nonzero when any fails. Up-to-constant inequalities
-are exercised as stability-of-ratio checks (constants measured, drift
-bounded), never as absolute bounds with invented constants.
+Every check is a function ``check(rng=None, **inputs) -> PropertyResult``
+registered in ``CHECKS`` under its dotted name, in print order. It measures
+one value and compares it with one bound (``passed`` is value <= bound);
+range conditions are stated as a distance from the expected value, so
+3.5 <= ratio <= 4.5 reads |ratio - 4| <= 0.5. The inputs default to the
+selftest's own (a 64^2 torus, a handful of samples), and a caller may pass
+others, such as a larger grid, more samples or its own rng, to run the same
+measurement on them. Without an rng a check draws from its own child stream
+of ``DEFAULT_SEED``, the stream ``run_selftest`` gives it, so editing one
+check never reshuffles another's samples. Up-to-constant inequalities are
+exercised as stability-of-ratio checks (constants measured, drift bounded),
+never as absolute bounds with invented constants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +38,6 @@ from .littlewood_paley import (
     build_dyadic_profile,
     chemin_lerner_norm,
     lebesgue_norm,
-    project,
 )
 from .spectral import (
     Grid2D,
@@ -38,536 +49,539 @@ from .spectral import (
     dealias_mask,
     forward_transform,
     hermitian_defect,
+    hermitian_noise,
     inverse_transform,
 )
 from .sqg import SQGState, sqg_step, sqg_velocity
 
-__all__ = ["PropertyResult", "run_selftest"]
+__all__ = ["CHECKS", "PropertyResult", "random_band_field", "run_selftest", "shell_field"]
+
+DEFAULT_SEED = 2024
+PROFILE = build_dyadic_profile()
+GRID = Grid2D(64, 2 * math.pi)
+OFF_GRID = Grid2D(64, 3.0)  # wavenumbers 2 pi k / 3 are not integers
+DENSE = Grid2D(128, 2 * math.pi)
+ORACLE_CONFIG = {"kind": "oracle", "alpha": 2.0, "s": 1.0, "ell": 0.0, "t_lo": 10.0,
+                 "t_hi": 100.0, "samples_per_decade": 12, "seed": 5}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropertyResult:
     name: str
-    passed: bool
+    value: float
+    bound: float
     detail: str
 
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound  # a NaN value fails
 
-def _random_band_field(grid: Grid2D, rng, envelope=None) -> RealField:
-    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    idx = (-np.arange(grid.n)) % grid.n
-    z = 0.5 * (z + np.conj(z[np.ix_(idx, idx)]))
-    keep = dealias_mask(grid) & (grid.xi_mag > 0)
-    c = np.where(keep, z, 0.0)
-    if envelope is not None:
-        c = c * envelope
+
+CHECKS: dict[str, Callable[..., PropertyResult]] = {}
+
+
+def _check(name: str, bound: float):
+    """Register measure(rng, **inputs) -> (value, detail) as the check ``name``."""
+
+    def register(measure):
+        index = len(CHECKS)
+
+        @functools.wraps(measure)
+        def run(rng=None, **inputs) -> PropertyResult:
+            if rng is None:
+                rng = np.random.default_rng([DEFAULT_SEED, index])
+            value, detail = measure(rng, **inputs)
+            return PropertyResult(name, float(value), bound, detail)
+
+        CHECKS[name] = run
+        return run
+
+    return register
+
+
+def run_selftest(seed: int = DEFAULT_SEED) -> list[PropertyResult]:
+    """Every check in order, check i drawing from child stream [seed, i]."""
+    return [check(np.random.default_rng([seed, i])) for i, check in enumerate(CHECKS.values())]
+
+
+# ------------------------------------------------------------------- inputs
+
+
+def random_band_field(grid: Grid2D, rng, zero_mean: bool = True) -> RealField:
+    """Random real field band-limited to the 2/3-rule band."""
+    c = np.where(dealias_mask(grid), hermitian_noise(grid, rng), 0.0)
+    if zero_mean:
+        c[0, 0] = 0.0
+    return inverse_transform(SpectralField(grid, c, check=False))
+
+
+def shell_field(grid: Grid2D, j: int, rng, profile) -> RealField:
+    """Random field spectrally supported in the level-j annulus."""
+    mask = block_multiplier(grid, j, "block", profile)
+    c = np.where(mask > 0, hermitian_noise(grid, rng), 0.0)
     c[0, 0] = 0.0
     return inverse_transform(SpectralField(grid, c, check=False))
 
 
-def _shell_field(grid: Grid2D, j: int, rng, profile) -> RealField:
-    """Random field spectrally supported in the level-j annulus."""
-    f = _random_band_field(grid, rng)
-    c = forward_transform(f).coefficients
-    mask = block_multiplier(grid, j, "block", profile)
-    return inverse_transform(SpectralField(grid, np.where(mask > 0, c, 0.0), check=False))
+def _scaled_field(grid: Grid2D, rng, amplitude: float, zero_mean: bool = True) -> RealField:
+    """A random band field rescaled to max |f| = amplitude."""
+    f = random_band_field(grid, rng, zero_mean)
+    return RealField(grid, amplitude * f.values / np.abs(f.values).max())
 
 
-def _check(name, ok, detail) -> PropertyResult:
-    return PropertyResult(name, bool(ok), detail)
+def _rel(a, b) -> float:
+    return float(np.abs(a - b).max()) / (float(np.abs(b).max()) or 1.0)
+
+
+def _l2(grid: Grid2D, coeffs) -> float:
+    """L^2 norm of a field from its coefficients (Parseval)."""
+    return grid.L * math.sqrt(np.vdot(coeffs, coeffs).real)
+
+
+def _to_phys(grid: Grid2D, coeffs) -> np.ndarray:
+    return np.fft.ifft2(coeffs * grid.n ** 2).real
+
+
+def _path(step, state, steps: int, dt: float = 0.02) -> list:
+    """The states along ``steps`` steps of size dt, the initial one first."""
+    out = [state]
+    for _ in range(steps):
+        out.append(step(out[-1], dt))
+    return out
+
+
+def _sqg_paths(grid: Grid2D, rng, samples: int, amplitude: float, steps: int):
+    """theta along ``steps`` steps from each of ``samples`` seeded fields, one path at a time."""
+    for _ in range(samples):
+        yield [s.theta for s in _path(sqg_step, SQGState(_scaled_field(grid, rng, amplitude), 0.0, 1.0), steps)]
+
+
+def _dt_ratio(step, base, values) -> float:
+    """|w(h) - w(h/2)| / |w(h/2) - w(h/4)| at T = 0.4, h = 0.04 (4 at second order)."""
+    w1, w2, w4 = (values(_path(step, base, n, dt)[-1]) for dt, n in ((0.04, 10), (0.02, 20), (0.01, 40)))
+    return float(np.abs(w1 - w2).max()) / float(np.abs(w2 - w4).max())
 
 
 # ---------------------------------------------------------------- spectral
 
 
-def check_spectral(rng) -> list[PropertyResult]:
-    out = []
-    grid = Grid2D(64, 2 * math.pi)
-    worst_rt = worst_pars = worst_herm = 0.0
-    for _ in range(20):
-        f = _random_band_field(grid, rng)
-        sp = forward_transform(f)
-        back = inverse_transform(sp)
-        scale = float(np.abs(f.values).max())
-        worst_rt = max(worst_rt, float(np.abs(back.values - f.values).max()) / scale)
+@_check("spectral.roundtrip", 1e-12)
+def spectral_roundtrip(rng, grid=GRID, samples=20):
+    worst = 0.0
+    for _ in range(samples):
+        f = random_band_field(grid, rng, zero_mean=False)
+        worst = max(worst, _rel(inverse_transform(forward_transform(f)).values, f.values))
+    return worst, f"max rel err of inverse(forward f), {samples} fields with mean"
+
+
+@_check("spectral.parseval", 1e-12)
+def spectral_parseval(rng, grid=OFF_GRID, samples=20):
+    worst = 0.0
+    for _ in range(samples):
+        f = random_band_field(grid, rng)
         l2 = lebesgue_norm(f, 2.0)
-        par = grid.L * math.sqrt(float(np.sum(np.abs(sp.coefficients) ** 2)))
-        worst_pars = max(worst_pars, abs(l2 - par) / l2)
-        worst_herm = max(worst_herm, hermitian_defect(sp.coefficients) / scale)
-    out.append(_check("spectral.roundtrip", worst_rt <= 1e-12, f"max rel err {worst_rt:.2e}"))
-    out.append(_check("spectral.parseval", worst_pars <= 1e-12, f"max rel err {worst_pars:.2e}"))
-    out.append(_check("spectral.hermitian", worst_herm <= 1e-12, f"max defect {worst_herm:.2e}"))
+        worst = max(worst, abs(l2 - _l2(grid, forward_transform(f).coefficients)) / l2)
+    return worst, f"max rel gap ||f||_2 vs L (sum |c|^2)^1/2, {samples} fields, L = {grid.L:g}"
 
-    f = _random_band_field(grid, rng)
-    g = _random_band_field(grid, rng)
-    m = MultiplierSpec.fractional_laplacian(0.7)
-    lhs = apply_fourier_multiplier(
-        SpectralField(grid, 2.0 * forward_transform(f).coefficients + 3.0 * forward_transform(g).coefficients, check=False),
-        m,
-    ).coefficients
-    rhs = (
-        2.0 * apply_fourier_multiplier(forward_transform(f), m).coefficients
-        + 3.0 * apply_fourier_multiplier(forward_transform(g), m).coefficients
-    )
-    lin = float(np.abs(lhs - rhs).max()) / (float(np.abs(rhs).max()) or 1.0)
-    out.append(_check("spectral.multiplier_linearity", lin <= 1e-12, f"defect {lin:.2e}"))
 
-    a, b = 0.6, 0.9
+@_check("spectral.hermitian", 1e-12)
+def spectral_hermitian(rng, grid=GRID, samples=20):
+    worst = 0.0
+    for _ in range(samples):
+        c = forward_transform(random_band_field(grid, rng)).coefficients
+        worst = max(worst, hermitian_defect(c) / float(np.abs(c).max()))
+    return worst, f"max |c(-k) - conj c(k)| / max |c|, {samples} fields"
+
+
+@_check("spectral.multiplier_linearity", 1e-12)
+def spectral_multiplier_linearity(rng, grid=GRID, multiplier=MultiplierSpec.fractional_laplacian(0.7)):
+    f, g = (forward_transform(random_band_field(grid, rng)) for _ in range(2))
+    combo = SpectralField(grid, 2.0 * f.coefficients + 3.0 * g.coefficients, check=False)
+    lhs = apply_fourier_multiplier(combo, multiplier).coefficients
+    rhs = 2.0 * apply_fourier_multiplier(f, multiplier).coefficients
+    rhs = rhs + 3.0 * apply_fourier_multiplier(g, multiplier).coefficients
+    return _rel(lhs, rhs), f"rel defect of {multiplier.kind} on 2f + 3g"
+
+
+@_check("spectral.power_composition", 1e-12)
+def spectral_power_composition(rng, grid=OFF_GRID):
+    sp = forward_transform(random_band_field(grid, rng))
     once = apply_fourier_multiplier(
-        apply_fourier_multiplier(forward_transform(f), MultiplierSpec.fractional_laplacian(a)),
-        MultiplierSpec.fractional_laplacian(b),
+        apply_fourier_multiplier(sp, MultiplierSpec.fractional_laplacian(0.6)),
+        MultiplierSpec.fractional_laplacian(0.9),
     ).coefficients
-    both = apply_fourier_multiplier(
-        forward_transform(f), MultiplierSpec.fractional_laplacian(a + b)
-    ).coefficients
-    comp = float(np.abs(once - both).max()) / (float(np.abs(both).max()) or 1.0)
-    out.append(_check("spectral.power_composition", comp <= 1e-12, f"defect {comp:.2e}"))
+    both = apply_fourier_multiplier(sp, MultiplierSpec.fractional_laplacian(1.5)).coefficients
+    return _rel(once, both), f"rel defect |xi|^0.9 |xi|^0.6 vs |xi|^1.5, L = {grid.L:g}"
 
+
+@_check("spectral.partial_exact", 1e-12)
+def spectral_partial_exact(rng, grid=GRID):
     x1, _ = grid.coordinates()
-    s = RealField(grid, np.sin(2 * math.pi * x1 / grid.L))
-    d = inverse_transform(
-        apply_fourier_multiplier(forward_transform(s), MultiplierSpec.partial(1))
-    )
-    exact = (2 * math.pi / grid.L) * np.cos(2 * math.pi * x1 / grid.L)
-    derr = float(np.abs(d.values - exact).max()) / float(np.abs(exact).max())
-    out.append(_check("spectral.partial_exact", derr <= 1e-12, f"max rel err {derr:.2e}"))
-    return out
+    k = 2 * math.pi / grid.L
+    sine = forward_transform(RealField(grid, np.sin(k * x1)))
+    d = apply_fourier_multiplier(sine, MultiplierSpec.partial(1))
+    return _rel(inverse_transform(d).values, k * np.cos(k * x1)), "max rel err of d/dx1 sin(xi_min x1)"
 
 
 # ---------------------------------------------------------- littlewood-paley
 
 
-def check_littlewood_paley(rng) -> list[PropertyResult]:
-    out = []
-    profile = build_dyadic_profile()
-    rs = np.exp(np.linspace(math.log(2.0 ** -20), math.log(2.0 ** 20), 10_000))
-    worst = float(np.abs(profile.partition_sum(rs) - 1.0).max())
-    out.append(_check("lp.partition_of_unity", worst <= 1e-10, f"max |sum-1| {worst:.2e}"))
+@_check("lp.partition_of_unity", 1e-10)
+def lp_partition_of_unity(rng, radii=10_000):
+    rs = np.exp(np.linspace(math.log(2.0 ** -20), math.log(2.0 ** 20), radii))
+    worst = float(np.abs(PROFILE.partition_sum(rs) - 1.0).max())
+    return worst, f"max |sum_j phi(2^-j r) - 1| over {radii} radii in [2^-20, 2^20]"
 
-    grid = Grid2D(64, 2 * math.pi)
-    rng_blocks = block_range(grid, profile)
-    worst_orth = 0.0
-    for _ in range(10):
-        f = _random_band_field(grid, rng)
-        sp = forward_transform(f)
-        l2 = lebesgue_norm(f, 2.0)
-        for i in rng_blocks:
-            for j in rng_blocks:
+
+@_check("lp.almost_orthogonality", 1e-12)
+def lp_almost_orthogonality(rng, grid=GRID, samples=10):
+    masks = {j: block_multiplier(grid, j, "block", PROFILE) for j in block_range(grid, PROFILE)}
+    worst = 0.0
+    for _ in range(samples):
+        c = forward_transform(random_band_field(grid, rng)).coefficients
+        norm = _l2(grid, c)
+        for j, mj in masks.items():
+            dj = mj * c
+            for i, mi in masks.items():
                 if abs(i - j) >= 2:
-                    z = project(project(sp, j, "block", profile), i, "block", profile)
-                    nrm = grid.L * math.sqrt(float(np.sum(np.abs(z.coefficients) ** 2)))
-                    worst_orth = max(worst_orth, nrm / l2)
-    out.append(_check("lp.almost_orthogonality", worst_orth <= 1e-12, f"max ratio {worst_orth:.2e}"))
+                    worst = max(worst, _l2(grid, mi * dj) / norm)
+    return worst, f"max ||D_i D_j f||_2 / ||f||_2 over |i - j| >= 2, {samples} fields"
 
-    worst_remote = 0.0
-    for _ in range(4):
-        f = _random_band_field(grid, rng)
-        g = _random_band_field(grid, rng)
-        cf = forward_transform(f).coefficients
-        cg = forward_transform(g).coefficients
-        nf = lebesgue_norm(f, 2.0)
-        ng = lebesgue_norm(g, 2.0)
-        for j in rng_blocks:
-            low = np.fft.ifft2(block_multiplier(grid, j - 1, "low_pass", profile) * cf * grid.n ** 2).real
-            blk = np.fft.ifft2(block_multiplier(grid, j, "block", profile) * cg * grid.n ** 2).real
-            prod = np.where(dealias_mask(grid), np.fft.fft2(low * blk) / grid.n ** 2, 0.0)
-            levels, norms = block_norms(SpectralField(grid, prod, check=False), 2.0, profile, rng_blocks)
-            remote = norms[np.abs(levels - j) >= 5]
-            worst_remote = max(worst_remote, float(remote.max(initial=0.0)) / (nf * ng))
-    out.append(
-        _check("lp.paraproduct_remote_zero", worst_remote <= 1e-8, f"max ratio {worst_remote:.2e}")
-    )
 
-    # interpolation with constant exactly one
-    worst_interp = 0.0
-    for _ in range(10):
-        f = _random_band_field(grid, rng)
-        n_lo = besov_norm(f, BesovParams(-1.0, 2.0, 2.0), profile).value
-        n_hi = besov_norm(f, BesovParams(1.0, 2.0, 2.0), profile).value
+@_check("lp.paraproduct_remote_zero", 1e-8)
+def lp_paraproduct_remote_zero(rng, grid=GRID, pairs=4):
+    levels = block_range(grid, PROFILE)
+    keep = dealias_mask(grid)
+    worst = 0.0
+    for _ in range(pairs):
+        f, g = random_band_field(grid, rng), random_band_field(grid, rng)
+        cf, cg = forward_transform(f).coefficients, forward_transform(g).coefficients
+        scale = lebesgue_norm(f, 2.0) * lebesgue_norm(g, 2.0)
+        for j in levels:
+            low = _to_phys(grid, block_multiplier(grid, j - 1, "low_pass", PROFILE) * cf)
+            blk = _to_phys(grid, block_multiplier(grid, j, "block", PROFILE) * cg)
+            prod = np.where(keep, np.fft.fft2(low * blk) / grid.n ** 2, 0.0)
+            lv, norms = block_norms(SpectralField(grid, prod, check=False), 2.0, PROFILE, levels)
+            worst = max(worst, float(norms[np.abs(lv - j) >= 5].max(initial=0.0)) / scale)
+    return worst, f"max ||D_i (S_j-1 f D_j g)||_2 / (||f||_2 ||g||_2) over |i - j| >= 5, {pairs} pairs"
+
+
+@_check("lp.interpolation_constant_one", 1e-10)
+def lp_interpolation_constant_one(rng, grid=GRID, samples=10):
+    worst = -math.inf
+    for _ in range(samples):
+        levels, blocks = block_norms(random_band_field(grid, rng), 2.0, PROFILE)
+
+        def norm(s):  # ||f||_{B^s_{2,2}}
+            return float(np.sum((2.0 ** (levels * s) * blocks) ** 2) ** 0.5)
+
+        lo, hi = norm(-1.0), norm(1.0)
         for theta in (0.25, 0.5, 0.75):
-            s_mid = theta * -1.0 + (1 - theta) * 1.0
-            mid = besov_norm(f, BesovParams(s_mid, 2.0, 2.0), profile).value
-            bound = n_lo ** theta * n_hi ** (1 - theta)
-            worst_interp = max(worst_interp, mid / bound - 1.0)
-    out.append(
-        _check("lp.interpolation_constant_one", worst_interp <= 1e-10, f"max excess {worst_interp:.2e}")
-    )
+            worst = max(worst, norm(-theta + (1 - theta)) / (lo ** theta * hi ** (1 - theta)) - 1.0)
+    return worst, f"max B^s_2,2 / (B^-1)^theta (B^1)^(1-theta) - 1, theta = 1/4, 1/2, 3/4, {samples} fields"
 
-    # Bernstein annulus: gradient ratio per level, drift across levels <= 5%.
+
+@_check("lp.bernstein_annulus_stability", 0.05)
+def lp_bernstein_annulus_stability(rng, grid=DENSE, samples=8):
     # Levels need enough lattice radii per annulus to sample it like the
     # continuum, so this and the smoothing check run on dense shells of a
     # 128 grid.
-    dense = Grid2D(128, 2 * math.pi)
     means = []
     for j in (2, 3, 4):
         ratios = []
-        for _ in range(8):
-            f = _shell_field(dense, j, rng, profile)
+        for _ in range(samples):
+            f = shell_field(grid, j, rng, PROFILE)
             c = forward_transform(f).coefficients
-            g1 = np.fft.ifft2(1j * dense.xi1 * c * dense.n ** 2).real
-            g2 = np.fft.ifft2(1j * dense.xi2 * c * dense.n ** 2).real
-            gnorm = lebesgue_norm(RealField(dense, np.hypot(g1, g2)), 2.0)
-            ratios.append(gnorm / (2.0 ** j * lebesgue_norm(f, 2.0)))
+            grad = np.hypot(_to_phys(grid, 1j * grid.xi1 * c), _to_phys(grid, 1j * grid.xi2 * c))
+            ratios.append(lebesgue_norm(RealField(grid, grad), 2.0) / (2.0 ** j * lebesgue_norm(f, 2.0)))
         means.append(np.mean(ratios))
-    drift = (max(means) - min(means)) / min(means)
-    out.append(
-        _check(
-            "lp.bernstein_annulus_stability",
-            drift <= 0.05,
-            f"mean ratio in [{min(means):.4f}, {max(means):.4f}], drift {drift:.2%}",
-        )
-    )
+    lo, hi = min(means), max(means)
+    return (hi - lo) / lo, f"drift of mean ||grad f||_2 / (2^j ||f||_2) in [{lo:.4f}, {hi:.4f}] over levels"
 
-    # Bernstein smoothing: ||f||_inf <= C 2^(j 2/p) ||f||_p for ball-supported
-    # spectra (p = 2). Measured on the dilation-covariant low-pass kernel
-    # family, whose constant is scale-invariant up to lattice discreteness
-    # (hence levels with >= a few hundred modes per ball); random ensembles
-    # would carry genuine log factors in the sup norm.
-    big = Grid2D(128, 2 * math.pi)
+
+@_check("lp.bernstein_smoothing_stability", 0.10)
+def lp_bernstein_smoothing_stability(rng, grid=DENSE):
+    # ||f||_inf <= C 2^(j 2/p) ||f||_p for ball-supported spectra (p = 2),
+    # measured on the dilation-covariant low-pass kernel family, whose
+    # constant is scale-invariant up to lattice discreteness (hence levels
+    # with >= a few hundred modes per ball); random ensembles would carry
+    # genuine log factors in the sup norm.
     consts = []
     for j in (3, 4, 5):
-        kernel = block_multiplier(big, j, "low_pass", profile).astype(complex)
-        f = inverse_transform(SpectralField(big, kernel, check=False))
-        denom = 2.0 ** (j * 2.0 / 2.0) * lebesgue_norm(f, 2.0)
-        consts.append(lebesgue_norm(f, math.inf) / denom)
-    sdrift = (max(consts) - min(consts)) / min(consts)
-    out.append(
-        _check(
-            "lp.bernstein_smoothing_stability",
-            sdrift <= 0.10,
-            f"kernel constant in [{min(consts):.4f}, {max(consts):.4f}], drift {sdrift:.2%}",
-        )
-    )
+        kernel = block_multiplier(grid, j, "low_pass", PROFILE).astype(complex)
+        f = inverse_transform(SpectralField(grid, kernel, check=False))
+        consts.append(lebesgue_norm(f, math.inf) / (2.0 ** j * lebesgue_norm(f, 2.0)))
+    lo, hi = min(consts), max(consts)
+    return (hi - lo) / lo, f"drift of ||f||_inf / (2^j ||f||_2) in [{lo:.4f}, {hi:.4f}] over levels"
 
-    # derivative equivalence across s
-    spans = []
+
+@_check("lp.derivative_equivalence", 1.5)
+def lp_derivative_equivalence(rng, grid=GRID, samples=6):
+    ratios = []
     for s in (-1.0, 0.0, 1.0):
-        ratios = []
-        for _ in range(6):
-            f = _random_band_field(grid, rng)
+        for _ in range(samples):
+            f = random_band_field(grid, rng)
             c = forward_transform(f).coefficients
-            g1 = SpectralField(grid, 1j * grid.xi1 * c, check=False)
-            g2 = SpectralField(grid, 1j * grid.xi2 * c, check=False)
-            # ||block_j grad f||_2 = hypot of the two partials' block L^2 norms
-            levels, n1 = block_norms(g1, 2.0, profile)
-            grad_blocks = np.hypot(n1, block_norms(g2, 2.0, profile)[1])
-            num = float(np.sum(((2.0 ** (levels * (s - 1.0))) * grad_blocks) ** 2) ** 0.5)
-            den = besov_norm(f, BesovParams(s, 2.0, 2.0), profile).value
-            ratios.append(num / den)
-        spans.append((min(ratios), max(ratios)))
-    lo = min(x[0] for x in spans)
-    hi = max(x[1] for x in spans)
-    stable = hi / lo <= 1.5
-    out.append(
-        _check("lp.derivative_equivalence", stable, f"ratio range [{lo:.3f}, {hi:.3f}] across s")
-    )
+            # ||D_j grad f||_2 = hypot of the two partials' block L^2 norms
+            levels, n1 = block_norms(SpectralField(grid, 1j * grid.xi1 * c, check=False), 2.0, PROFILE)
+            n2 = block_norms(SpectralField(grid, 1j * grid.xi2 * c, check=False), 2.0, PROFILE)[1]
+            num = float(np.sum((2.0 ** (levels * (s - 1.0)) * np.hypot(n1, n2)) ** 2) ** 0.5)
+            ratios.append(num / besov_norm(f, BesovParams(s, 2.0, 2.0), PROFILE).value)
+    lo, hi = min(ratios), max(ratios)
+    return hi / lo, f"spread of ||grad f||_B^(s-1) / ||f||_B^s in [{lo:.3f}, {hi:.3f}], s = -1, 0, 1"
 
-    # Bony reconstruction against the dealiased product
-    worst_bony = 0.0
-    for _ in range(5):
-        f = _random_band_field(grid, rng)
-        g = _random_band_field(grid, rng)
-        tfg, tgf, rr = bony_decompose(f, g, profile)
-        csum = (
-            forward_transform(tfg).coefficients
-            + forward_transform(tgf).coefficients
-            + forward_transform(rr).coefficients
-        )
-        prod = dealias(forward_transform(RealField(grid, f.values * g.values))).coefficients
-        scale = grid.L * math.sqrt(float(np.sum(np.abs(prod) ** 2))) or 1.0
-        err = grid.L * math.sqrt(float(np.sum(np.abs(csum - prod) ** 2))) / scale
-        worst_bony = max(worst_bony, err)
-    out.append(_check("lp.bony_reconstruction", worst_bony <= 1e-8, f"max rel err {worst_bony:.2e}"))
 
-    # Chemin-Lerner Minkowski ordering for rho <= r
-    times = np.linspace(0.1, 1.0, 6)
-    fields = [_random_band_field(grid, rng) for _ in times]
-    params = BesovParams(0.5, 2.0, 4.0)
-    rho = 2.0
-    mixed = chemin_lerner_norm(times, fields, rho, params, profile)
-    inner = [besov_norm(fld, params, profile).value for fld in fields]
-    outer = float(np.trapezoid(np.asarray(inner) ** rho, times) ** (1.0 / rho))
-    ok = mixed <= outer * (1 + 1e-10)
-    out.append(_check("lp.chemin_lerner_minkowski", ok, f"mixed {mixed:.6g} <= time-outer {outer:.6g}"))
-    return out
+@_check("lp.bony_reconstruction", 1e-8)
+def lp_bony_reconstruction(rng, grid=GRID, pairs=10):
+    worst = 0.0
+    for _ in range(pairs):
+        f, g = random_band_field(grid, rng), random_band_field(grid, rng)
+        total = sum(piece.values for piece in bony_decompose(f, g, PROFILE))
+        target = inverse_transform(dealias(forward_transform(RealField(grid, f.values * g.values))))
+        err = lebesgue_norm(RealField(grid, total - target.values), 2.0)
+        worst = max(worst, err / lebesgue_norm(target, 2.0))
+    return worst, f"max rel L^2 err of T_f g + T_g f + R(f, g) vs dealiased fg, {pairs} pairs"
+
+
+@_check("lp.chemin_lerner_minkowski", 1e-10)
+def lp_chemin_lerner_minkowski(rng, grid=GRID, samples=6, s=0.5):
+    # Minkowski: the mixed norm sits below the time-outer norm for rho <= r
+    # and above it for r <= rho; value is the worse excess of the two
+    times = np.linspace(0.1, 1.0, samples)
+    fields = [random_band_field(grid, rng) for _ in times]
+
+    def mixed_over_outer(r, rho):
+        params = BesovParams(s, 2.0, r)
+        inner = np.array([besov_norm(f, params, PROFILE).value for f in fields])
+        outer = float(np.trapezoid(inner ** rho, times) ** (1.0 / rho))
+        return chemin_lerner_norm(times, fields, rho, params, PROFILE) / outer
+
+    below, above = mixed_over_outer(4.0, 2.0), mixed_over_outer(1.0, 4.0)
+    detail = f"mixed / time-outer {below:.6f} at (r, rho) = (4, 2), {above:.6f} at (1, 4)"
+    return max(below - 1.0, 1.0 / above - 1.0), detail
 
 
 # ----------------------------------------------------------------- semigroup
 
 
-def check_semigroup(rng) -> list[PropertyResult]:
-    out = []
-    profile = build_dyadic_profile()
-    grid = Grid2D(64, 2 * math.pi)
-    f = _random_band_field(grid, rng)
-    sp = forward_transform(f)
+@_check("semigroup.composition", 1e-12)
+def semigroup_composition(rng, grid=OFF_GRID):
+    sp = forward_transform(random_band_field(grid, rng))
     one = semigroup.evolve_linear(semigroup.evolve_linear(sp, 1.3, 0.4), 1.3, 0.6)
     two = semigroup.evolve_linear(sp, 1.3, 1.0)
-    err = float(np.abs(one.coefficients - two.coefficients).max()) / (
-        float(np.abs(two.coefficients).max()) or 1.0
-    )
-    out.append(_check("semigroup.composition", err <= 1e-12, f"defect {err:.2e}"))
+    return _rel(one.coefficients, two.coefficients), f"rel defect e^-0.6A e^-0.4A vs e^-A, L = {grid.L:g}"
 
-    ident = semigroup.evolve_linear(sp, 1.0, 0.0)
-    err0 = float(np.abs(ident.coefficients - sp.coefficients).max())
-    out.append(_check("semigroup.t0_identity", err0 == 0.0, f"defect {err0:.2e}"))
 
-    # block monotonicity of the weighted block norms (grid side)
-    ts = np.linspace(0.0, 2.0, 9)
-    ok_mono = True
-    prev = None
-    for t in ts:
-        _, norms = block_norms(semigroup.evolve_linear(sp, 1.0, float(t)), 2.0, profile)
-        if prev is not None and np.any(norms > prev * (1 + 1e-12) + 1e-300):
-            ok_mono = False
-        prev = norms
-    out.append(_check("semigroup.block_monotonicity_grid", ok_mono, "all levels nonincreasing"))
+@_check("semigroup.t0_identity", 0.0)
+def semigroup_t0_identity(rng, grid=GRID):
+    c = forward_transform(random_band_field(grid, rng)).coefficients
+    ident = semigroup.evolve_linear(SpectralField(grid, c, check=False), 1.0, 0.0).coefficients
+    return float(np.abs(ident - c).max()), "max |e^0 c - c|"
 
-    # oracle vs dense Riemann reference at t = 0
+
+@_check("semigroup.block_monotonicity_grid", 1e-12)
+def semigroup_block_monotonicity_grid(rng, grid=GRID):
+    sp = forward_transform(random_band_field(grid, rng))
+    times = np.linspace(0.0, 3.0, 13)
+    norms = [block_norms(semigroup.evolve_linear(sp, 1.0, float(t)), 2.0, PROFILE)[1] for t in times]
+    growth = max(float(np.max(b / np.maximum(a, 1e-300))) for a, b in zip(norms, norms[1:])) - 1.0
+    return growth, "max relative growth of a block norm between 13 times in [0, 3]"
+
+
+@_check("semigroup.oracle_vs_riemann", 1e-8)
+def semigroup_oracle_vs_riemann(rng, level=-2, points=200_001):
     density = semigroup.RadialSpectralDensity.ball_indicator(1.0)
-    j = -2
-    quad = semigroup.oracle_block_norm(density, j, 0.0, 1.0, profile)
-    r = np.linspace(0.75 * 2.0 ** j, min(8.0 / 3.0 * 2.0 ** j, 1.0), 200_001)
-    w = profile.phi_array(r * 2.0 ** -j) ** 2 * r
+    quad = semigroup.oracle_block_norm(density, level, 0.0, 1.0, PROFILE)
+    r = np.linspace(0.75 * 2.0 ** level, min(8.0 / 3.0 * 2.0 ** level, 1.0), points)
+    w = PROFILE.phi_array(r * 2.0 ** -level) ** 2 * r
     ref = math.sqrt((2 * math.pi) ** -2 * 2 * math.pi * np.trapezoid(w, r))
-    qerr = abs(quad - ref) / ref
-    out.append(_check("semigroup.oracle_vs_riemann", qerr <= 1e-8, f"rel err {qerr:.2e}"))
+    return abs(quad - ref) / ref, f"rel err of block {level} at t = 0 vs {points}-point trapezoid"
 
-    # oracle decay slope, quick version of the flagship check
+
+@_check("semigroup.oracle_slope", 0.02)
+def semigroup_oracle_slope(rng):
+    density = semigroup.RadialSpectralDensity.ball_indicator(1.0)
     claim = decay.DecayClaim("linear", s=1.0, ell=0.0, alpha=2.0, p=2.0, r=2.0)
     times = log_spaced_times(10.0, 1e4, 15)
-    series = semigroup.oracle_besov_series(density, claim, times, profile)
-    fit = decay.fit_decay_slope(series, (10.0, 1e4))
-    rel = abs(fit.slope - (-0.5)) / 0.5
-    out.append(_check("semigroup.oracle_slope", rel <= 0.02, f"slope {fit.slope:.4f} vs -0.5 ({rel:.2%})"))
-    return out
+    fit = decay.fit_decay_slope(semigroup.oracle_besov_series(density, claim, times, PROFILE), (10.0, 1e4))
+    return abs(fit.slope + 0.5) / 0.5, f"rel err of oracle slope {fit.slope:.4f} vs -0.5"
 
 
 # ----------------------------------------------------------------- sqg / ks
 
 
-def check_sqg(rng) -> list[PropertyResult]:
-    out = []
-    grid = Grid2D(64, 2 * math.pi)
-    f = _random_band_field(grid, rng)
-    f = RealField(grid, 1e-1 * f.values / np.abs(f.values).max())
-    u1, u2 = sqg_velocity(f)
-    c1 = forward_transform(u1).coefficients
-    c2 = forward_transform(u2).coefficients
-    div = 1j * grid.xi1 * c1 + 1j * grid.xi2 * c2
-    gradn = math.sqrt(float(np.sum(np.abs(1j * grid.xi1 * forward_transform(f).coefficients) ** 2 + np.abs(1j * grid.xi2 * forward_transform(f).coefficients) ** 2)))
-    rel = math.sqrt(float(np.sum(np.abs(div) ** 2))) / (gradn or 1.0)
-    out.append(_check("sqg.divergence_free", rel <= 1e-12, f"rel div {rel:.2e}"))
+@_check("sqg.divergence_free", 1e-12)
+def sqg_divergence_free(rng, grid=GRID, samples=1, amplitude=0.1):
+    worst = 0.0
+    for _ in range(samples):
+        theta = _scaled_field(grid, rng, amplitude)
+        c1, c2 = (forward_transform(u).coefficients for u in sqg_velocity(theta))
+        ct = forward_transform(theta).coefficients
+        grad = math.hypot(_l2(grid, 1j * grid.xi1 * ct), _l2(grid, 1j * grid.xi2 * ct))
+        worst = max(worst, _l2(grid, 1j * grid.xi1 * c1 + 1j * grid.xi2 * c2) / grad)
+    return worst, f"max ||div u||_2 / ||grad theta||_2, {samples} fields"
 
+
+@_check("sqg.single_mode_linear", 1e-12)
+def sqg_single_mode_linear(rng, grid=GRID, alpha=1.0, dt=0.1, mode=1, amplitude=0.02):
     x1, _ = grid.coordinates()
-    single = SQGState(RealField(grid, 0.02 * np.cos(2 * math.pi * x1 / grid.L)), 0.0, 1.0)
-    stepped = sqg_step(single, 0.1)
-    lin = semigroup.evolve_linear(forward_transform(single.theta), 1.0, 0.1)
-    linf = inverse_transform(lin)
-    err = float(np.abs(stepped.theta.values - linf.values).max()) / float(np.abs(linf.values).max())
-    out.append(_check("sqg.single_mode_linear", err <= 1e-12, f"rel err {err:.2e}"))
+    theta = RealField(grid, amplitude * np.cos(2 * math.pi * mode * x1 / grid.L))
+    stepped = sqg_step(SQGState(theta, 0.0, alpha), dt)
+    linear = inverse_transform(semigroup.evolve_linear(forward_transform(theta), alpha, dt))
+    return _rel(stepped.theta.values, linear.values), "rel err of one step vs the linear flow"
 
-    # short run: mean conservation and L2 monotonicity
-    state = SQGState(RealField(grid, 0.2 * f.values), 0.0, 1.0)
-    mean0 = state.theta.mean()
-    l2_prev = lebesgue_norm(state.theta, 2.0)
-    ok_mean = ok_l2 = True
-    for _ in range(25):
-        state = sqg_step(state, 0.02)
-        ok_mean &= abs(state.theta.mean() - mean0) <= 1e-12
-        l2 = lebesgue_norm(state.theta, 2.0)
-        ok_l2 &= l2 <= l2_prev * (1 + 1e-10)
-        l2_prev = l2
-    out.append(_check("sqg.mean_conservation", ok_mean, f"drift {abs(state.theta.mean()-mean0):.2e}"))
-    out.append(_check("sqg.l2_monotone", ok_l2, "energy nonincreasing"))
 
-    # second-order self-convergence
-    base = SQGState(RealField(grid, 0.5 * f.values), 0.0, 1.0)
+@_check("sqg.mean_conservation", 1e-12)
+def sqg_mean_conservation(rng, grid=GRID, samples=1, amplitude=0.02, steps=25):
+    drifts = (abs(th.mean() - path[0].mean()) for path in _sqg_paths(grid, rng, samples, amplitude, steps)
+              for th in path[1:])
+    return max(drifts), f"max |mean drift| over {steps} steps, {samples} fields"
 
-    def advance(dt, nsteps):
-        s = base
-        for _ in range(nsteps):
-            s = sqg_step(s, dt)
-        return s.theta.values
 
-    t_final = 0.4
-    w1 = advance(0.04, 10)
-    w2 = advance(0.02, 20)
-    w4 = advance(0.01, 40)
-    e1 = float(np.abs(w1 - w2).max())
-    e2 = float(np.abs(w2 - w4).max())
-    ratio = e1 / e2
-    out.append(_check("sqg.dt_self_convergence", 3.5 <= ratio <= 4.5, f"ratio {ratio:.2f} at T={t_final}"))
+@_check("sqg.l2_monotone", 1e-10)
+def sqg_l2_monotone(rng, grid=GRID, samples=1, amplitude=0.02, steps=25):
+    worst = -math.inf
+    for path in _sqg_paths(grid, rng, samples, amplitude, steps):
+        l2 = [lebesgue_norm(th, 2.0) for th in path]
+        worst = max(worst, max(b / a - 1.0 for a, b in zip(l2, l2[1:])))
+    return worst, f"max relative L^2 growth per step over {steps} steps, {samples} fields"
 
-    # quadratic nonlinearity: (theta_eps/eps) differences scale linearly in eps
+
+@_check("sqg.dt_self_convergence", 0.5)
+def sqg_dt_self_convergence(rng, grid=GRID, amplitude=0.5):
+    base = SQGState(_scaled_field(grid, rng, amplitude), 0.0, 1.0)
+    ratio = _dt_ratio(sqg_step, base, lambda s: s.theta.values)
+    return abs(ratio - 4.0), f"|error ratio - 4|, ratio {ratio:.2f} at T = 0.4"
+
+
+@_check("sqg.quadratic_nonlinearity", 0.4)
+def sqg_quadratic_nonlinearity(rng, grid=GRID):
+    # (theta_eps - linear flow) / eps scales linearly in eps
+    f = _scaled_field(grid, rng, 0.1)
+
     def dev(eps):
-        s = SQGState(RealField(grid, eps * f.values), 0.0, 1.0)
-        for _ in range(10):
-            s = sqg_step(s, 0.02)
-        lin_c = semigroup.evolve_linear(forward_transform(RealField(grid, eps * f.values)), 1.0, 0.2)
-        return float(np.abs(s.theta.values - inverse_transform(lin_c).values).max()) / eps
+        theta = RealField(grid, eps * f.values)
+        end = _path(sqg_step, SQGState(theta, 0.0, 1.0), 10)[-1].theta.values
+        lin = inverse_transform(semigroup.evolve_linear(forward_transform(theta), 1.0, 0.2)).values
+        return float(np.abs(end - lin).max()) / eps
 
-    d1, d2 = dev(0.01), dev(0.02)
-    ratio2 = d2 / d1
-    out.append(
-        _check("sqg.quadratic_nonlinearity", 1.6 <= ratio2 <= 2.4, f"deviation ratio {ratio2:.2f} (expect 2)")
-    )
-    return out
+    ratio = dev(0.02) / dev(0.01)
+    return abs(ratio - 2.0), f"|deviation ratio - 2|, ratio {ratio:.2f}"
 
 
-def check_keller_segel(rng) -> list[PropertyResult]:
-    out = []
-    grid = Grid2D(64, 2 * math.pi)
-    f = _random_band_field(grid, rng)
-    f = RealField(grid, 0.1 * f.values / np.abs(f.values).max())
+@_check("ks.potential_residual", 1e-12)
+def ks_potential_residual(rng, grid=GRID):
+    # -Laplace psi = u - mean(u) with mean(psi) = 0, on a field with a mean
+    u = _scaled_field(grid, rng, 0.1, zero_mean=False)
+    cpsi = forward_transform(ks_potential(u)).coefficients
+    lhs = grid.xi_mag ** 2 * cpsi
+    lhs[0, 0] = cpsi[0, 0]
+    rhs = forward_transform(u).coefficients.copy()
+    rhs[0, 0] = 0.0
+    return _rel(lhs, rhs), "rel residual of (-Laplace psi, mean psi) vs (u - mean u, 0)"
 
-    # -Laplace psi = u - mean(u), checked in spectral space
-    psi = ks_potential(f)
-    cpsi = forward_transform(psi).coefficients
-    cpsi_lap = (grid.xi_mag ** 2) * cpsi
-    cu = forward_transform(f).coefficients.copy()
-    cu[0, 0] = 0.0
-    rel = float(np.abs(cpsi_lap - cu).max()) / (float(np.abs(cu).max()) or 1.0)
-    out.append(_check("ks.potential_residual", rel <= 1e-12, f"rel residual {rel:.2e}"))
 
-    # mass conservation with a nonzero background density
-    state = KSState(RealField(grid, f.values + 0.5), 0.0, 1.0)
-    mass0 = state.u.mean() * grid.L ** 2
-    ok_mass = True
-    for _ in range(25):
-        state = ks_step(state, 0.02)
-        ok_mass &= abs(state.u.mean() * grid.L ** 2 - mass0) <= 1e-12 * abs(mass0)
-    out.append(_check("ks.mass_conservation", ok_mass, f"relative drift at T: "
-                      f"{abs(state.u.mean() * grid.L ** 2 - mass0) / abs(mass0):.2e}"))
+@_check("ks.mass_conservation", 1e-12)
+def ks_mass_conservation(rng, grid=GRID):
+    # amplitude 0.1 on a background density 0.5
+    u = RealField(grid, _scaled_field(grid, rng, 0.1).values + 0.5)
+    path = _path(ks_step, KSState(u, 0.0, 1.0), 25)
+    mass0 = path[0].u.mean()
+    return max(abs(s.u.mean() - mass0) for s in path[1:]) / abs(mass0), "max relative mass drift over 25 steps"
 
-    # vanishing-amplitude limit matches the linear flow
+
+@_check("ks.linear_limit", 1e-3)
+def ks_linear_limit(rng, grid=GRID):
     eps = 1e-8
-    tiny = KSState(RealField(grid, eps * f.values), 0.0, 1.0)
-    for _ in range(10):
-        tiny = ks_step(tiny, 0.02)
-    lin = inverse_transform(semigroup.evolve_linear(forward_transform(RealField(grid, eps * f.values)), 1.0, 0.2))
-    rel = float(np.abs(tiny.u.values - lin.values).max()) / float(np.abs(lin.values).max())
-    out.append(_check("ks.linear_limit", rel <= 1e-3, f"rel dev {rel:.2e} at eps={eps}"))
+    u = RealField(grid, eps * _scaled_field(grid, rng, 0.1).values)
+    end = _path(ks_step, KSState(u, 0.0, 1.0), 10)[-1].u.values
+    lin = inverse_transform(semigroup.evolve_linear(forward_transform(u), 1.0, 0.2)).values
+    return _rel(end, lin), f"rel deviation from the linear flow at T = 0.2, amplitude {eps:g}"
 
-    # dt self-convergence
-    base = KSState(RealField(grid, 2.0 * f.values), 0.0, 1.0)
 
-    def advance(dt, nsteps):
-        s = base
-        for _ in range(nsteps):
-            s = ks_step(s, dt)
-        return s.u.values
-
-    e1 = float(np.abs(advance(0.04, 10) - advance(0.02, 20)).max())
-    e2 = float(np.abs(advance(0.02, 20) - advance(0.01, 40)).max())
-    ratio = e1 / e2
-    out.append(_check("ks.dt_self_convergence", 3.5 <= ratio <= 4.5, f"ratio {ratio:.2f}"))
-    return out
+@_check("ks.dt_self_convergence", 0.5)
+def ks_dt_self_convergence(rng, grid=GRID):
+    base = KSState(_scaled_field(grid, rng, 2.0), 0.0, 1.0)
+    ratio = _dt_ratio(ks_step, base, lambda s: s.u.values)
+    return abs(ratio - 4.0), f"|error ratio - 4|, ratio {ratio:.2f} at T = 0.4"
 
 
 # --------------------------------------------------------------------- decay
 
 
-def check_decay(rng) -> list[PropertyResult]:
-    out = []
+def _power_law_fit(scale=3.0, lo=0, hi=59):
     t = np.exp(np.linspace(0.0, 6.0, 60))
-    series = decay.NormSeries(t, 3.0 * (1 + t) ** -2.0, "synthetic")
-    fit = decay.fit_decay_slope(series, (float(t[0]), float(t[-1])))
-    ok = abs(fit.slope + 2.0) <= 1e-12 and fit.residual <= 1e-12
-    out.append(_check("decay.exact_power_law", ok, f"slope {fit.slope:.15f}, resid {fit.residual:.2e}"))
+    series = decay.NormSeries(t, scale * (1 + t) ** -2.0, "synthetic")
+    return decay.fit_decay_slope(series, (float(t[lo]), float(t[hi])))
 
-    scaled = decay.NormSeries(t, 7.5 * 3.0 * (1 + t) ** -2.0, "synthetic")
-    fit2 = decay.fit_decay_slope(scaled, (float(t[0]), float(t[-1])))
-    ok = abs(fit2.slope - fit.slope) <= 1e-12 and abs(fit2.intercept - fit.intercept - math.log(7.5)) <= 1e-12
-    out.append(_check("decay.scale_invariance", ok, "slope unchanged, intercept shifted by log c"))
 
-    fit3 = decay.fit_decay_slope(series, (float(t[10]), float(t[40])))
-    out.append(
-        _check(
-            "decay.window_reparameterization",
-            abs(fit3.slope + 2.0) <= 1e-12,
-            f"sub-window slope {fit3.slope:.15f}",
-        )
-    )
+@_check("decay.exact_power_law", 1e-12)
+def decay_exact_power_law(rng):
+    fit = _power_law_fit()
+    return max(abs(fit.slope + 2.0), fit.residual), f"max of |slope + 2| and residual, slope {fit.slope:.15f}"
 
-    worst = 0.0
-    count = 0
+
+@_check("decay.scale_invariance", 1e-12)
+def decay_scale_invariance(rng):
+    fit, scaled = _power_law_fit(), _power_law_fit(7.5 * 3.0)
+    gap = max(abs(scaled.slope - fit.slope), abs(scaled.intercept - fit.intercept - math.log(7.5)))
+    return gap, "max of slope change and intercept shift - log 7.5 under scaling by 7.5"
+
+
+@_check("decay.window_reparameterization", 1e-12)
+def decay_window_reparameterization(rng):
+    full, sub = _power_law_fit(), _power_law_fit(lo=10, hi=40)
+    return max(abs(sub.slope + 2.0), abs(sub.slope - full.slope)), f"sub-window slope {sub.slope:.15f}"
+
+
+@_check("decay.sqg_ks_alpha1_identity", 0.0)
+def decay_sqg_ks_alpha1_identity(rng, s_points=4, ell_points=3, margin=0.05):
+    worst, count = 0.0, 0
     for p in (2.0, 3.0, 4.0, 8.0):
-        for r in (2.0, p):
-            if not (2.0 <= r <= p):
-                continue
-            s_lo, s_hi = 1.0 - 2.0 / p, 1.0 + 2.0 / p
-            for s in np.linspace(s_lo + 0.05, s_hi - 0.05, 4):
-                lo = -s - 2.0 * (1.0 / r - 1.0 / p)
-                hi = -1.0 + 2.0 / p
+        for r in sorted({2.0, p}):
+            for s in np.linspace(1.0 - 2.0 / p + margin, 1.0 + 2.0 / p - margin, s_points):
+                lo, hi = -s - 2.0 * (1.0 / r - 1.0 / p), -1.0 + 2.0 / p
                 if lo > hi:
                     continue
-                for ell in np.linspace(lo, hi, 3):
-                    a = decay.theoretical_exponent(
-                        decay.DecayClaim("sqg", s=s, ell=ell, alpha=1.0, p=p, r=r)
-                    )
-                    b = decay.theoretical_exponent(
-                        decay.DecayClaim("ks", s=s, ell=ell, alpha=1.0, p=p, r=r)
-                    )
-                    worst = max(worst, abs(a - b))
+                for ell in np.linspace(lo, hi, ell_points):
+                    sqg, ks = (decay.DecayClaim(family, s=s, ell=ell, alpha=1.0, p=p, r=r) for family in ("sqg", "ks"))
+                    worst = max(worst, abs(decay.theoretical_exponent(sqg) - decay.theoretical_exponent(ks)))
                     count += 1
-    out.append(
-        _check("decay.sqg_ks_alpha1_identity", worst == 0.0, f"max |diff| {worst:.2e} over {count} points")
-    )
-    return out
+    return worst, f"max |sqg - ks exponent| at alpha = 1 over {count} points"
 
 
 # ----------------------------------------------------------------------- cli
 
 
-def check_cli(tmp_base=None) -> list[PropertyResult]:
-    import tempfile
-    from pathlib import Path
-
+def _execute(config: dict, out_dir: Path):
     from . import cli
 
-    out = []
+    return cli.execute(cli.validate_config(config), out_dir)
+
+
+@_check("cli.determinism", 0.0)
+def cli_determinism(rng, config=ORACLE_CONFIG, tmp_base=None):
     with tempfile.TemporaryDirectory(dir=tmp_base) as td:
-        cfg_path = Path(td) / "oracle.json"
-        cfg_path.write_text(
-            '{"kind": "oracle", "alpha": 2.0, "s": 1.0, "ell": 0.0, '
-            '"t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 12, "seed": 5}'
-        )
-        out_a = Path(td) / "a"
-        out_b = Path(td) / "b"
-        rec_a = cli.execute(cli.load_config(cfg_path), out_a)
-        rec_b = cli.execute(cli.load_config(cfg_path), out_b)
-        csv_a = sorted(p.name for p in out_a.glob("*.csv"))
-        csv_b = sorted(p.name for p in out_b.glob("*.csv"))
-        same = csv_a == csv_b and all(
-            (out_a / n).read_bytes() == (out_b / n).read_bytes() for n in csv_a
-        )
-        out.append(_check("cli.determinism", same, f"{len(csv_a)} series byte-identical"))
+        a, b = Path(td) / "a", Path(td) / "b"
+        _execute(config, a)
+        _execute(config, b)
+        # run.json carries wall times; every other output must repeat
+        names = {p.name for d in (a, b) for p in d.iterdir()} - {"run.json"}
 
-        echoed = rec_a.record["config"]
-        reparsed = cli.validate_config(echoed)
-        out.append(
-            _check("cli.config_roundtrip", reparsed == echoed, "echoed config reparses to itself")
-        )
-    return out
+        def same(n):
+            return (a / n).exists() and (b / n).exists() and (a / n).read_bytes() == (b / n).read_bytes()
+
+        differ = sum(not same(n) for n in names)
+        series = sum(n.endswith(".csv") for n in names)
+    return differ + (series == 0), f"{differ} of {len(names)} outputs differ between reruns ({series} series)"
 
 
-def run_selftest(seed: int = 2024, include_cli: bool = True) -> list[PropertyResult]:
-    """Run every module's property suite; returns one result per property.
+@_check("cli.config_roundtrip", 0.0)
+def cli_config_roundtrip(rng, config=ORACLE_CONFIG, tmp_base=None):
+    from . import cli
 
-    Each suite draws from its own child stream of the master seed, so edits
-    to one suite never reshuffle another's samples.
-    """
-    suites = [
-        check_spectral,
-        check_littlewood_paley,
-        check_semigroup,
-        check_sqg,
-        check_keller_segel,
-        check_decay,
-    ]
-    results = []
-    for i, suite in enumerate(suites):
-        results += suite(np.random.default_rng([seed, i]))
-    if include_cli:
-        results += check_cli()
-    return results
+    with tempfile.TemporaryDirectory(dir=tmp_base) as td:
+        echoed = _execute(config, Path(td)).record["config"]
+    reparsed = cli.validate_config(echoed)
+    differ = sum(echoed.get(k) != reparsed.get(k) for k in echoed.keys() | reparsed.keys())
+    return differ, f"{differ} keys of the echoed config change when it is revalidated"

@@ -34,6 +34,7 @@ __all__ = [
     "dealias",
     "dealias_mask",
     "hermitian_defect",
+    "hermitian_noise",
 ]
 
 
@@ -175,6 +176,17 @@ def hermitian_defect(coefficients: np.ndarray) -> float:
     idx = (-np.arange(n)) % n
     mirrored = np.conj(coefficients[np.ix_(idx, idx)])
     return float(np.abs(coefficients - mirrored).max())
+
+
+def hermitian_noise(grid: Grid2D, rng) -> np.ndarray:
+    """Gaussian complex coefficients on every mode, symmetrized to c(-k) = conj(c(k)).
+
+    Draws the real parts of all n x n modes, then the imaginary parts, from
+    ``rng``; every seeded spectrum of the package is built from this draw.
+    """
+    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    idx = (-np.arange(grid.n)) % grid.n
+    return 0.5 * (z + np.conj(z[np.ix_(idx, idx)]))
 
 
 def forward_transform(field: RealField) -> SpectralField:

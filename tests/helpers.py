@@ -4,38 +4,8 @@ import math
 
 import numpy as np
 
-from fraclab.spectral import Grid2D, RealField, SpectralField, dealias_mask, inverse_transform
-
-
-def hermitian_noise(grid: Grid2D, rng) -> np.ndarray:
-    z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    idx = (-np.arange(grid.n)) % grid.n
-    return 0.5 * (z + np.conj(z[np.ix_(idx, idx)]))
-
-
-def random_band_field(grid: Grid2D, rng, envelope=None, zero_mean=True) -> RealField:
-    """Random real field band-limited to the 2/3-rule band."""
-    z = hermitian_noise(grid, rng)
-    keep = dealias_mask(grid)
-    c = np.where(keep, z, 0.0)
-    if envelope is not None:
-        c = c * envelope
-    if zero_mean:
-        c[0, 0] = 0.0
-    else:
-        c[0, 0] = c[0, 0].real
-    return inverse_transform(SpectralField(grid, c, check=False))
-
-
-def shell_field(grid: Grid2D, j: int, rng, profile) -> RealField:
-    """Random field spectrally supported in the level-j annulus."""
-    from fraclab.littlewood_paley import block_multiplier
-
-    z = hermitian_noise(grid, rng)
-    mask = block_multiplier(grid, j, "block", profile)
-    c = np.where(mask > 0, z, 0.0)
-    c[0, 0] = 0.0
-    return inverse_transform(SpectralField(grid, c, check=False))
+from fraclab.selftest import random_band_field, shell_field  # noqa: F401  (re-exported for the tests)
+from fraclab.spectral import Grid2D
 
 
 def convolution_product_coefficients(cf: np.ndarray, cg: np.ndarray, band: int) -> np.ndarray:
@@ -66,10 +36,6 @@ def convolution_product_coefficients(cf: np.ndarray, cg: np.ndarray, band: int) 
             if abs(h1) <= band and abs(h2) <= band:
                 out[i_of(h1), i_of(h2)] += fa * gb
     return out
-
-
-def l2_of_coeffs(grid: Grid2D, coeffs: np.ndarray) -> float:
-    return grid.L * math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
 
 
 def reference_block_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile, levels) -> np.ndarray:

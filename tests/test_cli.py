@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclab import cli
+from fraclab import cli, selftest
 from fraclab.bsvf import write_bsvf
 from fraclab.cli import (
     ConfigError,
@@ -103,6 +103,11 @@ class TestLoadConfig:
             ('{"kind": "sqg", "smallness_budget": 0}', "smallness_budget must be > 0"),
             ('{"kind": "ks", "smallness_budget": -0.001}', "smallness_budget must be > 0"),
             ('{"kind": "oracle", "dimension": 0}', "dimension must be >= 1"),
+            # exponents a kind never reads
+            ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}', "oracle runs measure with p = 2 only"),
+            ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 8}', "oracle runs measure with p = 2 only"),
+            ('{"kind": "oracle", "r": 4}', "oracle runs measure with r = 2 only"),
+            ('{"kind": "linear", "n": 64, "r": 4}', "linear runs measure with r = 2 only"),
         ],
     )
     def test_rejected_before_any_computation(self, tmp_path, text, match):
@@ -353,6 +358,13 @@ class TestSelftestKind:
         assert result.record["pass"] is True
         assert result.record["extras"]["n_failed"] == 0
         assert out.count("PASS") == result.record["extras"]["n_checks"]
+        # one line per check in registry order, each with its value and bound
+        checks = result.record["extras"]["checks"]
+        assert [c["name"] for c in checks] == list(selftest.CHECKS)
+        for c, line in zip(checks, out.splitlines()):
+            assert math.isfinite(c["value"]) and math.isfinite(c["bound"])
+            assert c["passed"] is (c["value"] <= c["bound"])
+            assert line.startswith(f"PASS  {c['name']}: {c['value']:.3e} <= {c['bound']:g}")
 
 
 class TestMain:
@@ -423,4 +435,15 @@ class TestMain:
         monkeypatch.setenv("FRACLAB_OUT", str(tmp_path / "out"))
         assert main(["oracle", *flags]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}, {"kind": "linear", "n": 64, "r": 4}],
+    )
+    def test_unread_exponent_exits_2_before_computing(self, tmp_path, capsys, monkeypatch, payload):
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        path = write_config(tmp_path, payload)
+        assert main([payload["kind"], "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "runs measure with" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -17,9 +17,9 @@ from fraclab.evolution import (
 )
 from fraclab.keller_segel import KSState, _KSFlux, ks_step
 from fraclab.littlewood_paley import BesovParams
-from fraclab.spectral import Grid2D, RealField, SpectralError, forward_transform, hermitian_defect
+from fraclab.spectral import Grid2D, RealField, SpectralError, forward_transform, hermitian_defect, hermitian_noise
 from fraclab.sqg import SQGState, _SQGFlux, sqg_step
-from helpers import convolution_product_coefficients, hermitian_noise, random_band_field
+from helpers import convolution_product_coefficients, random_band_field
 
 
 class TestLogSpacedTimes:

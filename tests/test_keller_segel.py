@@ -33,16 +33,6 @@ class TestPotential:
         psi = ks_potential(RealField(g, np.full((32, 32), 4.0)))
         assert np.abs(psi.values).max() <= 1e-14
 
-    def test_residual_spectral(self, rng):
-        # -Laplace psi = u - mean(u) to near machine precision
-        g = Grid2D(64, 2 * math.pi)
-        u = random_band_field(g, rng, zero_mean=False)
-        psi = ks_potential(u)
-        lap = forward_transform(psi).coefficients * (g.xi_mag ** 2)
-        cu = forward_transform(u).coefficients.copy()
-        cu[0, 0] = 0.0
-        assert np.abs(lap - cu).max() <= 1e-12 * np.abs(cu).max()
-
     def test_zero_mean_output(self, rng):
         g = Grid2D(32, 1.0)
         u = random_band_field(g, rng, zero_mean=False)
@@ -90,31 +80,6 @@ class TestTendency:
 
 
 class TestStep:
-    def test_mass_conserved_with_background(self, rng):
-        g = Grid2D(64, 2 * math.pi)
-        f = random_band_field(g, rng)
-        state = KSState(RealField(g, 0.1 * f.values / np.abs(f.values).max() + 1.0), 0.0, 1.0)
-        mass0 = state.u.mean() * g.L ** 2
-        for _ in range(20):
-            state = ks_step(state, 0.02)
-            mass = state.u.mean() * g.L ** 2
-            assert abs(mass - mass0) <= 1e-12 * abs(mass0)
-
-    def test_second_order_convergence(self, rng):
-        g = Grid2D(64, 2 * math.pi)
-        f = random_band_field(g, rng)
-        base = KSState(RealField(g, 2.0 * f.values / np.abs(f.values).max()), 0.0, 1.0)
-
-        def advance(dt, steps):
-            s = base
-            for _ in range(steps):
-                s = ks_step(s, dt)
-            return s.u.values
-
-        e1 = np.abs(advance(0.04, 10) - advance(0.02, 20)).max()
-        e2 = np.abs(advance(0.02, 20) - advance(0.01, 40)).max()
-        assert 3.5 <= e1 / e2 <= 4.5
-
     def test_subcritical_alpha_allowed(self, rng):
         g = Grid2D(32, 2 * math.pi)
         f = random_band_field(g, rng)

