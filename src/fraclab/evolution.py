@@ -34,6 +34,14 @@ is the only time loop (a single step is an ``integrate`` call with T = dt),
 and ``run_flow`` is the only driver: seeded data rescaled to the critical
 norm, the smallness refusal, norm recording at the sample schedule, and the
 final state.
+
+A step allocates almost nothing: ``integrate`` rotates two state buffers
+and reuses one predictor buffer, and each flux writes its transforms and
+products into scratch arrays it owns; only the tendency that ``rhs``
+returns is a new array. The tendency reads only the 2/3 band of its input
+(the stored symbols carry the mask), so every transform works on the
+n//3 + 1 band columns of the half-plane, and a step of either equation
+costs 10 band-pruned real transforms of two passes each.
 """
 
 from __future__ import annotations
@@ -246,22 +254,39 @@ def full_plane(h: np.ndarray) -> np.ndarray:
 
 
 class GridOperators:
-    """Real transforms, derivative symbols and the 2/3-rule mask of one grid.
+    """Band-pruned real transforms, derivative symbols and scratch buffers of one grid.
 
     Spectral arrays are rfft2 half-planes (see ``half_plane``), normalized as
-    ``SpectralField``. Equation modules subclass it with their flux (``rhs``,
-    ``max_velocity``); ``remember``/``recall`` let ``rhs`` reuse the physical
-    fields that ``max_velocity`` built for the same state array. ``on(grid)``
-    builds one instance per (subclass, grid) and reuses it.
+    ``SpectralField``. The 2/3 rule keeps the modes with max(|k1|, |k2|) <=
+    n/3, which lie in the first ``band = n//3 + 1`` half-plane columns, so the
+    transforms only work there (Orszag's pruning): ``to_phys`` runs its
+    column pass over the band columns alone and ``to_spec`` returns only the
+    band columns, with the rows outside the band zeroed. ``symbol`` stores a
+    multiplier's band columns with the 2/3 mask folded in, so a product with
+    a stored symbol truncates its input to the band.
+
+    Equation modules subclass it with their flux (``rhs``, ``max_velocity``)
+    and allocate their scratch arrays once, through ``spectral``/``physical``;
+    the two ``work`` arrays are shared scratch that no method leaves anything
+    in. Products and transforms write into these arrays through ``out=``.
+    ``remember``/``recall`` let ``rhs`` reuse the physical fields that
+    ``max_velocity`` built for the same state array. ``on(grid)`` builds one
+    instance per (subclass, grid) and reuses it.
     """
 
     def __init__(self, grid: Grid2D):
+        n = grid.n
         self.grid = grid
-        self.n2 = grid.n * grid.n
-        self.shape = (grid.n, grid.n)
+        self.shape = (n, n)
+        self.band = n // 3 + 1
+        self.cut = slice(self.band, n - self.band + 1)  # rows with |k1| > n/3
+        self.mask = np.ascontiguousarray(dealias_mask(grid)[:, : self.band])
         self.d1 = self.symbol(MultiplierSpec.partial(1))
         self.d2 = self.symbol(MultiplierSpec.partial(2))
-        self.mask = np.ascontiguousarray(half_plane(dealias_mask(grid)))
+        self._spec = self.spectral()  # symbol products
+        self._col = self.spectral()  # column pass of to_phys
+        self._row = np.empty((n, n // 2 + 1), dtype=np.complex128)  # row pass of to_spec
+        self.work = self.physical(), self.physical()  # free between method calls
         self._last = (None, None)  # (state array, its physical fields)
 
     @classmethod
@@ -269,14 +294,55 @@ class GridOperators:
     def on(cls, grid: Grid2D):
         return cls(grid)
 
+    def spectral(self) -> np.ndarray:
+        """A new uninitialised (n, band) complex array."""
+        return np.empty((self.grid.n, self.band), dtype=np.complex128)
+
+    def physical(self) -> np.ndarray:
+        """A new uninitialised (n, n) real array."""
+        return np.empty(self.shape)
+
+    def tendency(self) -> np.ndarray:
+        """A new half-plane array, zero past the band columns, for the caller to keep."""
+        out = np.empty((self.grid.n, self.grid.n // 2 + 1), dtype=np.complex128)
+        out[:, self.band:] = 0.0
+        return out
+
     def symbol(self, spec: MultiplierSpec) -> np.ndarray:
-        return np.ascontiguousarray(half_plane(multiplier_symbol(self.grid, spec)))
+        """Band columns of the multiplier, zero outside the 2/3 band."""
+        sym = multiplier_symbol(self.grid, spec)[:, : self.band]
+        return np.ascontiguousarray(np.where(self.mask, sym, 0.0))
 
-    def to_phys(self, c):
-        return np.fft.irfft2(c * self.n2, s=self.shape)
+    def truncate(self, c, out):
+        """The band columns of half-plane c, with the rows outside the band zeroed, in out."""
+        out[...] = c[:, : self.band]
+        out[self.cut] = 0.0
+        return out
 
-    def to_spec(self, w):
-        return np.fft.rfft2(w) / self.n2
+    def to_phys(self, c, out=None):
+        """Real field of coefficients c whose columns past the band are zero.
+
+        Only the band columns of c are read; the row pass zero-pads the rest.
+        """
+        col = np.fft.ifftn(c[:, : self.band], axes=(0,), norm="forward", out=self._col)
+        return np.fft.irfftn(col, s=self.shape[1:], axes=(1,), norm="forward", out=out)
+
+    def apply(self, sym, c, out=None):
+        """Real field of a stored symbol times the band columns of c."""
+        return self.to_phys(np.multiply(sym, c[:, : self.band], out=self._spec), out=out)
+
+    def to_spec(self, w, out=None):
+        """Band columns of the 2/3-truncated spectrum of the real field w."""
+        row = np.fft.rfftn(w, axes=(1,), norm="forward", out=self._row)
+        spec = np.fft.fftn(row[:, : self.band], axes=(0,), norm="forward", out=out)
+        spec[self.cut] = 0.0
+        return spec
+
+    def speed(self, f1, f2) -> float:
+        """max sqrt(f1^2 + f2^2) over the grid."""
+        s1, s2 = self.work
+        np.add(np.multiply(f1, f1, out=s1), np.multiply(f2, f2, out=s2), out=s1)
+        return math.sqrt(s1.max())  # sqrt is monotone, so this is the max of the sqrt
 
     def remember(self, c, fields):
         """Keep the physical fields of state c for the next ``recall``; returns them."""
@@ -286,8 +352,10 @@ class GridOperators:
     def recall(self, c, build):
         """The fields remembered for this very array c, else build(c).
 
-        One entry, consumed by the call: the key is the array's identity,
-        which is sound because states are never modified in place.
+        One entry, consumed by the call, keyed on the array's identity. The
+        time loop reuses its state buffers, so the key is sound only because
+        ``integrate`` calls ``rhs(c)`` right after ``max_velocity(c)``, with
+        no write to c in between.
         """
         last, fields = self._last
         self._last = (None, None)
@@ -310,19 +378,27 @@ def integrate(
     coeffs0 is the full-plane spectrum of a real field; only its half-plane
     (columns k2 = 0..n/2) is read, and the loop steps that half-plane. So
     rhs(c) -> spectral nonlinear term and max_velocity(c) -> max |u| on the
-    grid for the CFL check both receive and return (n, n/2 + 1) arrays; the
-    Nyquist column n/2 of the state is kept as it is and every tendency must
-    be zero there (the 2/3-rule mask does that). max_velocity(c) is called
-    once per step, right before rhs(c) on the same array. record(t, c) is
-    called at t = 0 and whenever a step boundary reaches the next sample time
-    (recorded at the actual step time) with the full-plane spectrum. A
-    non-finite velocity or state raises NumericalAbort with the last state
-    whose velocity check passed, full-plane. Returns (final_coeffs, n_steps,
+    grid for the CFL check both receive (n, n/2 + 1) arrays; the Nyquist
+    column n/2 of the state is kept as it is. rhs(c) returns a new half-plane
+    array that the loop then owns and overwrites. The tendencies of ``sqg``
+    and ``keller_segel`` dealias their input: they read only the 2/3 band of
+    c and return a tendency that is zero outside it, so content of the state
+    outside the band feels only the linear factor.
+
+    The loop keeps two state buffers and one predictor buffer and writes
+    every product into them, so the c that rhs and max_velocity see is valid
+    only during the call. max_velocity(c) is called once per step, right
+    before rhs(c) on the same array. record(t, c) is called at t = 0 and
+    whenever a step boundary reaches the next sample time (recorded at the
+    actual step time) with a new full-plane spectrum. A non-finite velocity
+    or state raises NumericalAbort with a full-plane copy of the last state
+    whose velocity check passed. Returns (final_coeffs, n_steps,
     max_velocity_seen), final_coeffs full-plane.
     """
     E = np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
-    E = np.ascontiguousarray(half_plane(E))
+    E = half_plane(E).astype(np.complex128)  # the cast every complex product would make
     c = good = np.array(half_plane(coeffs0), dtype=np.complex128)
+    spare, pred = np.empty_like(c), np.empty_like(c)
     t = 0.0
     record(t, full_plane(c))
     samples = [s for s in sorted(sample_times) if s <= T + 0.5 * dt]
@@ -339,9 +415,12 @@ def integrate(
             raise CFLError(vmax, dt)
         good = c
         n0 = rhs(c)
-        pred = E * (c + dt * n0)
+        # pred = E * (c + dt * n0)
+        np.multiply(E, np.add(c, np.multiply(dt, n0, out=pred), out=pred), out=pred)
         n1 = rhs(pred)
-        c = E * c + (0.5 * dt) * (E * n0 + n1)
+        # c' = E * c + (0.5 * dt) * (E * n0 + n1), into the other state buffer
+        np.multiply(0.5 * dt, np.add(np.multiply(E, n0, out=n0), n1, out=n0), out=n0)
+        c, spare = np.add(np.multiply(E, c, out=spare), n0, out=spare), c
         t = (step + 1) * dt
         if next_i < len(samples) and t >= samples[next_i] - 1e-12:
             while next_i < len(samples) and t >= samples[next_i] - 1e-12:

@@ -15,7 +15,10 @@ Positivity of u is not enforced by the spectral scheme; the running minimum
 is tracked and reported.
 Only the physics lives here: the state, the critical-norm index, the flux
 ``_KSFlux`` and the per-sample mass and minimum tracking; the time loop and
-the run driver are the shared ones of ``evolution``.
+the run driver are the shared ones of ``evolution``. The tendency is
+dealiased by the 2/3 rule on its input and its output: ``ks_rhs`` and the
+stepper see only the modes with max(|k1|, |k2|) <= n/3 of u, while
+``ks_potential`` keeps the whole spectrum.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
+    multiplier_symbol,
 )
 
 __all__ = ["KSState", "ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
@@ -61,39 +65,47 @@ def ks_critical_norm_params(p: float = 2.0) -> BesovParams:
 
 
 class _KSFlux(GridOperators):
-    """Chemotactic drift down the self-generated potential on one grid."""
+    """Chemotactic drift down the self-generated potential on one grid.
+
+    The stored symbols carry the 2/3 mask, and the outer divergence symbols
+    carry the tendency's sign.
+    """
 
     def __init__(self, grid):
         super().__init__(grid)
         self.inv_lap = self.symbol(MultiplierSpec.inverse_laplacian())
+        self.div1, self.div2 = -self.d1, -self.d2
+        self._psi, self._f = self.spectral(), self.spectral()
+        self._g1, self._g2 = self.physical(), self.physical()
 
     def grad_psi(self, c_u):
-        """Physical components of grad psi with psi = (-Laplace)^-1 (u - mean)."""
-        c_psi = self.inv_lap * c_u  # inverse symbol already zeroes the mean
-        return self.to_phys(self.d1 * c_psi), self.to_phys(self.d2 * c_psi)
+        """Physical components of grad psi with psi = (-Laplace)^-1 (u - mean), u's band part."""
+        c_psi = np.multiply(self.inv_lap, c_u[:, : self.band], out=self._psi)  # the symbol zeroes the mean
+        return self.apply(self.d1, c_psi, self._g1), self.apply(self.d2, c_psi, self._g2)
 
     def rhs(self, c_u):
-        """Spectral tendency -div(u grad psi), dealiased; zero mode exactly 0."""
+        """Spectral tendency -div(u grad psi) of u's band part, dealiased, zero mode 0; a new array."""
         g1, g2 = self.recall(c_u, self.grad_psi)
-        w = self.to_phys(c_u)
-        f1 = self.to_spec(w * g1)
-        f2 = self.to_spec(w * g2)
-        div = self.d1 * f1 + self.d2 * f2
-        return np.where(self.mask, -div, 0.0)
+        w, prod = self.work
+        w = self.to_phys(self.truncate(c_u, self._spec), out=w)
+        out = self.tendency()
+        f1 = self.to_spec(np.multiply(w, g1, out=prod), out=out[:, : self.band])
+        f2 = self.to_spec(np.multiply(w, g2, out=prod), out=self._f)
+        np.add(np.multiply(self.div1, f1, out=f1), np.multiply(self.div2, f2, out=f2), out=f1)
+        return out
 
     def max_velocity(self, c_u):
-        g1, g2 = self.remember(c_u, self.grad_psi(c_u))
-        return float(np.sqrt(g1 * g1 + g2 * g2).max())
+        return self.speed(*self.remember(c_u, self.grad_psi(c_u)))
 
 
 def ks_potential(u: RealField) -> RealField:
-    """Mean-free potential psi solving -Laplace psi = u - mean(u)."""
-    flux = _KSFlux.on(u.grid)
-    return RealField(u.grid, flux.to_phys(flux.inv_lap * flux.to_spec(u.values)))
+    """Mean-free potential psi solving -Laplace psi = u - mean(u), from the whole spectrum."""
+    c = forward_transform(u).coefficients * multiplier_symbol(u.grid, MultiplierSpec.inverse_laplacian())
+    return inverse_transform(SpectralField(u.grid, c, check=False))
 
 
 def ks_rhs(u: RealField) -> RealField:
-    """Nonlinear tendency -div(u grad psi), dealiased, exactly mean-free."""
+    """Nonlinear tendency -div(u grad psi) of the 2/3 band part of u, dealiased, exactly mean-free."""
     flux = _KSFlux.on(u.grid)
     return RealField(u.grid, flux.to_phys(flux.rhs(flux.to_spec(u.values))))
 

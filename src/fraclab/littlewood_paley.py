@@ -19,9 +19,9 @@ Low-pass at level j: multiply by chi(2^-j |xi|) (all blocks below j).
 Every Besov-type norm is one pipeline: the L^p norm of each block, then the
 weighted l^r sum over levels. For p = 2 the block norms come from Parseval
 through a level table, built once per (profile, grid, level range) from the
-cached block masks: each mode's lowest active level and the squared phi of
-that level and of the next. Two bincount passes over |c|^2 then give every
-block energy. Other p take one inverse FFT per block.
+block masks, which it does not keep cached: each mode's lowest active level
+and the squared phi of that level and of the next. Two bincount passes over
+|c|^2 then give every block energy. Other p take one inverse FFT per block.
 """
 
 from __future__ import annotations
@@ -200,10 +200,14 @@ def block_range(grid: Grid2D, profile: DyadicProfile | None = None) -> BlockRang
 _MASK_CACHE: dict = {}
 
 
+def _mask_key(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> tuple:
+    return (profile.cache_key, grid.n, grid.L, int(j), kind)
+
+
 def block_multiplier(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> np.ndarray:
     if kind not in ("block", "low_pass"):
         raise SpectralError(f"projection kind must be 'block' or 'low_pass', got {kind!r}")
-    key = (profile.cache_key, grid.n, grid.L, int(j), kind)
+    key = _mask_key(grid, j, kind, profile)
     mask = _MASK_CACHE.get(key)
     if mask is None:
         scaled = grid.xi_mag * (2.0 ** -float(j))
@@ -245,6 +249,8 @@ def _coeffs_of(field) -> tuple[Grid2D, np.ndarray]:
 # Level tables by (profile, grid, level range): per flattened mode, the offset
 # of the lowest active level (uint8; len(range), the drop bin, if none) and
 # the squared phi of that level and of the next one. 1.06 MiB at n = 256.
+# Block masks that only the table build needed are dropped from _MASK_CACHE
+# afterwards (9 x 0.5 MiB at n = 256); a p != 2 norm rebuilds them, bit for bit.
 _TABLE_CACHE: dict = {}
 
 
@@ -254,8 +260,12 @@ def _level_table(grid: Grid2D, profile: DyadicProfile, rng: BlockRange):
     if table is None:
         low = np.full(grid.n * grid.n, len(rng), dtype=np.uint8)
         w_low, w_next = np.zeros(grid.n * grid.n), np.zeros(grid.n * grid.n)
+        kept = set(_MASK_CACHE)  # masks cached before the build stay cached
         for i, j in enumerate(rng):  # one level at a time: no (levels, n, n) stack
             mask = block_multiplier(grid, j, "block", profile).ravel()
+            mask_key = _mask_key(grid, j, "block", profile)
+            if mask_key not in kept:
+                del _MASK_CACHE[mask_key]
             active = mask > 0.0
             second = active & (low == i - 1)
             w_next[second] = mask[second] ** 2

@@ -11,10 +11,13 @@ and damped by the fractional dissipation Lambda^alpha with unit viscosity:
 
 Only the physics lives here: the state, the critical-norm index and the flux
 ``_SQGFlux``. Gradients and the velocity law are applied spectrally; the
-advection product is formed pointwise and dealiased by the 2/3 rule. The
-shared loop and driver of ``evolution`` apply exp(-dt |xi|^alpha) exactly,
-so a single-mode state, whose self-advection vanishes identically, follows
-the linear flow to rounding.
+advection product is formed pointwise and dealiased by the 2/3 rule, which
+the tendency also applies to its input: ``sqg_rhs`` and the stepper see only
+the modes with max(|k1|, |k2|) <= n/3 of theta, so the product of two band
+fields has no aliased part in the band. ``sqg_velocity`` keeps the whole
+spectrum. The shared loop and driver of ``evolution`` apply
+exp(-dt |xi|^alpha) exactly, so a single-mode state, whose self-advection
+vanishes identically, follows the linear flow to rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
+    multiplier_symbol,
 )
 
 __all__ = ["SQGState", "sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
@@ -56,41 +60,51 @@ def critical_norm_params(alpha: float, p: float = 2.0) -> BesovParams:
 
 
 class _SQGFlux(GridOperators):
-    """Advection by the Riesz-transform velocity on one grid."""
+    """Advection by the Riesz-transform velocity on one grid.
+
+    The stored symbols carry the 2/3 mask, and the gradient symbols carry
+    the tendency's sign, so u . g with g = -grad theta is the tendency itself.
+    """
 
     def __init__(self, grid):
         super().__init__(grid)
-        self.riesz1 = self.symbol(MultiplierSpec.riesz(1))
-        self.riesz2 = self.symbol(MultiplierSpec.riesz(2))
+        self.u1 = -self.symbol(MultiplierSpec.riesz(2))
+        self.u2 = self.symbol(MultiplierSpec.riesz(1))
+        self.g1, self.g2 = -self.d1, -self.d2
+        self._v1, self._v2 = self.physical(), self.physical()
 
     def velocity(self, c_theta):
-        """Physical velocity components (u1, u2) = (-R2 theta, R1 theta)."""
-        u1 = self.to_phys(-self.riesz2 * c_theta)
-        u2 = self.to_phys(self.riesz1 * c_theta)
-        return u1, u2
+        """Physical velocity (u1, u2) = (-R2 theta, R1 theta) of the band part of theta."""
+        return self.apply(self.u1, c_theta, self._v1), self.apply(self.u2, c_theta, self._v2)
 
     def rhs(self, c_theta):
-        """Spectral tendency -(u . grad theta), dealiased."""
+        """Spectral tendency -(u . grad theta) of the band part of theta, dealiased; a new array."""
         u1, u2 = self.recall(c_theta, self.velocity)
-        g1 = self.to_phys(self.d1 * c_theta)
-        g2 = self.to_phys(self.d2 * c_theta)
-        adv = self.to_spec(u1 * g1 + u2 * g2)
-        return np.where(self.mask, -adv, 0.0)
+        g, adv = self.work
+        np.multiply(u1, self.apply(self.g1, c_theta, g), out=adv)
+        np.add(adv, np.multiply(u2, self.apply(self.g2, c_theta, g), out=g), out=adv)
+        out = self.tendency()
+        self.to_spec(adv, out=out[:, : self.band])
+        return out
 
     def max_velocity(self, c_theta):
-        u1, u2 = self.remember(c_theta, self.velocity(c_theta))
-        return float(np.sqrt(u1 * u1 + u2 * u2).max())
+        return self.speed(*self.remember(c_theta, self.velocity(c_theta)))
 
 
 def sqg_velocity(theta: RealField):
-    """Velocity fields (u1, u2) = (-R2 theta, R1 theta); divergence-free."""
-    flux = _SQGFlux.on(theta.grid)
-    u1, u2 = flux.velocity(flux.to_spec(theta.values))
-    return RealField(theta.grid, u1), RealField(theta.grid, u2)
+    """Velocity fields (u1, u2) = (-R2 theta, R1 theta) of the whole spectrum; divergence-free."""
+    grid = theta.grid
+    c = forward_transform(theta).coefficients
+
+    def field(sym):
+        return inverse_transform(SpectralField(grid, sym * c, check=False))
+
+    riesz1, riesz2 = (multiplier_symbol(grid, MultiplierSpec.riesz(i)) for i in (1, 2))
+    return field(-riesz2), field(riesz1)
 
 
 def sqg_rhs(theta: RealField) -> RealField:
-    """Nonlinear tendency -(u . grad theta), dealiased, mean-free."""
+    """Nonlinear tendency -(u . grad theta) of the 2/3 band part of theta, dealiased, mean-free."""
     flux = _SQGFlux.on(theta.grid)
     return RealField(theta.grid, flux.to_phys(flux.rhs(flux.to_spec(theta.values))))
 

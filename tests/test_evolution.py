@@ -15,10 +15,19 @@ from fraclab.evolution import (
     log_spaced_times,
     make_initial_coefficients,
 )
-from fraclab.keller_segel import KSState, _KSFlux, ks_step
+from fraclab.keller_segel import KSState, _KSFlux, ks_rhs, ks_step
 from fraclab.littlewood_paley import BesovParams
-from fraclab.spectral import Grid2D, RealField, SpectralError, forward_transform, hermitian_defect, hermitian_noise
-from fraclab.sqg import SQGState, _SQGFlux, sqg_step
+from fraclab.spectral import (
+    Grid2D,
+    RealField,
+    SpectralError,
+    SpectralField,
+    forward_transform,
+    hermitian_defect,
+    hermitian_noise,
+    inverse_transform,
+)
+from fraclab.sqg import SQGState, _SQGFlux, sqg_rhs, sqg_step
 from helpers import convolution_product_coefficients, random_band_field
 
 
@@ -199,6 +208,48 @@ class TestHalfPlaneStepper:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("rhs,tendency", [(sqg_rhs, _sqg_tendency), (ks_rhs, _ks_tendency)])
+def test_tendency_dealiases_its_input(rhs, tendency, rng):
+    # content on every mode: the tendency is that of the field's 2/3 band part,
+    # which is what the convolution oracle reads
+    g = Grid2D(16, 2 * math.pi)
+    field = inverse_transform(SpectralField(g, hermitian_noise(g, rng), check=False))
+    ref = tendency(g, forward_transform(field).coefficients)
+    got = forward_transform(rhs(field)).coefficients
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
+def test_handed_out_arrays_survive_later_steps(flux_class, rng):
+    # recorded states, the final state, last_good and rhs returns are never
+    # buffers that a later step of the same flux writes into
+    g = Grid2D(32, 2 * math.pi)
+    flux = flux_class.on(g)
+    w = random_band_field(g, rng).values
+    c0 = forward_transform(RealField(g, 1.0 + 0.5 * w / np.abs(w).max())).coefficients
+    kept = [c0]
+
+    def run(T, rhs=flux.rhs, record=lambda t, c: kept.append(c)):
+        return integrate(g, c0, 1.0, 0.02, T, rhs, flux.max_velocity, [0.04, 0.1], record)[0]
+
+    kept.append(run(0.1))
+    assert len(kept) == 5  # c0, three records, the final state
+    calls = []
+
+    def nan_in_step_three(c):
+        calls.append(None)
+        return np.full_like(c, np.nan) if len(calls) == 5 else flux.rhs(c)
+
+    with pytest.raises(NumericalAbort) as info:
+        run(0.2, rhs=nan_in_step_three, record=lambda t, c: None)
+    kept.append(info.value.last_good)
+    kept += [flux.rhs(half_plane(c0)), flux.rhs(half_plane(kept[-2]))]
+    snapshot = [a.copy() for a in kept]
+    run(0.1, record=lambda t, c: None)
+    for a, b in zip(kept, snapshot, strict=True):
+        assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
 @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
 class TestVelocityReuse:
     def _states(self, flux, rng):
@@ -207,10 +258,10 @@ class TestVelocityReuse:
     def test_rhs_bits_do_not_depend_on_prior_max_velocity(self, flux_class, rng, monkeypatch):
         flux = flux_class(Grid2D(32, 2 * math.pi))
         c, _ = self._states(flux, rng)
-        plain = flux.rhs(c)
+        plain = flux.rhs(c).copy()
         calls = []
-        irfft2 = np.fft.irfft2
-        monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: calls.append(None) or irfft2(*a, **k))
+        to_phys = flux.to_phys
+        monkeypatch.setattr(flux, "to_phys", lambda *a, **k: calls.append(None) or to_phys(*a, **k))
         flux.rhs(c)
         cold = len(calls)
         flux.max_velocity(c)

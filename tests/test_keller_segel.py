@@ -15,7 +15,16 @@ from fraclab.keller_segel import (
 )
 from fraclab.littlewood_paley import BesovParams
 from fraclab.semigroup import evolve_linear
-from fraclab.spectral import Grid2D, RealField, forward_transform
+from fraclab.spectral import (
+    Grid2D,
+    MultiplierSpec,
+    RealField,
+    SpectralField,
+    forward_transform,
+    hermitian_noise,
+    inverse_transform,
+    multiplier_symbol,
+)
 from helpers import convolution_product_coefficients, random_band_field
 
 
@@ -37,6 +46,17 @@ class TestPotential:
         g = Grid2D(32, 1.0)
         u = random_band_field(g, rng, zero_mean=False)
         assert abs(ks_potential(u).mean()) <= 1e-14
+
+    def test_whole_spectrum_and_fresh_arrays(self, rng):
+        # content outside the 2/3 band reaches the potential as it is
+        g = Grid2D(32, 3.0)
+        u = inverse_transform(SpectralField(g, hermitian_noise(g, rng), check=False))
+        cu = forward_transform(u).coefficients * g.n ** 2
+        ref = np.fft.ifft2(multiplier_symbol(g, MultiplierSpec.inverse_laplacian()) * cu).real
+        psi = ks_potential(u)
+        assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        ks_potential(RealField(g, 2.0 * u.values))
+        assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()  # not overwritten
 
 
 class TestTendency:

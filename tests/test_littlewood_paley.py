@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclab import littlewood_paley
 from fraclab.littlewood_paley import (
     BesovParams,
     BlockRange,
@@ -258,6 +259,32 @@ class TestLevelTable:
         for i, j in enumerate(rng_):
             encoded = np.where(low == i, w_low, 0.0) + np.where(low == i - 1, w_next, 0.0)
             assert np.array_equal(encoded, block_multiplier(g, j, "block", profile).ravel() ** 2)
+
+    def test_table_build_releases_only_the_masks_it_cached(self, profile, monkeypatch):
+        g = Grid2D(32, 7.0)
+        c = random_complex_coefficients(g, np.random.default_rng(5))
+        p2, p3 = BesovParams(0, 2, 1), BesovParams(0.5, 3, 2)
+        j = block_range(g, profile).j_min + 1
+
+        def fresh_caches():
+            for name in ("_MASK_CACHE", "_TABLE_CACHE"):
+                monkeypatch.setattr(littlewood_paley, name, {})
+
+        def block_masks():
+            return [k for k in littlewood_paley._MASK_CACHE if k[1:3] == (g.n, g.L) and k[4] == "block"]
+
+        fresh_caches()
+        cold_norm = spectral_besov_norm(g, c, p3, profile)
+        cold_block = project(SpectralField(g, c, check=False), j, "block", profile).coefficients
+        held = block_masks()
+        spectral_besov_norm(g, c, p2, profile)
+        assert held and block_masks() == held  # masks a p != 2 norm cached stay
+        fresh_caches()
+        spectral_besov_norm(g, c, p2, profile)
+        assert block_masks() == []
+        assert spectral_besov_norm(g, c, p3, profile) == cold_norm
+        block = project(SpectralField(g, c, check=False), j, "block", profile).coefficients
+        assert np.array_equal(block.view(np.float64), cold_block.view(np.float64))
 
     @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf)])
     def test_other_p_bit_identical_to_fft_loop(self, profile, s, p, r):

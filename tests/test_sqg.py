@@ -10,7 +10,17 @@ from fraclab.evolution import CFLError, InitialSpectrum, RunConfig, log_spaced_t
 from fraclab.littlewood_paley import BesovParams
 from fraclab.selftest import sqg_l2_monotone, sqg_mean_conservation, sqg_single_mode_linear
 from fraclab.semigroup import evolve_linear
-from fraclab.spectral import Grid2D, RealField, SpectralError, forward_transform
+from fraclab.spectral import (
+    Grid2D,
+    MultiplierSpec,
+    RealField,
+    SpectralError,
+    SpectralField,
+    forward_transform,
+    hermitian_noise,
+    inverse_transform,
+    multiplier_symbol,
+)
 from fraclab.sqg import SQGState, critical_norm_params, run_sqg, sqg_rhs, sqg_step, sqg_velocity
 from helpers import convolution_product_coefficients, random_band_field
 
@@ -32,6 +42,20 @@ class TestVelocity:
         c_theta = forward_transform(theta).coefficients
         c_u2 = forward_transform(u2).coefficients
         assert abs(abs(c_u2[1, 0]) - abs(c_theta[1, 0])) <= 1e-13
+
+    def test_whole_spectrum_and_fresh_arrays(self, rng):
+        # content outside the 2/3 band reaches the velocity as it is
+        g = Grid2D(32, 3.0)
+        theta = inverse_transform(SpectralField(g, hermitian_noise(g, rng), check=False))
+        ct = forward_transform(theta).coefficients * g.n ** 2
+        refs = [-np.fft.ifft2(multiplier_symbol(g, MultiplierSpec.riesz(2)) * ct).real,
+                np.fft.ifft2(multiplier_symbol(g, MultiplierSpec.riesz(1)) * ct).real]
+        velocity = sqg_velocity(theta)
+        for u, ref in zip(velocity, refs):
+            assert np.abs(u.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        sqg_velocity(RealField(g, 2.0 * theta.values))
+        for u, ref in zip(velocity, refs):  # the second call wrote into new arrays
+            assert np.abs(u.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestTendency:
