@@ -45,23 +45,27 @@ from .decay import (
     fit_decay_slope,
     theoretical_exponent,
 )
+# spectral_besov_norm and evolve_linear are not called here; they stay cli
+# attributes because perfbench's tracer wraps them at these names.
 from .evolution import (
     CFLError,
     InitialSpectrum,
     NumericalAbort,
     RunConfig,
     log_spaced_times,
-    spectral_besov_norm,
+    spectral_besov_norm,  # noqa: F401
+    spectral_besov_norms,
 )
 from .keller_segel import run_ks
 from .littlewood_paley import BesovParams, besov_norm, block_range, build_dyadic_profile
 from .semigroup import (
     QuadratureError,
     RadialSpectralDensity,
-    evolve_linear,
+    _dissipation_symbol,
+    evolve_linear,  # noqa: F401
     oracle_besov_series,
 )
-from .spectral import Grid2D, SpectralError, SpectralField, dealias_mask
+from .spectral import Grid2D, SpectralError, dealias_mask, half_plane
 from .sqg import run_sqg
 
 __all__ = ["ConfigError", "load_config", "validate_config", "execute", "emit_outputs", "main"]
@@ -367,6 +371,7 @@ def _oracle_series(config: dict, claim: DecayClaim, profile):
     extras = {
         "preserved_nonincreasing": ok,
         "preserved_final_over_initial": float(pv[-1] / pv[0]) if pv[0] > 0 else 0.0,
+        "oracle_quadrature_gap": max(decay.quadrature_gap, preserved.quadrature_gap),
     }
     return decay, preserved, f"oracle:{claim.family}", extras, ok
 
@@ -382,15 +387,16 @@ def _radial_grid_coefficients(grid: Grid2D, density: RadialSpectralDensity) -> n
 def _linear_series(config: dict, claim: DecayClaim, profile):
     grid = Grid2D(config["n"], config["L"])
     density = RadialSpectralDensity(**config["density"])
-    base = SpectralField(grid, _radial_grid_coefficients(grid, density), check=False)
+    # the exact semigroup exp(-t |xi|^alpha) on the half-plane of a real spectrum
+    base = half_plane(_radial_grid_coefficients(grid, density))
+    symbol = half_plane(_dissipation_symbol(grid, config["alpha"]))
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["p"], math.inf)
-    decay_vals, preserved_vals = [], []
-    for t in times:
-        ct = evolve_linear(base, config["alpha"], float(t)).coefficients
-        decay_vals.append(spectral_besov_norm(grid, ct, decay_params, profile))
-        preserved_vals.append(spectral_besov_norm(grid, ct, preserved_params, profile))
+    decay_vals, preserved_vals = zip(*(
+        spectral_besov_norms(grid, base * np.exp(-float(t) * symbol), [decay_params, preserved_params], profile)
+        for t in times
+    ))
     decay = NormSeries(times, decay_vals, f"linear-grid:{decay_params.label()}")
     preserved = NormSeries(times, preserved_vals, f"linear-grid:{preserved_params.label()}")
     ok = _nonincreasing(preserved)

@@ -18,11 +18,12 @@ runs coincide with ``evolve_linear`` by construction.
 
 The state is real, so its spectrum is Hermitian and the loop keeps only the
 rfft2 half-plane: an (n, n/2 + 1) array of columns k2 = 0..n/2
-(``half_plane``). E, the state and every tendency live in that layout, and
-``full_plane`` rebuilds the full (n, n) spectrum by Hermitian extension
-wherever a state leaves the loop. Column n/2 (the Nyquist column, which is
-its own mirror) is kept as it is; the 2/3-rule mask zeroes it in every
-tendency, so the nonlinearity never writes there.
+(``half_plane``). E, the state, every tendency and every recorded state live
+in that layout (the norms read the half-plane directly), and ``full_plane``
+rebuilds the full (n, n) spectrum by Hermitian extension only for the final
+state and the last good state of an abort. Column n/2 (the Nyquist column,
+which is its own mirror) is kept as it is; the 2/3-rule mask zeroes it in
+every tendency, so the nonlinearity never writes there.
 
 An equation module supplies only its physics: a state class, its
 critical-norm index, and a flux, which is a ``GridOperators`` subclass with
@@ -60,6 +61,7 @@ from .littlewood_paley import (
     DyadicProfile,
     build_dyadic_profile,
     spectral_besov_norm,
+    spectral_besov_norms,
 )
 from .spectral import (
     Grid2D,
@@ -68,6 +70,8 @@ from .spectral import (
     SpectralError,
     SpectralField,
     dealias_mask,
+    full_plane,
+    half_plane,
     hermitian_noise,
     inverse_transform,
     multiplier_symbol,
@@ -86,6 +90,7 @@ __all__ = [
     "integrate",
     "run_flow",
     "spectral_besov_norm",
+    "spectral_besov_norms",
     "log_spaced_times",
 ]
 
@@ -235,24 +240,6 @@ def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) ->
     return coeffs
 
 
-def half_plane(c: np.ndarray) -> np.ndarray:
-    """The rfft2 half-plane (columns k2 = 0..n/2) of full-plane coefficients, as a view."""
-    return c[..., : c.shape[-1] // 2 + 1]
-
-
-def full_plane(h: np.ndarray) -> np.ndarray:
-    """Hermitian extension of (n, n/2 + 1) half-plane coefficients to the full plane.
-
-    Columns 0..n/2 are copied as they are; column k2 > n/2 is the conjugate
-    of the mirrored mode, c(k1, k2) = conj(c(-k1, n - k2)).
-    """
-    n = h.shape[0]
-    full = np.empty((n, n), dtype=np.complex128)
-    full[:, : n // 2 + 1] = h
-    full[:, n // 2 + 1:] = np.conj(h[(-np.arange(n)) % n, n // 2 - 1:0:-1])
-    return full
-
-
 class GridOperators:
     """Band-pruned real transforms, derivative symbols and scratch buffers of one grid.
 
@@ -390,17 +377,18 @@ def integrate(
     only during the call. max_velocity(c) is called once per step, right
     before rhs(c) on the same array. record(t, c) is called at t = 0 and
     whenever a step boundary reaches the next sample time (recorded at the
-    actual step time) with a new full-plane spectrum. A non-finite velocity
-    or state raises NumericalAbort with a full-plane copy of the last state
-    whose velocity check passed. Returns (final_coeffs, n_steps,
-    max_velocity_seen), final_coeffs full-plane.
+    actual step time) with a new copy of the half-plane state, which the
+    callback may keep. A non-finite velocity or state raises NumericalAbort
+    with a full-plane copy of the last state whose velocity check passed.
+    Returns (final_coeffs, n_steps, max_velocity_seen), final_coeffs
+    full-plane.
     """
     E = np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
     E = half_plane(E).astype(np.complex128)  # the cast every complex product would make
     c = good = np.array(half_plane(coeffs0), dtype=np.complex128)
     spare, pred = np.empty_like(c), np.empty_like(c)
     t = 0.0
-    record(t, full_plane(c))
+    record(t, c.copy())
     samples = [s for s in sorted(sample_times) if s <= T + 0.5 * dt]
     next_i = 0
     n_steps = int(math.ceil(T / dt - 1e-12))
@@ -427,7 +415,7 @@ def integrate(
                 next_i += 1  # several samples may fall inside one step
             if not np.all(np.isfinite(c.view(np.float64))):
                 raise NumericalAbort(t, full_plane(good))
-            record(t, full_plane(c))
+            record(t, c.copy())
     if not np.all(np.isfinite(c.view(np.float64))):
         raise NumericalAbort(t, full_plane(good))
     return full_plane(c), n_steps, vmax_seen
@@ -446,8 +434,8 @@ class NormRecorder:
 
     def __call__(self, t: float, coeffs: np.ndarray):
         self.times.append(t)
-        for params, vals in zip(self.norms, self.values):
-            vals.append(spectral_besov_norm(self.grid, coeffs, params, self.profile))
+        for value, vals in zip(spectral_besov_norms(self.grid, coeffs, self.norms, self.profile), self.values):
+            vals.append(value)
 
     def series(self) -> dict:
         times = np.asarray(self.times)
@@ -467,15 +455,16 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     The initial field is the seeded shell-localized spectrum on the flux's
     grid, scaled so its critical norm equals the configured amplitude; runs
     whose amplitude exceeds the smallness budget are refused. on_sample(t, c)
-    sees every recorded state after the norms are taken.
+    sees every recorded half-plane state after the norms are taken.
     """
     profile = profile or build_dyadic_profile()
     grid = flux.grid
     coeffs = make_initial_coefficients(grid, config.initial, config.seed)
-    raw = spectral_besov_norm(grid, coeffs, critical, profile)
+    # measured on the half-plane, like every record, so a run builds one p = 2 layout
+    raw = spectral_besov_norm(grid, half_plane(coeffs), critical, profile)
     if raw > 0:
         coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
-    crit = spectral_besov_norm(grid, coeffs, critical, profile)
+    crit = spectral_besov_norm(grid, half_plane(coeffs), critical, profile)
     if crit > config.smallness_budget * (1.0 + 1e-9):
         raise SpectralError(
             f"initial critical norm {crit:.3e} exceeds the smallness budget "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import GridOperators, RunConfig, RunResult, half_plane, integrate, run_flow
+from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
 from .spectral import (
     MultiplierSpec,
@@ -126,7 +126,7 @@ def run_ks(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult
     minima, masses = [], []
 
     def track(t, c):
-        minima.append(float(flux.to_phys(half_plane(c)).min()))
+        minima.append(float(flux.to_phys(c).min()))  # c: the recorded half-plane
         masses.append(area * c[0, 0].real)
 
     result = run_flow("ks", flux, ks_critical_norm_params(), config, profile, track)

@@ -17,11 +17,16 @@ Annulus block at level j: multiply coefficients by phi(2^-j |xi|).
 Low-pass at level j: multiply by chi(2^-j |xi|) (all blocks below j).
 
 Every Besov-type norm is one pipeline: the L^p norm of each block, then the
-weighted l^r sum over levels. For p = 2 the block norms come from Parseval
-through a level table, built once per (profile, grid, level range) from the
-block masks, which it does not keep cached: each mode's lowest active level
-and the squared phi of that level and of the next. Two bincount passes over
-|c|^2 then give every block energy. Other p take one inverse FFT per block.
+weighted l^r sum over levels. Coefficients come as the full (n, n) plane or,
+for the spectrum of a real field, as its rfft2 half-plane (n, n/2 + 1). For
+p = 2 the block norms come from Parseval through a level-sorted layout,
+built once per (profile, grid, level range, input width) from the block
+masks, which it does not keep cached: level by level, the flat indices of
+the modes in the block and their squared phi times a column weight (2 on
+the half-plane columns that stand for their mirror too). One gather of
+|c|^2 and one reduceat then give every block energy. Other p take one
+inverse FFT per block of the full plane, which a half-plane input is first
+extended to.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .spectral import (
     SpectralError,
     dealias_mask,
     forward_transform,
+    full_plane,
 )
 
 __all__ = [
@@ -55,6 +61,7 @@ __all__ = [
     "BesovNormResult",
     "besov_norm",
     "spectral_besov_norm",
+    "spectral_besov_norms",
     "chemin_lerner_norm",
     "bony_decompose",
 ]
@@ -246,49 +253,69 @@ def _coeffs_of(field) -> tuple[Grid2D, np.ndarray]:
     raise SpectralError(f"expected RealField or SpectralField, got {type(field).__name__}")
 
 
-# Level tables by (profile, grid, level range): per flattened mode, the offset
-# of the lowest active level (uint8; len(range), the drop bin, if none) and
-# the squared phi of that level and of the next one. 1.06 MiB at n = 256.
-# Block masks that only the table build needed are dropped from _MASK_CACHE
-# afterwards (9 x 0.5 MiB at n = 256); a p != 2 norm rebuilds them, bit for bit.
-_TABLE_CACHE: dict = {}
+class _Layout(NamedTuple):
+    """Level-sorted p = 2 weights: block i sums weight * |c|^2 over index[seg_i]."""
+
+    index: np.ndarray  # flat mode indices, level by level (intp: the gather casts no copy)
+    weight: np.ndarray  # squared phi of the level times the column weight
+    starts: np.ndarray  # segment start of each level whose block holds a mode
+    filled: np.ndarray  # which levels those are; reduceat cannot express an empty segment
 
 
-def _level_table(grid: Grid2D, profile: DyadicProfile, rng: BlockRange):
-    key = (profile.cache_key, grid.n, grid.L, rng.j_min, rng.j_max)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        low = np.full(grid.n * grid.n, len(rng), dtype=np.uint8)
-        w_low, w_next = np.zeros(grid.n * grid.n), np.zeros(grid.n * grid.n)
+# p = 2 layouts by (profile, grid, level range, input width): 0.94 MiB for the
+# half-plane at n = 256. Block masks that only the build needed are dropped
+# from _MASK_CACHE afterwards (9 x 0.5 MiB at n = 256); a p != 2 norm
+# rebuilds them, bit for bit.
+_LAYOUT_CACHE: dict = {}
+
+
+def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange, width: int) -> _Layout:
+    key = (profile.cache_key, grid.n, grid.L, rng.j_min, rng.j_max, width)
+    layout = _LAYOUT_CACHE.get(key)
+    if layout is None:
+        col_weight = np.ones(width)
+        if width < grid.n:  # half-plane: columns 1..n/2-1 also stand for their mirror
+            col_weight[1: grid.n // 2] = 2.0
         kept = set(_MASK_CACHE)  # masks cached before the build stay cached
-        for i, j in enumerate(rng):  # one level at a time: no (levels, n, n) stack
-            mask = block_multiplier(grid, j, "block", profile).ravel()
+        index, weight = [], []
+        for j in rng:  # one level at a time: no (levels, n, n) stack
+            mask = block_multiplier(grid, j, "block", profile)[:, :width]
             mask_key = _mask_key(grid, j, "block", profile)
             if mask_key not in kept:
                 del _MASK_CACHE[mask_key]
-            active = mask > 0.0
-            second = active & (low == i - 1)
-            w_next[second] = mask[second] ** 2
-            first = active & (low == len(rng))
-            low[first] = i
-            w_low[first] = mask[first] ** 2
-        for a in (low, w_low, w_next):
+            flat = np.flatnonzero(mask)
+            index.append(flat)
+            weight.append(np.square(mask.ravel()[flat]) * col_weight[flat % width])
+        sizes = np.array([len(i) for i in index])
+        filled = sizes > 0
+        starts = (np.cumsum(sizes) - sizes)[filled]
+        layout = _LAYOUT_CACHE[key] = _Layout(np.concatenate(index), np.concatenate(weight), starts, filled)
+        for a in layout:
             a.setflags(write=False)
-        table = _TABLE_CACHE[key] = (low, w_low, w_next)
-    return table
+    return layout
 
 
 def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProfile,
                  rng: BlockRange | None = None):
-    """Levels of the range and the L^p norm of every block; returns (levels, norms)."""
+    """Levels of the range and the L^p norm of every block; returns (levels, norms).
+
+    coeffs is the full (n, n) plane or the (n, n/2 + 1) half-plane of a real
+    field's spectrum.
+    """
     rng = rng or block_range(grid, profile)
     levels = np.arange(rng.j_min, rng.j_max + 1)
+    width = coeffs.shape[-1]
+    if coeffs.shape != (grid.n, width) or width not in (grid.n, grid.n // 2 + 1):
+        raise SpectralError(f"coefficient shape {coeffs.shape} is neither the full nor the half plane "
+                            f"of grid n = {grid.n}")
     if p == 2.0:
-        low, w_low, w_next = _level_table(grid, profile, rng)
+        layout = _level_layout(grid, profile, rng, width)
         energy = (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()
-        sums = np.bincount(low, w_low * energy, len(levels) + 1)
-        sums[1:] += np.bincount(low, w_next * energy, len(levels) + 1)[:-1]  # next level: one bin up
-        return levels, grid.L * np.sqrt(sums[:-1])
+        sums = np.zeros(len(levels))
+        sums[layout.filled] = np.add.reduceat(layout.weight * energy[layout.index], layout.starts)
+        return levels, grid.L * np.sqrt(sums)
+    if width != grid.n:
+        coeffs = full_plane(coeffs)
     out = np.empty(len(levels))
     for i, j in enumerate(levels):
         # blocks holding only transform noise are legitimately tiny, so
@@ -312,9 +339,23 @@ def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None 
     return _level_norms(*_coeffs_of(field), _check_exponent(p, "p"), profile, rng)
 
 
+def spectral_besov_norms(grid: Grid2D, coeffs: np.ndarray, params_seq, profile: DyadicProfile) -> list[float]:
+    """Besov norms straight from full- or half-plane coefficients.
+
+    The block norms are taken once per distinct p and then combined into
+    every requested norm, in the order given.
+    """
+    rng = block_range(grid, profile)
+    blocks = {}
+    for params in params_seq:
+        if params.p not in blocks:
+            blocks[params.p] = _level_norms(grid, coeffs, params.p, profile, rng)
+    return [_combine(*blocks[params.p], params.s, params.r) for params in params_seq]
+
+
 def spectral_besov_norm(grid: Grid2D, coeffs: np.ndarray, params: BesovParams, profile: DyadicProfile) -> float:
-    """Besov norm straight from coefficients: level norms, then the l^r combination."""
-    return _combine(*_level_norms(grid, coeffs, params.p, profile), params.s, params.r)
+    """One Besov norm straight from full- or half-plane coefficients."""
+    return spectral_besov_norms(grid, coeffs, [params], profile)[0]
 
 
 class BesovNormResult(NamedTuple):

@@ -241,9 +241,10 @@ def _damped_integrals(rules, alpha: float, times: np.ndarray):
     return integrals
 
 
-def _check_gap(what: str, times, coarse, fine, scale, rel_tol: float):
+def _check_gap(what: str, times, coarse, fine, scale, rel_tol: float) -> float:
     """Raise QuadratureError where the N- and 2N-node values differ by more
-    than rel_tol * scale."""
+    than rel_tol * scale; otherwise return the largest gap as a fraction of
+    its scale (a zero scale, which passes only with a zero gap, counts as 0)."""
     gap = np.abs(fine - coarse)
     scale = np.broadcast_to(scale, gap.shape)
     i = int(np.argmax(gap - rel_tol * scale))
@@ -253,6 +254,7 @@ def _check_gap(what: str, times, coarse, fine, scale, rel_tol: float):
             f"rel_tol = {rel_tol:g} of {scale[i]:.3e}",
             achieved=gap[i] / scale[i],
         )
+    return float(np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0).max())
 
 
 def _radial_norm(density: RadialSpectralDensity, integral):
@@ -334,7 +336,8 @@ def oracle_besov_series(
     below 1e-14 of its running total, the sup after six levels without a
     1e-13 relative gain. The whole series is also summed with the N-node
     rule; QuadratureError is raised where the two differ by more than
-    rel_tol of the value.
+    rel_tol of the value, and the series carries the largest relative gap
+    as ``quadrature_gap``.
     """
     if kind not in ("decay", "preserved"):
         raise SpectralError(f"series kind must be 'decay' or 'preserved', got {kind!r}")
@@ -376,6 +379,6 @@ def oracle_besov_series(
         if j < j_top - 400:
             what = "level sum" if kind == "decay" else "sup over levels"
             raise QuadratureError(f"{what} did not stabilize by j = {j} at t = {times[live[0]]}")
-    _check_gap(f"{kind} series", times, coarse, fine, fine, rel_tol)
+    gap = _check_gap(f"{kind} series", times, coarse, fine, fine, rel_tol)
     tag = f"oracle:{claim.family}:{kind}:s={claim.s:g},ell={claim.ell:g},alpha={claim.alpha:g}"
-    return NormSeries(times, fine, tag)
+    return NormSeries(times, fine, tag, quadrature_gap=gap)

@@ -35,6 +35,8 @@ __all__ = [
     "dealias_mask",
     "hermitian_defect",
     "hermitian_noise",
+    "half_plane",
+    "full_plane",
 ]
 
 
@@ -187,6 +189,24 @@ def hermitian_noise(grid: Grid2D, rng) -> np.ndarray:
     z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
     idx = (-np.arange(grid.n)) % grid.n
     return 0.5 * (z + np.conj(z[np.ix_(idx, idx)]))
+
+
+def half_plane(c: np.ndarray) -> np.ndarray:
+    """The rfft2 half-plane (columns k2 = 0..n/2) of full-plane coefficients, as a view."""
+    return c[..., : c.shape[-1] // 2 + 1]
+
+
+def full_plane(h: np.ndarray) -> np.ndarray:
+    """Hermitian extension of (n, n/2 + 1) half-plane coefficients to the full plane.
+
+    Columns 0..n/2 are copied as they are; column k2 > n/2 is the conjugate
+    of the mirrored mode, c(k1, k2) = conj(c(-k1, n - k2)).
+    """
+    n = h.shape[0]
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, : n // 2 + 1] = h
+    full[:, n // 2 + 1:] = np.conj(h[(-np.arange(n)) % n, n // 2 - 1:0:-1])
+    return full
 
 
 def forward_transform(field: RealField) -> SpectralField:

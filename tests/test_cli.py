@@ -282,7 +282,8 @@ _SMALL_FLOW = {"n": 32, "L": 2 * math.pi * 4, "dt": 0.05, "T": 1.0, "t_lo": 0.05
     [
         ({"kind": "oracle", "alpha": 2.0, "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10,
           "tolerance_pct": 1e6},
-         {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial"}),
+         {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial",
+          "oracle_quadrature_gap"}),
         ({"kind": "linear", "n": 32, "tolerance_pct": 1e6},
          {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev"}),
         ({"kind": "sqg", **_SMALL_FLOW}, _FLOW_EXTRAS),

@@ -124,6 +124,19 @@ class TestIntegrate:
         assert final[2, 0] == pytest.approx(expected, rel=1e-12)
         assert [t for t, _ in recorded] == [0.0, 0.5, 1.0]
 
+    def test_record_receives_half_plane_copies(self):
+        g = Grid2D(32, 2 * math.pi)
+        c0 = np.zeros((32, 32), dtype=complex)
+        c0[2, 3] = c0[-2, -3] = 0.5
+        recorded = []
+        final = integrate(g, c0, 1.0, 0.1, 0.5, rhs=lambda c: np.zeros_like(c),
+                          max_velocity=lambda c: 0.0, sample_times=[0.2, 0.5],
+                          record=lambda t, c: recorded.append(c))[0]
+        assert [c.shape for c in recorded] == [(32, 17)] * 3
+        assert len({id(c) for c in recorded}) == 3
+        assert np.array_equal(recorded[0], half_plane(c0))
+        assert np.array_equal(recorded[-1], half_plane(final))
+
     def test_nan_tendency_aborts_with_finite_last_good(self):
         # the tendency turns the state to NaN in step 3 (t = 0.3 -> 0.4); the
         # next velocity check stops the run before the sample at t = 1

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from fraclab.evolution import InitialSpectrum, RunConfig, log_spaced_times
+from fraclab import keller_segel
+from fraclab.evolution import InitialSpectrum, RunConfig, log_spaced_times, run_flow
 from fraclab.keller_segel import (
     KSState,
     ks_critical_norm_params,
@@ -21,6 +22,7 @@ from fraclab.spectral import (
     RealField,
     SpectralField,
     forward_transform,
+    full_plane,
     hermitian_noise,
     inverse_transform,
     multiplier_symbol,
@@ -157,6 +159,31 @@ class TestRun:
         res = run_ks(_small_run_config(), profile)
         assert res.extras["mass_relative_drift"] <= 1e-12
         assert "min_u" in res.extras
+
+    def test_min_and_mass_match_the_recorded_states(self, profile, monkeypatch):
+        # min_u and the mass drift recomputed from copies of the recorded
+        # half-plane states, through the full plane and an inverse FFT
+        states = []
+
+        def spying_run_flow(equation, flux, critical, config, profile=None, on_sample=None):
+            def both(t, c):
+                states.append(c.copy())
+                on_sample(t, c)
+
+            return run_flow(equation, flux, critical, config, profile, both)
+
+        monkeypatch.setattr(keller_segel, "run_flow", spying_run_flow)
+        cfg = _small_run_config()
+        res = run_ks(cfg, profile)
+        grid = cfg.grid()
+        assert len(states) == len(res.series["B0_2_1"]) + 1  # plus the t = 0 record
+        assert all(c.shape == (grid.n, grid.n // 2 + 1) for c in states)
+        fields = [inverse_transform(SpectralField(grid, full_plane(c))).values for c in states]
+        scale = max(np.abs(u).max() for u in fields)
+        assert abs(min(u.min() for u in fields) - res.extras["min_u"]) <= 1e-13 * scale
+        masses = [grid.L ** 2 * c[0, 0].real for c in states]
+        drift = max(abs(m - masses[0]) for m in masses) / (abs(masses[0]) or 1.0)
+        assert res.extras["mass_relative_drift"] == drift
 
     def test_preserved_norm_stays_within_budget(self, profile):
         res = run_ks(_small_run_config(), profile)

@@ -9,7 +9,8 @@ from fraclab import littlewood_paley
 from fraclab.littlewood_paley import (
     BesovParams,
     BlockRange,
-    _level_table,
+    _level_layout,
+    _level_norms,
     besov_norm,
     block_multiplier,
     block_norms,
@@ -19,6 +20,7 @@ from fraclab.littlewood_paley import (
     lebesgue_norm,
     project,
     spectral_besov_norm,
+    spectral_besov_norms,
 )
 from fraclab.selftest import lp_chemin_lerner_minkowski
 from fraclab.spectral import (
@@ -27,6 +29,9 @@ from fraclab.spectral import (
     SpectralError,
     SpectralField,
     forward_transform,
+    full_plane,
+    half_plane,
+    hermitian_noise,
 )
 from helpers import random_band_field, random_complex_coefficients, reference_block_norms, shell_field
 
@@ -212,6 +217,17 @@ class TestBesov:
 TABLE_GRIDS = [(n, L) for n in (8, 16, 64, 256) for L in (2 * math.pi, 50.0)]
 
 
+def decoded_layout(layout, size: int):
+    """Per level of a p = 2 layout, the dense flat array of the weights it stores."""
+    segments = zip(layout.starts, np.append(layout.starts[1:], len(layout.index)))
+    for filled in layout.filled:
+        dense = np.zeros(size)
+        if filled:
+            lo, hi = next(segments)
+            dense[layout.index[lo:hi]] = layout.weight[lo:hi]
+        yield dense
+
+
 class TestLevelTable:
     """The p = 2 pipeline against a per-level mask loop and an inverse FFT."""
 
@@ -254,10 +270,8 @@ class TestLevelTable:
         total = masks.sum(axis=0)
         total[0, 0] = 1.0  # the mean mode lies in no block
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
-        # the table holds exactly the squared masks of the range
-        low, w_low, w_next = _level_table(g, profile, rng_)
-        for i, j in enumerate(rng_):
-            encoded = np.where(low == i, w_low, 0.0) + np.where(low == i - 1, w_next, 0.0)
+        # the full-plane layout holds exactly the squared masks of the range
+        for j, encoded in zip(rng_, decoded_layout(_level_layout(g, profile, rng_, n), n * n), strict=True):
             assert np.array_equal(encoded, block_multiplier(g, j, "block", profile).ravel() ** 2)
 
     def test_table_build_releases_only_the_masks_it_cached(self, profile, monkeypatch):
@@ -267,7 +281,7 @@ class TestLevelTable:
         j = block_range(g, profile).j_min + 1
 
         def fresh_caches():
-            for name in ("_MASK_CACHE", "_TABLE_CACHE"):
+            for name in ("_MASK_CACHE", "_LAYOUT_CACHE"):
                 monkeypatch.setattr(littlewood_paley, name, {})
 
         def block_masks():
@@ -297,6 +311,66 @@ class TestLevelTable:
         weighted = (2.0 ** (levels * params.s)) * ref
         combined = float(weighted.max()) if math.isinf(r) else float(np.sum(weighted ** r) ** (1.0 / r))
         assert spectral_besov_norm(g, c, params, profile) == combined
+
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    def test_p2_half_plane_matches_full_plane(self, profile, n, L):
+        g = Grid2D(n, L)
+        c = hermitian_noise(g, np.random.default_rng(n + 2))
+        full = block_range(g, profile)
+        for rng_ in (full, BlockRange(full.j_min + 1, full.j_max - 1)):
+            levels, from_full = _level_norms(g, c, 2.0, profile, rng_)
+            _, from_half = _level_norms(g, half_plane(c), 2.0, profile, rng_)
+            np.testing.assert_allclose(from_half, from_full, rtol=1e-14, atol=0)
+            ref = reference_block_norms(g, c, 2.0, profile, levels)
+            assert np.all(ref > 0)
+            np.testing.assert_allclose(from_full, ref, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(from_half, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n,L", [(16, 2 * math.pi), (64, 50.0)])
+    def test_levels_past_the_band_read_exactly_zero(self, profile, n, L):
+        # empty segments at both ends of the layout, and a range with no mode at all
+        g = Grid2D(n, L)
+        c = hermitian_noise(g, np.random.default_rng(n + 3))
+        full = block_range(g, profile)
+        for rng_ in (BlockRange(full.j_min - 3, full.j_max + 4), BlockRange(full.j_min - 5, full.j_min - 3)):
+            levels = np.arange(rng_.j_min, rng_.j_max + 1)
+            empty = np.array([not block_multiplier(g, int(j), "block", profile).any() for j in levels])
+            ref = reference_block_norms(g, c, 2.0, profile, levels)
+            for coeffs in (c, half_plane(c)):
+                norms = _level_norms(g, coeffs, 2.0, profile, rng_)[1]
+                assert np.all(norms[empty] == 0.0)
+                np.testing.assert_allclose(norms[~empty], ref[~empty], rtol=1e-13, atol=0)
+            assert empty[0] and empty[-1]
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_other_p_half_plane_bit_identical_to_full_plane(self, profile, p):
+        g = Grid2D(64, 50.0)
+        c = hermitian_noise(g, np.random.default_rng(8))
+        assert np.array_equal(full_plane(half_plane(c)), c)
+        assert np.array_equal(_level_norms(g, half_plane(c), p, profile)[1], _level_norms(g, c, p, profile)[1])
+        params = BesovParams(0.5, p, 2.0)
+        assert spectral_besov_norm(g, half_plane(c), params, profile) == spectral_besov_norm(g, c, params, profile)
+
+    def test_rejects_a_plane_of_another_width(self, profile):
+        g = Grid2D(16, 2 * math.pi)
+        with pytest.raises(SpectralError, match="neither the full nor the half plane"):
+            spectral_besov_norm(g, np.zeros((16, 12), complex), BesovParams(0, 2, 1), profile)
+
+    def test_one_level_pass_per_distinct_p(self, profile, monkeypatch):
+        g = Grid2D(32, 7.0)
+        c = half_plane(hermitian_noise(g, np.random.default_rng(9)))
+        params = [BesovParams(0, 2, 1), BesovParams(-1, 2, math.inf), BesovParams(0.5, 3, 2),
+                  BesovParams(0, 3, 1), BesovParams(1, 2, 2)]
+        singles = [spectral_besov_norm(g, c, q, profile) for q in params]
+        calls = []
+
+        def counted(grid, coeffs, p, *args):
+            calls.append(p)
+            return _level_norms(grid, coeffs, p, *args)
+
+        monkeypatch.setattr(littlewood_paley, "_level_norms", counted)
+        assert spectral_besov_norms(g, c, params, profile) == singles
+        assert calls == [2.0, 3.0]
 
 
 class TestCheminLerner:

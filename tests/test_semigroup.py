@@ -217,6 +217,21 @@ class TestOracleSeries:
             with pytest.raises(QuadratureError, match="node-doubling gap"):
                 oracle_besov_series(ball, claim, times, profile, kind, rel_tol=1e-18)
 
+    @pytest.mark.parametrize("kind", ["decay", "preserved"])
+    def test_series_carries_its_node_doubling_gap(self, profile, kind):
+        # the reported gap is the threshold of the check: just below it the
+        # same series raises, just above it the series passes unchanged
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        times = log_spaced_times(1.0, 10.0, 6)
+        series = oracle_besov_series(ball, claim, times, profile, kind)
+        gap = series.quadrature_gap
+        assert 0.0 < gap <= 1e-9
+        with pytest.raises(QuadratureError, match="node-doubling gap"):
+            oracle_besov_series(ball, claim, times, profile, kind, rel_tol=0.999 * gap)
+        again = oracle_besov_series(ball, claim, times, profile, kind, rel_tol=1.001 * gap)
+        assert again.quadrature_gap == gap and np.array_equal(again.values, series.values)
+
 
 class TestGridOracleAgreement:
     def test_band_limited_radial_data(self, profile):

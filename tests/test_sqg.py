@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclab import littlewood_paley
 from fraclab.evolution import CFLError, InitialSpectrum, RunConfig, log_spaced_times
 from fraclab.littlewood_paley import BesovParams
 from fraclab.selftest import sqg_l2_monotone, sqg_mean_conservation, sqg_single_mode_linear
@@ -183,6 +184,13 @@ class TestRun:
         d1 = np.abs(normalized_dev(2e-4) - normalized_dev(1e-4)).max()
         d2 = np.abs(normalized_dev(4e-4) - normalized_dev(2e-4)).max()
         assert 1.5 <= d2 / d1 <= 2.5
+
+    def test_run_builds_only_the_half_plane_layout(self, profile, monkeypatch):
+        # the critical norm and every record are measured on the half-plane
+        monkeypatch.setattr(littlewood_paley, "_LAYOUT_CACHE", {})
+        cfg = _small_run_config()
+        run_sqg(cfg, profile)
+        assert [key[-1] for key in littlewood_paley._LAYOUT_CACHE] == [cfg.n // 2 + 1]
 
     def test_determinism(self, profile):
         a = run_sqg(_small_run_config(), profile)
