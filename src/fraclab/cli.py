@@ -8,7 +8,10 @@ output directory as
 
     <label>.csv   one per recorded norm series, header "t,value"
     plot.gp       gnuplot script: log-log series with theory reference lines
-    run.json      the run record (config echo, fits, report, pass flag)
+    final.bsvf    the final state of an sqg/ks run
+    run.json      the run record (config echo, fits, report, pass flag, and
+                  for decay experiments the wall-clock timings of the series,
+                  the fit and the file writes)
 
 CSV floats use round-trip-exact decimal formatting, so identical (config,
 seed) pairs produce byte-identical series files. Files are written to a
@@ -54,10 +57,9 @@ from .evolution import (
     RunConfig,
     log_spaced_times,
     spectral_besov_norm,  # noqa: F401
-    spectral_besov_norms,
 )
 from .keller_segel import run_ks
-from .littlewood_paley import BesovParams, besov_norm, block_range, build_dyadic_profile
+from .littlewood_paley import BesovParams, besov_norm, block_range, build_dyadic_profile, spectral_besov_series
 from .semigroup import (
     QuadratureError,
     RadialSpectralDensity,
@@ -353,8 +355,9 @@ def _canonical_hash(config: dict) -> str:
 
 
 def _nonincreasing(series: NormSeries) -> bool:
+    """Every sample at most its predecessor, up to a relative 1e-12."""
     v = series.values
-    return bool(np.all(v <= v[0] * (1.0 + 1e-12) + 1e-300))
+    return bool(np.all(v[1:] <= v[:-1] * (1.0 + 1e-12) + 1e-300))
 
 
 # Series producers: each returns the decaying and the preserved norm series,
@@ -393,10 +396,9 @@ def _linear_series(config: dict, claim: DecayClaim, profile):
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["p"], math.inf)
-    decay_vals, preserved_vals = zip(*(
-        spectral_besov_norms(grid, base * np.exp(-float(t) * symbol), [decay_params, preserved_params], profile)
-        for t in times
-    ))
+    decay_vals, preserved_vals = spectral_besov_series(
+        grid, base, symbol, times, [decay_params, preserved_params], profile
+    )
     decay = NormSeries(times, decay_vals, f"linear-grid:{decay_params.label()}")
     preserved = NormSeries(times, preserved_vals, f"linear-grid:{preserved_params.label()}")
     ok = _nonincreasing(preserved)
@@ -459,18 +461,23 @@ def _run_decay(config: dict):
     theory = theoretical_exponent(claim)
     if theory == 0.0:  # build_report refuses it too, but only after the series are computed
         raise FitError("claim predicts zero exponent; relative comparison undefined")
+    started = time.perf_counter()
     decay, preserved, descriptor, extras, ok = _SERIES[config["kind"]](
         config, claim, build_dyadic_profile()
     )
+    computed = time.perf_counter()
     if "window_lo" in config:
         window = (config["window_lo"], config["window_hi"])
     else:
         window = (config["t_lo"], config["t_hi"])
     fit = fit_decay_slope(decay, window)
     report = build_report([fit], [claim], config["tolerance_pct"], [descriptor])
+    # write_s stays 0 unless emit_outputs writes the files
+    timings = {"series_s": computed - started, "fit_s": time.perf_counter() - computed, "write_s": 0.0}
     fits = [{"label": "decay", **dataclasses.asdict(fit), "window": list(fit.window)}]
     series = {f"decay_ell{config['ell']:g}_r1": decay, f"preserved_s{config['s']:g}_rinf": preserved}
-    return series, fits, report, {"theory_exponent": theory, **extras}, report.passed and ok
+    extras = {"theory_exponent": theory, **extras, "_timings": timings}
+    return series, fits, report, extras, report.passed and ok
 
 
 def _run_besov(config: dict):
@@ -517,6 +524,8 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
         failure = {"type": type(exc).__name__, "message": str(exc)}
         exit_code = EXIT_CONFIG_ERROR
     finished = _dt.datetime.now(_dt.timezone.utc)
+    timings = extras.pop("_timings", None)
+    final_field = extras.pop("_final_field", None)
     record = {
         "artifact": "fraclab",
         "version": __version__,
@@ -529,6 +538,8 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
         "pass": bool(passed) and failure is None,
         "extras": extras,
     }
+    if timings is not None:
+        record["timings"] = timings  # wall-clock seconds, volatile: kept out of extras and the CSVs
     if fits:
         record["fits"] = fits
     if report is not None:
@@ -537,14 +548,9 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
         record["failure"] = failure
     if exit_code == EXIT_PASS and not record["pass"]:
         exit_code = EXIT_REPORT_FAILURE
-    final_field = extras.pop("_final_field", None)
     if out_dir is not None:
         out_dir = Path(out_dir)
-        if final_field is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_bsvf(out_dir / "final.bsvf", final_field)
-            extras["final_state_file"] = "final.bsvf"
-        emit_outputs(record, series, out_dir)
+        emit_outputs(record, series, out_dir, final_field)
     return ExecutionResult(record, exit_code, out_dir)
 
 
@@ -600,10 +606,20 @@ def _plot_script(record: dict, series_names) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def emit_outputs(record: dict, series: dict, out_dir: Path):
-    """Write CSV series, the plot script, and the run record atomically."""
+def emit_outputs(record: dict, series: dict, out_dir: Path, final_field=None):
+    """Write the final state (if any), CSV series, the plot script, and the run record.
+
+    A record with a timings block gets its write_s here: the time spent on
+    every file before run.json.
+    """
+    started = time.perf_counter()
     out_dir = Path(out_dir)
     written = []
+    if final_field is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_bsvf(out_dir / "final.bsvf", final_field)
+        record["extras"]["final_state_file"] = "final.bsvf"
+        written.append(out_dir / "final.bsvf")
     names = sorted(series)
     manifest = []
     for name in names:
@@ -616,6 +632,8 @@ def emit_outputs(record: dict, series: dict, out_dir: Path):
         gp = out_dir / "plot.gp"
         _atomic_write(gp, _plot_script(record, names))
         written.append(gp)
+    if "timings" in record:
+        record["timings"]["write_s"] = time.perf_counter() - started
     rec_path = out_dir / "run.json"
     if record.get("kind") == "besov":
         payload = (json.dumps(record, sort_keys=True) + "\n").encode()  # one-line record

@@ -27,6 +27,11 @@ the half-plane columns that stand for their mirror too). One gather of
 |c|^2 and one reduceat then give every block energy. Other p take one
 inverse FFT per block of the full plane, which a half-plane input is first
 extended to.
+
+Along a diagonal damping c * exp(-t * rate), such as the linear semigroup,
+spectral_besov_series takes the p = 2 norms at every sample time from the
+same layout: the energies are grouped once by level and distinct rate, and
+each time then costs one exponential per distinct rate.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
     "besov_norm",
     "spectral_besov_norm",
     "spectral_besov_norms",
+    "spectral_besov_series",
     "chemin_lerner_norm",
     "bony_decompose",
 ]
@@ -295,6 +301,14 @@ def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange, width: 
     return layout
 
 
+def _plane_width(grid: Grid2D, coeffs: np.ndarray) -> int:
+    width = coeffs.shape[-1]
+    if coeffs.shape != (grid.n, width) or width not in (grid.n, grid.n // 2 + 1):
+        raise SpectralError(f"coefficient shape {coeffs.shape} is neither the full nor the half plane "
+                            f"of grid n = {grid.n}")
+    return width
+
+
 def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProfile,
                  rng: BlockRange | None = None):
     """Levels of the range and the L^p norm of every block; returns (levels, norms).
@@ -304,10 +318,7 @@ def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProf
     """
     rng = rng or block_range(grid, profile)
     levels = np.arange(rng.j_min, rng.j_max + 1)
-    width = coeffs.shape[-1]
-    if coeffs.shape != (grid.n, width) or width not in (grid.n, grid.n // 2 + 1):
-        raise SpectralError(f"coefficient shape {coeffs.shape} is neither the full nor the half plane "
-                            f"of grid n = {grid.n}")
+    width = _plane_width(grid, coeffs)
     if p == 2.0:
         layout = _level_layout(grid, profile, rng, width)
         energy = (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()
@@ -326,12 +337,18 @@ def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProf
     return levels, out
 
 
-def _combine(levels: np.ndarray, norms: np.ndarray, s: float, r: float) -> float:
-    """Weighted l^r combination of block norms: || 2^{j s} norms_j ||_{l^r}."""
+def _combine(levels: np.ndarray, norms: np.ndarray, s: float, r: float):
+    """Weighted l^r combination of block norms: || 2^{j s} norms_j ||_{l^r}.
+
+    The levels run along the last axis of norms: one row gives a float, a
+    stack of rows (one per time) an array.
+    """
     weighted = (2.0 ** (levels * s)) * norms
     if math.isinf(r):
-        return float(weighted.max()) if len(weighted) else 0.0
-    return float(np.sum(weighted ** r) ** (1.0 / r))
+        out = weighted.max(axis=-1, initial=0.0)
+    else:
+        out = np.sum(weighted ** r, axis=-1) ** (1.0 / r)
+    return float(out) if out.ndim == 0 else out
 
 
 def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None = None):
@@ -351,6 +368,69 @@ def spectral_besov_norms(grid: Grid2D, coeffs: np.ndarray, params_seq, profile: 
         if params.p not in blocks:
             blocks[params.p] = _level_norms(grid, coeffs, params.p, profile, rng)
     return [_combine(*blocks[params.p], params.s, params.r) for params in params_seq]
+
+
+# exp(-2 t u) is taken for at most this many (time, rate) pairs at once, 256 KiB
+# of scratch; all pairs of the linear defaults (81 x 1,199) would hold 0.8 MB.
+_DAMPING_CHUNK = 1 << 15
+
+
+def _damped_level_norms(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, times: np.ndarray,
+                        profile: DyadicProfile, rng: BlockRange) -> np.ndarray:
+    """L^2 norms of every block of coeffs * exp(-t * rates); shape (len(times), levels).
+
+    The energies of the layout's modes are grouped once by level and by
+    distinct rate u (exact float equality, so each mode keeps its own rate):
+    A[i, m] sums weight * |c|^2 over the modes of level i whose rate is u[m].
+    Modes without energy are left out. The block energies at time t are then
+    A @ exp(-2 t u).
+    """
+    layout = _level_layout(grid, profile, rng, _plane_width(grid, coeffs))
+    energy = layout.weight * (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()[layout.index]
+    sizes = np.diff(np.append(layout.starts, len(layout.index)))
+    level = np.repeat(np.flatnonzero(layout.filled), sizes)
+    keep = energy != 0.0
+    u, group = np.unique(rates.ravel()[layout.index[keep]], return_inverse=True)
+    n_levels = len(layout.filled)
+    a = np.bincount(level[keep] * len(u) + group, weights=energy[keep], minlength=n_levels * len(u))
+    a = a.reshape(n_levels, len(u)).T
+    norms = np.empty((len(times), n_levels))
+    step = max(1, _DAMPING_CHUNK // max(len(u), 1))
+    for k in range(0, len(times), step):
+        damping = np.multiply.outer(-2.0 * times[k:k + step], u)
+        norms[k:k + step] = grid.L * np.sqrt(np.exp(damping, out=damping) @ a)
+    return norms
+
+
+def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, times, params_seq,
+                          profile: DyadicProfile) -> np.ndarray:
+    """Besov norms of coeffs * exp(-t * rates) at every t; shape (len(params_seq), len(times)).
+
+    coeffs and rates share one layout, full or half plane. p = 2 norms take
+    the block norms at every time from one grouped reduction
+    (_damped_level_norms): one exponential per distinct rate and time, no
+    damped plane. Other p take spectral_besov_norms of the damped
+    coefficients at each time.
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    if rates.shape != coeffs.shape:
+        raise SpectralError(f"rates of shape {rates.shape} do not match coefficients of shape {coeffs.shape}")
+    rng = block_range(grid, profile)
+    levels = np.arange(rng.j_min, rng.j_max + 1)
+    times = np.asarray(times, dtype=np.float64)
+    out = np.empty((len(params_seq), len(times)))
+    closed = [i for i, params in enumerate(params_seq) if params.p == 2.0]
+    looped = [i for i, params in enumerate(params_seq) if params.p != 2.0]
+    if closed:
+        norms = _damped_level_norms(grid, coeffs, rates, times, profile, rng)
+        for i in closed:
+            out[i] = _combine(levels, norms, params_seq[i].s, params_seq[i].r)
+    if looped:
+        looped_params = [params_seq[i] for i in looped]
+        for k, t in enumerate(times):
+            damped = coeffs * np.exp(-float(t) * rates)
+            out[looped, k] = spectral_besov_norms(grid, damped, looped_params, profile)
+    return out
 
 
 def spectral_besov_norm(grid: Grid2D, coeffs: np.ndarray, params: BesovParams, profile: DyadicProfile) -> float:

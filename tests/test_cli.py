@@ -19,8 +19,10 @@ from fraclab.cli import (
     validate_config,
 )
 from fraclab.decay import NormSeries
-from fraclab.semigroup import oracle_besov_series
-from fraclab.spectral import Grid2D
+from fraclab.evolution import log_spaced_times
+from fraclab.littlewood_paley import BesovParams, build_dyadic_profile, spectral_besov_norms
+from fraclab.semigroup import RadialSpectralDensity, evolve_linear, oracle_besov_series
+from fraclab.spectral import Grid2D, SpectralField
 from helpers import random_band_field
 
 
@@ -224,6 +226,29 @@ class TestLinearKind:
         assert record["extras"]["preserved_nonincreasing"] is True
         assert (tmp_path / "out" / "decay_ell0_r1.csv").exists()
 
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_other_p_series_bit_identical_to_evolve_linear_loop(self, p):
+        cfg = validate_config({"kind": "linear", "n": 32, "p": p, "tolerance_pct": 1e6})
+        profile = build_dyadic_profile()
+        decay, preserved = cli._linear_series(cfg, cli._claim(cfg), profile)[:2]
+        grid = Grid2D(cfg["n"], cfg["L"])
+        base = SpectralField(grid, cli._radial_grid_coefficients(grid, RadialSpectralDensity(**cfg["density"])),
+                             check=False)
+        params = [BesovParams(cfg["ell"], p, 1.0), BesovParams(-cfg["s"], p, math.inf)]
+        times = log_spaced_times(cfg["t_lo"], cfg["t_hi"], cfg["samples_per_decade"])
+        loop = np.array([
+            spectral_besov_norms(grid, evolve_linear(base, cfg["alpha"], t).coefficients, params, profile)
+            for t in times
+        ]).T
+        assert np.array_equal(decay.times, times)
+        assert np.array_equal(decay.values, loop[0]) and np.array_equal(preserved.values, loop[1])
+
+
+def test_nonincreasing_compares_consecutive_samples():
+    times = [1.0, 2.0, 3.0]
+    assert not cli._nonincreasing(NormSeries(times, [1.0, 0.5, 0.9], "dips then rises"))
+    assert cli._nonincreasing(NormSeries(times, [1.0, 0.5, 0.5 * (1 + 1e-13)], "flat within 1e-12"))
+
 
 class TestNonlinearReport:
     def test_zero_predicted_exponent_is_a_fit_error(self, tmp_path):
@@ -277,27 +302,50 @@ _SMALL_FLOW = {"n": 32, "L": 2 * math.pi * 4, "dt": 0.05, "T": 1.0, "t_lo": 0.05
                "window_lo": 0.1, "window_hi": 1.0, "tolerance_pct": 1e6}
 
 
+# One small run of every decay kind.
+_SMALL_RUNS = {
+    "oracle": {"kind": "oracle", "alpha": 2.0, "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10,
+               "tolerance_pct": 1e6},
+    "linear": {"kind": "linear", "n": 32, "tolerance_pct": 1e6},
+    "sqg": {"kind": "sqg", **_SMALL_FLOW},
+    "ks": {"kind": "ks", **_SMALL_FLOW},
+    "ks-subcritical": {"kind": "ks", "alpha": 1.5, "ell": -0.5, "p": 4.0, **_SMALL_FLOW},
+}
+
+
 @pytest.mark.parametrize(
-    "raw, keys",
+    "run, keys",
     [
-        ({"kind": "oracle", "alpha": 2.0, "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10,
-          "tolerance_pct": 1e6},
-         {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial",
-          "oracle_quadrature_gap"}),
-        ({"kind": "linear", "n": 32, "tolerance_pct": 1e6},
-         {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev"}),
-        ({"kind": "sqg", **_SMALL_FLOW}, _FLOW_EXTRAS),
-        ({"kind": "ks", **_SMALL_FLOW}, _FLOW_EXTRAS | {"min_u", "mass_relative_drift"}),
-        ({"kind": "ks", "alpha": 1.5, "ell": -0.5, "p": 4.0, **_SMALL_FLOW},
-         _FLOW_EXTRAS | {"min_u", "mass_relative_drift", "subcritical"}),
+        ("oracle", {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial",
+                    "oracle_quadrature_gap"}),
+        ("linear", {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev"}),
+        ("sqg", _FLOW_EXTRAS),
+        ("ks", _FLOW_EXTRAS | {"min_u", "mass_relative_drift"}),
+        ("ks-subcritical", _FLOW_EXTRAS | {"min_u", "mass_relative_drift", "subcritical"}),
     ],
     ids=["oracle", "linear", "sqg", "ks", "ks-subcritical"],
 )
-def test_run_record_extras_keys(tmp_path, raw, keys):
-    result = execute(validate_config(raw), tmp_path / "out")
+def test_run_record_extras_keys(tmp_path, run, keys):
+    result = execute(validate_config(_SMALL_RUNS[run]), tmp_path / "out")
     assert result.exit_code == 0
     extras = json.loads((tmp_path / "out" / "run.json").read_text())["extras"]
     assert set(extras) == keys
+
+
+@pytest.mark.parametrize("run", ["oracle", "linear", "sqg", "ks"])
+def test_run_record_timings_and_byte_identical_reruns(tmp_path, run):
+    cfg = validate_config(_SMALL_RUNS[run])
+    for out in ("a", "b"):
+        result = execute(cfg, tmp_path / out)
+        assert result.exit_code == 0
+        timings = json.loads((tmp_path / out / "run.json").read_text())["timings"]
+        assert timings == result.record["timings"]
+        assert set(timings) == {"series_s", "fit_s", "write_s"}
+        assert all(math.isfinite(v) and v > 0 for v in timings.values())
+    csvs = sorted(path.name for path in (tmp_path / "a").glob("*.csv"))
+    assert len(csvs) == 2
+    for name in csvs:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestCheckpointLoop:

@@ -9,6 +9,7 @@ from fraclab import littlewood_paley
 from fraclab.littlewood_paley import (
     BesovParams,
     BlockRange,
+    _damped_level_norms,
     _level_layout,
     _level_norms,
     besov_norm,
@@ -21,13 +22,17 @@ from fraclab.littlewood_paley import (
     project,
     spectral_besov_norm,
     spectral_besov_norms,
+    spectral_besov_series,
 )
+from fraclab.evolution import log_spaced_times
 from fraclab.selftest import lp_chemin_lerner_minkowski
+from fraclab.semigroup import RadialSpectralDensity, _dissipation_symbol, evolve_linear
 from fraclab.spectral import (
     Grid2D,
     RealField,
     SpectralError,
     SpectralField,
+    dealias_mask,
     forward_transform,
     full_plane,
     half_plane,
@@ -371,6 +376,130 @@ class TestLevelTable:
         monkeypatch.setattr(littlewood_paley, "_level_norms", counted)
         assert spectral_besov_norms(g, c, params, profile) == singles
         assert calls == [2.0, 3.0]
+
+
+DENSITIES = {
+    "ball": RadialSpectralDensity.ball_indicator(1.0),
+    "power_law": RadialSpectralDensity.power_law(1.0, 1.0 / 6.0, 2.0 / 3.0),
+    "gaussian": RadialSpectralDensity.gaussian(0.25),
+}
+
+
+def lattice_coefficients(g: Grid2D, density: RadialSpectralDensity) -> np.ndarray:
+    """A radial density sampled on the lattice, dealiased and mean-free: the linear kind's data."""
+    c = np.where(dealias_mask(g), density.rho_array(g.xi_mag) / g.L ** 2, 0.0).astype(complex)
+    c[0, 0] = 0.0
+    return c
+
+
+def flow_times(g: Grid2D, alpha: float) -> np.ndarray:
+    """t = 0, then two decades up to the linear kind's default horizon 0.1 / xi_min^alpha."""
+    t_hi = 0.1 / g.xi_min ** alpha
+    return np.concatenate(([0.0], log_spaced_times(t_hi / 100.0, t_hi, 5)))
+
+
+class TestDampedSeries:
+    """spectral_besov_series: the closed form at p = 2, the per-time loop at other p."""
+
+    PARAMS = [BesovParams(0.0, 2, 1), BesovParams(-1.0, 2, math.inf), BesovParams(0.5, 2, 2)]
+
+    @pytest.mark.parametrize("L", [2 * math.pi * 4, 50.0])
+    @pytest.mark.parametrize("density", sorted(DENSITIES))
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_p2_matches_evolve_linear_loop_and_reference_blocks(self, profile, alpha, density, L):
+        g = Grid2D(32, L)
+        c = lattice_coefficients(g, DENSITIES[density])
+        sym = _dissipation_symbol(g, alpha)
+        times = flow_times(g, alpha)
+        damped = [evolve_linear(SpectralField(g, c, check=False), alpha, t).coefficients for t in times]
+        loop = np.array([spectral_besov_norms(g, d, self.PARAMS, profile) for d in damped]).T
+        # the l^r sums written out over the per-level mask products of the test helper
+        levels = np.arange(block_range(g, profile).j_min, block_range(g, profile).j_max + 1)
+        blocks = np.array([reference_block_norms(g, d, 2.0, profile, levels) for d in damped])
+        ref = [
+            np.sum(blocks, axis=1),
+            np.max(2.0 ** -levels * blocks, axis=1),
+            np.sqrt(np.sum((2.0 ** (0.5 * levels) * blocks) ** 2, axis=1)),
+        ]
+        for coeffs, rates in ((c, sym), (half_plane(c), half_plane(sym))):
+            series = spectral_besov_series(g, coeffs, rates, times, self.PARAMS, profile)
+            assert series.shape == (3, len(times)) and np.all(series > 0)
+            np.testing.assert_allclose(series, loop, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(series, ref, rtol=1e-13, atol=0)
+
+    def test_p2_takes_no_per_time_plane(self, profile, monkeypatch):
+        g = Grid2D(32, 50.0)
+        c = half_plane(lattice_coefficients(g, DENSITIES["ball"]))
+
+        def refuse(*args):
+            raise AssertionError("p = 2 series took a norm of a damped plane")
+
+        monkeypatch.setattr(littlewood_paley, "spectral_besov_norms", refuse)
+        monkeypatch.setattr(littlewood_paley, "_level_norms", refuse)
+        spectral_besov_series(g, c, half_plane(_dissipation_symbol(g, 1.0)), flow_times(g, 1.0), self.PARAMS,
+                              profile)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_other_p_bit_identical_to_evolve_linear_loop(self, profile, p):
+        g = Grid2D(32, 50.0)
+        c = hermitian_noise(g, np.random.default_rng(10))
+        times = flow_times(g, 1.0)
+        params = [BesovParams(0.0, p, 1), BesovParams(-1.0, p, math.inf), BesovParams(0.5, 2, 2)]
+        loop = np.array([
+            spectral_besov_norms(g, evolve_linear(SpectralField(g, c, check=False), 1.0, t).coefficients,
+                                 params, profile)
+            for t in times
+        ]).T
+        series = spectral_besov_series(g, c, _dissipation_symbol(g, 1.0), times, params, profile)
+        assert np.array_equal(series[:2], loop[:2])
+        np.testing.assert_allclose(series[2], loop[2], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n,L", [(16, 2 * math.pi), (64, 50.0)])
+    def test_levels_the_data_misses_read_zero_at_every_time(self, profile, n, L):
+        g = Grid2D(n, L)
+        rng_ = block_range(g, profile)
+        j = (rng_.j_min + rng_.j_max) // 2
+        c = np.where(block_multiplier(g, j, "block", profile) > 0, hermitian_noise(g, np.random.default_rng(n)), 0.0)
+        levels = np.arange(rng_.j_min, rng_.j_max + 1)
+        missed = reference_block_norms(g, c, 2.0, profile, levels) == 0.0
+        assert missed[0] and missed[-1] and not missed.all()
+        sym = _dissipation_symbol(g, 1.0)
+        times = flow_times(g, 1.0)
+        for coeffs, rates in ((c, sym), (half_plane(c), half_plane(sym))):
+            norms = _damped_level_norms(g, coeffs, rates, times, profile, rng_)
+            assert np.all(norms[:, missed] == 0.0) and np.all(norms[:, ~missed] > 0.0)
+            for t, row in zip(times, norms):
+                damped = evolve_linear(SpectralField(g, c, check=False), 1.0, t).coefficients
+                ref = reference_block_norms(g, damped, 2.0, profile, levels[~missed])
+                np.testing.assert_allclose(row[~missed], ref, rtol=1e-13, atol=0)
+
+    def test_zero_spectrum_and_underflowed_times_read_zero(self, profile):
+        g = Grid2D(32, 50.0)
+        sym = half_plane(_dissipation_symbol(g, 1.0))
+        c = half_plane(lattice_coefficients(g, DENSITIES["ball"]))
+        zero = np.zeros_like(c)
+        late = np.array([1e5, 1e300])  # exp(-2 t |xi|) underflows on every mode
+        with np.errstate(invalid="raise", divide="raise"):  # underflow to 0 is the point
+            from_zero = spectral_besov_series(g, zero, sym, flow_times(g, 1.0), self.PARAMS, profile)
+            from_late = spectral_besov_series(g, c, sym, late, self.PARAMS, profile)
+        assert np.array_equal(from_zero, np.zeros((3, len(flow_times(g, 1.0)))))
+        assert np.array_equal(from_late, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    def test_half_plane_matches_full_plane(self, profile, n, L):
+        g = Grid2D(n, L)
+        c = hermitian_noise(g, np.random.default_rng(n + 4))
+        sym = _dissipation_symbol(g, 1.5)
+        times = flow_times(g, 1.5)
+        from_full = spectral_besov_series(g, c, sym, times, self.PARAMS, profile)
+        from_half = spectral_besov_series(g, half_plane(c), half_plane(sym), times, self.PARAMS, profile)
+        np.testing.assert_allclose(from_half, from_full, rtol=1e-14, atol=0)
+
+    def test_rejects_rates_of_another_shape(self, profile):
+        g = Grid2D(16, 2 * math.pi)
+        c = half_plane(hermitian_noise(g, np.random.default_rng(11)))
+        with pytest.raises(SpectralError, match="do not match"):
+            spectral_besov_series(g, c, _dissipation_symbol(g, 1.0), [1.0], self.PARAMS, profile)
 
 
 class TestCheminLerner:
