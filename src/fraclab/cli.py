@@ -407,6 +407,7 @@ def _linear_series(config: dict, claim: DecayClaim, profile):
         oracle = oracle_besov_series(density, claim, times, profile, "decay")
         dev = np.abs(decay.values - oracle.values) / oracle.values
         extras["grid_oracle_max_rel_dev"] = float(dev.max())
+        extras["grid_oracle_quadrature_gap"] = oracle.quadrature_gap
     return decay, preserved, "linear-grid", extras, ok
 
 

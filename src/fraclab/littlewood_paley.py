@@ -15,6 +15,10 @@ sum_{k <= j-1} phi(2^-k r) = chi(2^-j r).
 
 Annulus block at level j: multiply coefficients by phi(2^-j |xi|).
 Low-pass at level j: multiply by chi(2^-j |xi|) (all blocks below j).
+Every level is the same bump rescaled. Since 2^-j is a power of two, the
+block's open annulus 3/4 < 2^-j |xi| < 8/3 is found exactly by two
+comparisons on |xi|, and a block mask evaluates phi only there (at most
+about 1/9 of the plane); it is exactly 0 elsewhere.
 
 Every Besov-type norm is one pipeline: the L^p norm of each block, then the
 weighted l^r sum over levels. Coefficients come as the full (n, n) plane or,
@@ -134,6 +138,14 @@ class DyadicProfile:
     def cache_key(self):
         return (self.inner_edge, self.outer_edge)
 
+    # Profiles with one cache_key are the same bump: caches keyed on a
+    # profile share their entries across instances.
+    def __eq__(self, other):
+        return isinstance(other, DyadicProfile) and self.cache_key == other.cache_key
+
+    def __hash__(self):
+        return hash(self.cache_key)
+
 
 def build_dyadic_profile() -> DyadicProfile:
     """Standard profile with support endpoints exactly 3/4 and 8/3."""
@@ -223,12 +235,17 @@ def block_multiplier(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) ->
     key = _mask_key(grid, j, kind, profile)
     mask = _MASK_CACHE.get(key)
     if mask is None:
-        scaled = grid.xi_mag * (2.0 ** -float(j))
+        scale = 2.0 ** -float(j)
         if kind == "block":
-            mask = profile.phi_array(scaled)
+            # phi(r 2^-j) is exactly 0 outside 3/4 < r 2^-j < 8/3, and scaling by
+            # a power of two is exact, so the window is found on xi_mag itself
+            xi = grid.xi_mag.ravel()
+            inside = np.flatnonzero((xi > profile.inner_edge / scale) & (xi < 2.0 * profile.outer_edge / scale))
+            mask = np.zeros(grid.xi_mag.shape)
+            mask.ravel()[inside] = profile.phi_array(xi[inside] * scale)
             mask[0, 0] = 0.0
         else:
-            mask = profile.chi_array(scaled)
+            mask = profile.chi_array(grid.xi_mag * scale)
             mask[0, 0] = 1.0  # low-pass keeps the mean
         mask.setflags(write=False)
         _MASK_CACHE[key] = mask

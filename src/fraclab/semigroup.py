@@ -15,7 +15,11 @@ with omega_{n-1} the unit-sphere measure. Each level gets one composite
 Gauss-Legendre node set with panel edges at phi's breakpoints and the
 density's support edges; the time-independent factor of the integrand is
 folded into the weights, so the block integrals at all sample times are one
-exp(-2 t r^alpha) matrix times a weight vector. Every weight is positive and
+exp(-2 t r^alpha) matrix times a weight vector. Levels are not built from
+scratch: a level's edges divided by 2^j give a reference rule, built once
+with its phi values and cached, and the level scales its nodes and weights
+back by 2^j. Scaling by a power of two is exact, so the rule is bit for bit
+the direct build on the level's own edges. Every weight is positive and
 every exponential decreases in t, so computed block norms are monotone in t
 by construction. Error control compares the N- and 2N-node rules. Because the
 oracle lives on the continuum it is free of the torus infrared cutoff and
@@ -200,16 +204,30 @@ def gauss_legendre_panels(edges, subpanels: int = 1):
     return (0.5 * (a + b)[:, None] + half * x).ravel(), (half * w).ravel()
 
 
-def _radial_rules(density: RadialSpectralDensity, edges, bump=None):
+def _radial_rules(density: RadialSpectralDensity, edges):
     """The N- and 2N-node rules on the panels between edges, as (nodes,
-    weights), with rho(r)^2 r^(n-1), times bump(r)^2 if given, folded into
-    the weights."""
+    weights), with rho(r)^2 r^(n-1) folded into the weights."""
     rules = []
     for sub in _SUBPANELS:
         r, w = gauss_legendre_panels(edges, sub)
-        g = density.rho_array(r) if bump is None else bump(r) * density.rho_array(r)
+        g = density.rho_array(r)
         rules.append((r, w * g * g * r ** (density.dimension - 1)))
     return rules
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_rules(edges_ref: tuple, profile: DyadicProfile):
+    """The N- and 2N-node rules on the panels between edges_ref, each as
+    (nodes, weights, phi at the nodes), read-only. Profiles compare by
+    their cache_key, so every instance of one profile shares the entries."""
+    rules = []
+    for sub in _SUBPANELS:
+        x, w = gauss_legendre_panels(edges_ref, sub)
+        rule = (x, w, profile.phi_array(x))
+        for a in rule:
+            a.flags.writeable = False
+        rules.append(rule)
+    return tuple(rules)
 
 
 def _level_rules(density: RadialSpectralDensity, j: int, profile: DyadicProfile):
@@ -218,6 +236,12 @@ def _level_rules(density: RadialSpectralDensity, j: int, profile: DyadicProfile)
     Panel edges sit at phi's breakpoints (3/4, 4/3, 3/2, 8/3 times 2^j) and
     the density's support edges, so every panel integrand is smooth. The
     rules have no nodes when the annulus misses the support.
+
+    The nodes, weights and phi values come from the reference rule of the
+    edges divided by 2^j, scaled back. Both scalings are exact while the
+    values stay normal, which holds on every level a series visits (above
+    j_top - 400), so the result is bit for bit the direct build on the
+    level's own edges.
     """
     scale = 2.0 ** float(j)
     inner, outer = profile.inner_edge, profile.outer_edge
@@ -227,7 +251,12 @@ def _level_rules(density: RadialSpectralDensity, j: int, profile: DyadicProfile)
     b = max(a, min(breaks[-1], s_hi))
     # coincident edges make empty intervals, which the panel rule drops
     edges = np.sort(np.clip(np.append(breaks, (s_lo, s_hi)), a, b))
-    return _radial_rules(density, edges, lambda r: profile.phi_array(r / scale))
+    rules = []
+    for x, w_ref, phi in _reference_rules(tuple((edges / scale).tolist()), profile):
+        r = scale * x
+        g = phi * density.rho_array(r)
+        rules.append((r, (scale * w_ref) * g * g * r ** (density.dimension - 1)))
+    return rules
 
 
 def _damped_integrals(rules, alpha: float, times: np.ndarray):

@@ -318,7 +318,8 @@ _SMALL_RUNS = {
     [
         ("oracle", {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial",
                     "oracle_quadrature_gap"}),
-        ("linear", {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev"}),
+        ("linear", {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev",
+                    "grid_oracle_quadrature_gap"}),
         ("sqg", _FLOW_EXTRAS),
         ("ks", _FLOW_EXTRAS | {"min_u", "mass_relative_drift"}),
         ("ks-subcritical", _FLOW_EXTRAS | {"min_u", "mass_relative_drift", "subcritical"}),

@@ -260,6 +260,20 @@ class TestLevelTable:
             assert norm == pytest.approx(math.sqrt(g.h ** 2 * float(np.sum(np.abs(w) ** 2))), rel=1e-12)
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    def test_windowed_block_mask_bit_identical_to_full_plane_phi(self, profile, monkeypatch, n, L):
+        # the mask evaluates phi only inside its annulus window; outside it phi
+        # of the scaled radius is exactly +0.0, so every byte of the plane agrees
+        monkeypatch.setattr(littlewood_paley, "_MASK_CACHE", {})
+        g = Grid2D(n, L)
+        rng_ = block_range(g, profile)
+        for j in range(rng_.j_min - 1, rng_.j_max + 2):  # one level past each end
+            direct = profile.phi_array(g.xi_mag * 2.0 ** -j)
+            direct[0, 0] = 0.0
+            mask = block_multiplier(g, j, "block", profile)
+            assert mask.tobytes() == direct.tobytes()
+            assert not mask.flags.writeable
+
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_at_most_two_adjacent_levels_summing_to_one(self, profile, n, L):
         g = Grid2D(n, L)
         rng_ = block_range(g, profile)

@@ -8,13 +8,17 @@ import pytest
 
 from fraclab.decay import DecayClaim
 from fraclab.evolution import log_spaced_times, spectral_besov_norm
-from fraclab.littlewood_paley import BesovParams
+from fraclab.littlewood_paley import BesovParams, build_dyadic_profile
 from fraclab.selftest import semigroup_oracle_vs_riemann
 from fraclab.semigroup import (
     GL_NODES,
     QuadratureError,
     RadialSpectralDensity,
+    _SUBPANELS,
     _dissipation_symbol,
+    _level_rules,
+    _reference_rules,
+    _top_level,
     evolve_linear,
     gauss_legendre_panels,
     oracle_besov_series,
@@ -199,6 +203,76 @@ class TestOracleBlocks:
             closed = math.sqrt((2 * math.pi) ** -2 * math.pi * (1 - math.exp(-2 * t)) / (2 * t))
             assert recon == pytest.approx(closed, rel=5e-3)
             assert recon == pytest.approx(closed, rel=1e-6)
+
+
+def direct_level_rules(density, j, profile):
+    """The N- and 2N-node rules of level j built straight on the level's own
+    panel edges, with no reference rule: the bit-identity reference for
+    _level_rules."""
+    scale = 2.0 ** j
+    breaks = scale * np.array([0.75, 4.0 / 3.0, 1.5, 8.0 / 3.0])
+    s_lo, s_hi = density.support()
+    lo = max(breaks[0], s_lo)
+    hi = max(lo, min(breaks[-1], s_hi))
+    edges = np.sort(np.clip(np.append(breaks, (s_lo, s_hi)), lo, hi))
+    rules = []
+    for sub in _SUBPANELS:
+        r, w = gauss_legendre_panels(edges, sub)
+        g = profile.phi_array(r / scale) * density.rho_array(r)
+        rules.append((r, w * g * g * r ** (density.dimension - 1)))
+    return rules
+
+
+_RULE_DENSITIES = {
+    "ball-1": lambda d: RadialSpectralDensity.ball_indicator(1.0, d),
+    "ball-3": lambda d: RadialSpectralDensity.ball_indicator(3.0, d),
+    "power-law": lambda d: RadialSpectralDensity.power_law(0.5, 0.3, 5.0, d),
+    "power-law-steep": lambda d: RadialSpectralDensity.power_law(-1.5, 0.05, 0.9, d),
+    "gaussian": lambda d: RadialSpectralDensity.gaussian(0.7, d),
+}
+
+
+class TestLevelRules:
+    """Levels rescaled from cached reference rules, against a direct build."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("form", sorted(_RULE_DENSITIES))
+    def test_rescaled_rules_bit_identical_to_direct_build(self, profile, form, dimension):
+        density = _RULE_DENSITIES[form](dimension)
+        j_top = _top_level(density)
+        # down past the lower support edge, and the deepest level a series may reach
+        levels = [*range(j_top - 10, j_top + 2), j_top - 400]
+        for edge in density.support():
+            if 0.0 < edge < math.inf:  # some level's annulus straddles every support edge
+                assert any(0.75 * 2.0 ** j < edge < 8.0 / 3.0 * 2.0 ** j for j in levels)
+        filled = 0
+        for j in levels:
+            rules = _level_rules(density, j, profile)
+            direct = direct_level_rules(density, j, profile)
+            assert len(rules) == len(direct)
+            for (r, w), (r_ref, w_ref) in zip(rules, direct):
+                assert r.tobytes() == r_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+            filled += len(rules[0][0]) > 0
+        assert filled >= 4
+
+    def test_reference_rules_shared_by_profiles_and_read_only(self):
+        a, b = build_dyadic_profile(), build_dyadic_profile()
+        assert a is not b and a == b and hash(a) == hash(b)
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        _level_rules(ball, -5, a)
+        before = _reference_rules.cache_info()
+        # every level below j = -1 of the unit ball has the same reference edges
+        for j in (-5, -9, -300):
+            _level_rules(ball, j, b)
+        after = _reference_rules.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 3
+        edges = (0.75, 4.0 / 3.0, 1.5)
+        rules = _reference_rules(edges, a)
+        assert _reference_rules(edges, b) is rules
+        for rule in rules:
+            for array in rule:
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
 
 
 class TestOracleSeries:
