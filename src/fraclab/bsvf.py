@@ -7,11 +7,14 @@ Layout (all little-endian):
     f64         L, domain side length
     n*n f64     field values, row-major
 
-Readers reject wrong magic or version.
+Readers raise ``SpectralError`` for an unreadable path, wrong magic or
+version, a grid size that is not a power of two >= 8 and a payload shorter
+than the header promises; the last two are checked before the payload is read.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -32,17 +35,23 @@ def write_bsvf(path, field: RealField) -> None:
 
 
 def read_bsvf(path) -> RealField:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise SpectralError(f"{path}: truncated BSVF header")
-        magic, version, n, L = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise SpectralError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
-            raise SpectralError(f"{path}: unsupported BSVF version {version}, expected {VERSION}")
-        raw = fh.read(8 * n * n)
-        if len(raw) != 8 * n * n:
-            raise SpectralError(f"{path}: truncated BSVF payload ({len(raw)} bytes for n={n})")
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise SpectralError(f"{path}: truncated BSVF header")
+            magic, version, n, L = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise SpectralError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise SpectralError(f"{path}: unsupported BSVF version {version}, expected {VERSION}")
+            if n < 8 or n & (n - 1):
+                raise SpectralError(f"{path}: BSVF grid size must be a power of two >= 8, got n={n}")
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if size < 8 * n * n:
+                raise SpectralError(f"{path}: truncated BSVF payload ({size} bytes for n={n})")
+            raw = fh.read(8 * n * n)
+    except OSError as exc:
+        raise SpectralError(f"{path}: cannot read BSVF file: {exc.strerror or exc}") from None
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n)
     return RealField(Grid2D(n, L), values.copy())

@@ -118,8 +118,8 @@ def load_config(path) -> dict:
     """Parse and validate one JSON config file."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates_hook)
@@ -692,7 +692,8 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "tolerance_pct": args.tolerance, "threads": args.threads}
         config = validate_config(config | {k: v for k, v in overrides.items() if v is not None})
         out_dir = _resolve_out_dir(args, config)
-    except ConfigError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     result = execute(config, out_dir)

@@ -16,9 +16,9 @@ is tracked and reported.
 Only the physics lives here: the state, the critical-norm index, the flux
 ``_KSFlux`` and the per-sample mass and minimum tracking; the time loop and
 the run driver are the shared ones of ``evolution``. The tendency is
-dealiased by the 2/3 rule on its input and its output: ``ks_rhs`` and the
-stepper see only the modes with max(|k1|, |k2|) <= n/3 of u, while
-``ks_potential`` keeps the whole spectrum.
+dealiased by the 2/3 rule on its input and its output: ``ks_rhs``,
+``ks_potential`` and the stepper see only the modes with max(|k1|, |k2|) <=
+n/3 of u.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
-    multiplier_symbol,
 )
 
 __all__ = ["KSState", "ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
@@ -99,9 +98,10 @@ class _KSFlux(GridOperators):
 
 
 def ks_potential(u: RealField) -> RealField:
-    """Mean-free potential psi solving -Laplace psi = u - mean(u), from the whole spectrum."""
-    c = forward_transform(u).coefficients * multiplier_symbol(u.grid, MultiplierSpec.inverse_laplacian())
-    return inverse_transform(SpectralField(u.grid, c, check=False))
+    """Mean-free potential psi solving -Laplace psi = u - mean(u) for the 2/3 band part of u,
+    with the stepper's own inverse Laplacian; a new array on every call."""
+    flux = _KSFlux.on(u.grid)
+    return RealField(u.grid, flux.to_phys(np.multiply(flux.inv_lap, flux.to_spec(u.values))))
 
 
 def ks_rhs(u: RealField) -> RealField:

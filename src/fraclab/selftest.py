@@ -422,13 +422,19 @@ def sqg_divergence_free(rng, grid=GRID, samples=1, amplitude=0.1):
     return worst, f"max ||div u||_2 / ||grad theta||_2, {samples} fields"
 
 
-@_check("sqg.single_mode_linear", 1e-12)
-def sqg_single_mode_linear(rng, grid=GRID, alpha=1.0, dt=0.1, mode=1, amplitude=0.02):
-    x1, _ = grid.coordinates()
-    theta = RealField(grid, amplitude * np.cos(2 * math.pi * mode * x1 / grid.L))
-    stepped = sqg_step(SQGState(theta, 0.0, alpha), dt)
-    linear = inverse_transform(semigroup.evolve_linear(forward_transform(theta), alpha, dt))
-    return _rel(stepped.theta.values, linear.values), "rel err of one step vs the linear flow"
+@_check("sqg.shell_steady_state", 1e-12)
+def sqg_shell_steady_state(rng, grid=GRID, k2=442, amplitude=5.0, alpha=1.0, T=0.1):
+    # spectrum on the shell |k|^2 = k2 (442 = 21^2 + 1^2 = 19^2 + 9^2: 16 modes at the band edge of
+    # the 64^2 grid): u = grad^perp theta / |xi| with |xi| fixed, so u . grad theta = 0 at any amplitude
+    c = np.where(grid.k1 ** 2 + grid.k2 ** 2 == k2, hermitian_noise(grid, rng), 0.0)
+    f = inverse_transform(SpectralField(grid, c, check=False)).values
+    theta = RealField(grid, amplitude * f / np.abs(f).max())
+    speed = np.hypot(*(u.values for u in sqg_velocity(theta))).max() * grid.n / grid.L
+    steps = math.ceil(T * speed / 0.38)  # Courant dt max|u| n / L <= 0.38 with dt = T / steps
+    end = _path(sqg_step, SQGState(theta, 0.0, alpha), steps, T / steps)[-1].theta.values
+    linear = inverse_transform(semigroup.evolve_linear(forward_transform(theta), alpha, T)).values
+    detail = f"rel err vs the linear flow at T = {T:g}, |k|^2 = {k2}, {steps} steps at Courant {T / steps * speed:.3f}"
+    return _rel(end, linear), detail
 
 
 @_check("sqg.mean_conservation", 1e-12)

@@ -12,12 +12,13 @@ and damped by the fractional dissipation Lambda^alpha with unit viscosity:
 Only the physics lives here: the state, the critical-norm index and the flux
 ``_SQGFlux``. Gradients and the velocity law are applied spectrally; the
 advection product is formed pointwise and dealiased by the 2/3 rule, which
-the tendency also applies to its input: ``sqg_rhs`` and the stepper see only
-the modes with max(|k1|, |k2|) <= n/3 of theta, so the product of two band
-fields has no aliased part in the band. ``sqg_velocity`` keeps the whole
-spectrum. The shared loop and driver of ``evolution`` apply
-exp(-dt |xi|^alpha) exactly, so a single-mode state, whose self-advection
-vanishes identically, follows the linear flow to rounding.
+the tendency also applies to its input: ``sqg_rhs``, ``sqg_velocity`` and the
+stepper see only the modes with max(|k1|, |k2|) <= n/3 of theta, so the
+product of two band fields has no aliased part in the band. The shared loop
+and driver of ``evolution`` apply exp(-dt |xi|^alpha) exactly. A state whose
+spectrum lies on one lattice shell |k|^2 = K^2 has u = grad^perp theta / |xi|
+with |xi| constant, so u . grad theta vanishes identically and the state
+follows the linear flow to rounding at any amplitude.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
-    multiplier_symbol,
 )
 
 __all__ = ["SQGState", "sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
@@ -92,15 +92,11 @@ class _SQGFlux(GridOperators):
 
 
 def sqg_velocity(theta: RealField):
-    """Velocity fields (u1, u2) = (-R2 theta, R1 theta) of the whole spectrum; divergence-free."""
-    grid = theta.grid
-    c = forward_transform(theta).coefficients
-
-    def field(sym):
-        return inverse_transform(SpectralField(grid, sym * c, check=False))
-
-    riesz1, riesz2 = (multiplier_symbol(grid, MultiplierSpec.riesz(i)) for i in (1, 2))
-    return field(-riesz2), field(riesz1)
+    """Velocity fields (u1, u2) = (-R2 theta, R1 theta) of the 2/3 band part of theta,
+    the stepper's own; divergence-free, new arrays on every call."""
+    flux = _SQGFlux.on(theta.grid)
+    c = flux.to_spec(theta.values)
+    return RealField(theta.grid, flux.apply(flux.u1, c)), RealField(theta.grid, flux.apply(flux.u2, c))
 
 
 def sqg_rhs(theta: RealField) -> RealField:

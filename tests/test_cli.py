@@ -432,6 +432,30 @@ class TestMain:
     def test_besov_requires_config(self, capsys):
         assert main(["besov"]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"kind": "oracle"\xff}')
+        assert main(["oracle", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.bsvf", "."])
+    def test_unreadable_besov_field_exits_2_with_failure_record(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        field = tmp_path / name
+        path = write_config(tmp_path, {"kind": "besov", "field": str(field), "s": 0.0})
+        out = tmp_path / "out"
+        assert main(["besov", "--config", str(path), "--out", str(out)]) == 2
+        failure = json.loads((out / "run.json").read_text())["failure"]
+        assert failure["type"] == "SpectralError" and str(field) in failure["message"]
+        assert "cannot read BSVF file" in capsys.readouterr().err
+
+    def test_unusable_out_dir_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        monkeypatch.setattr(cli, "execute", lambda *args: pytest.fail("the run started"))
+        (tmp_path / "file").write_text("")
+        assert main(["oracle", "--out", str(tmp_path / "file" / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_oracle_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)
         path = write_config(

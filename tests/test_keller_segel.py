@@ -21,6 +21,7 @@ from fraclab.spectral import (
     MultiplierSpec,
     RealField,
     SpectralField,
+    dealias_mask,
     forward_transform,
     full_plane,
     hermitian_noise,
@@ -49,16 +50,22 @@ class TestPotential:
         u = random_band_field(g, rng, zero_mean=False)
         assert abs(ks_potential(u).mean()) <= 1e-14
 
-    def test_whole_spectrum_and_fresh_arrays(self, rng):
-        # content outside the 2/3 band reaches the potential as it is
+    def test_band_part_and_fresh_arrays(self, rng):
+        # the potential of the 2/3 band part: the full-plane multiplier with the mask folded in
         g = Grid2D(32, 3.0)
         u = inverse_transform(SpectralField(g, hermitian_noise(g, rng), check=False))
-        cu = forward_transform(u).coefficients * g.n ** 2
+        cu = dealias_mask(g) * forward_transform(u).coefficients * g.n ** 2
         ref = np.fft.ifft2(multiplier_symbol(g, MultiplierSpec.inverse_laplacian()) * cu).real
         psi = ks_potential(u)
         assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()
         ks_potential(RealField(g, 2.0 * u.values))
         assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()  # not overwritten
+
+    def test_out_of_band_data_gives_zero_potential(self, rng):
+        g = Grid2D(32, 3.0)
+        c = np.where(dealias_mask(g), 0.0, hermitian_noise(g, rng))
+        u = inverse_transform(SpectralField(g, c, check=False))
+        assert np.abs(ks_potential(u).values).max() <= 1e-15 * np.abs(u.values).max()  # the transform's rounding
 
 
 class TestTendency:

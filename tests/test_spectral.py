@@ -1,6 +1,7 @@
 """Transforms, multipliers, dealiasing, and the BSVF container."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -201,4 +202,17 @@ class TestBSVF:
         raw[4] = 2
         path.write_bytes(bytes(raw))
         with pytest.raises(SpectralError, match="version"):
+            read_bsvf(path)
+
+    @pytest.mark.parametrize(
+        "n, payload, match",
+        [(2 ** 32 - 1, 0, "power of two >= 8, got n=4294967295"),
+         (4, 0, "power of two >= 8, got n=4"),
+         (12, 0, "power of two >= 8, got n=12"),
+         (2 ** 30, 64, "truncated BSVF payload \\(64 bytes for n=1073741824\\)")],
+    )
+    def test_header_checked_before_reading_payload(self, tmp_path, n, payload, match):
+        path = tmp_path / "huge.bsvf"
+        path.write_bytes(struct.pack("<4sIId", b"BSVF", 1, n, 1.0) + bytes(payload))  # 24-byte header
+        with pytest.raises(SpectralError, match=match):
             read_bsvf(path)

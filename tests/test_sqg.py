@@ -9,7 +9,7 @@ import pytest
 from fraclab import littlewood_paley
 from fraclab.evolution import CFLError, InitialSpectrum, RunConfig, log_spaced_times
 from fraclab.littlewood_paley import BesovParams
-from fraclab.selftest import sqg_l2_monotone, sqg_mean_conservation, sqg_single_mode_linear
+from fraclab.selftest import sqg_l2_monotone, sqg_mean_conservation, sqg_shell_steady_state
 from fraclab.semigroup import evolve_linear
 from fraclab.spectral import (
     Grid2D,
@@ -17,6 +17,7 @@ from fraclab.spectral import (
     RealField,
     SpectralError,
     SpectralField,
+    dealias_mask,
     forward_transform,
     hermitian_noise,
     inverse_transform,
@@ -44,11 +45,11 @@ class TestVelocity:
         c_u2 = forward_transform(u2).coefficients
         assert abs(abs(c_u2[1, 0]) - abs(c_theta[1, 0])) <= 1e-13
 
-    def test_whole_spectrum_and_fresh_arrays(self, rng):
-        # content outside the 2/3 band reaches the velocity as it is
+    def test_band_part_and_fresh_arrays(self, rng):
+        # the velocity of the 2/3 band part: the full-plane multiplier with the mask folded in
         g = Grid2D(32, 3.0)
         theta = inverse_transform(SpectralField(g, hermitian_noise(g, rng), check=False))
-        ct = forward_transform(theta).coefficients * g.n ** 2
+        ct = dealias_mask(g) * forward_transform(theta).coefficients * g.n ** 2
         refs = [-np.fft.ifft2(multiplier_symbol(g, MultiplierSpec.riesz(2)) * ct).real,
                 np.fft.ifft2(multiplier_symbol(g, MultiplierSpec.riesz(1)) * ct).real]
         velocity = sqg_velocity(theta)
@@ -57,6 +58,13 @@ class TestVelocity:
         sqg_velocity(RealField(g, 2.0 * theta.values))
         for u, ref in zip(velocity, refs):  # the second call wrote into new arrays
             assert np.abs(u.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_out_of_band_data_gives_zero_velocity(self, rng):
+        g = Grid2D(32, 3.0)
+        c = np.where(dealias_mask(g), 0.0, hermitian_noise(g, rng))
+        theta = inverse_transform(SpectralField(g, c, check=False))
+        for u in sqg_velocity(theta):  # the transform's rounding only
+            assert np.abs(u.values).max() <= 1e-15 * np.abs(theta.values).max()
 
 
 class TestTendency:
@@ -103,8 +111,10 @@ class TestTendency:
 
 class TestStep:
     def test_single_mode_equals_linear_flow(self):
-        # 0.1 cos(2 x1), alpha = 1.3, one step of 0.05
-        assert sqg_single_mode_linear(alpha=1.3, dt=0.05, mode=2, amplitude=0.1).value <= 1e-12
+        # a spectrum on one shell is a steady state of the advection: the modes of |k|^2 = 4 at
+        # alpha = 1.3, and the selftest's 16 band-edge modes of |k|^2 = 442, both at amplitude 5
+        assert sqg_shell_steady_state(k2=4, alpha=1.3).value <= 1e-12
+        assert sqg_shell_steady_state().value <= 1e-12
         g = Grid2D(32, 2 * math.pi)
         assert sqg_step(SQGState(RealField(g, np.zeros((32, 32))), 0.0, 1.3), 0.05).t == pytest.approx(0.05)
 
