@@ -10,12 +10,16 @@ Layout (all little-endian):
 Readers raise ``SpectralError`` for an unreadable path, wrong magic or
 version, a grid size that is not a power of two >= 8 and a payload shorter
 than the header promises; the last two are checked before the payload is read.
+Writers go through a temporary file renamed into place, so a write that
+fails leaves any earlier file at the path as it was.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -27,11 +31,27 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIId")
 
 
+def atomic_write(path, *chunks) -> None:
+    """Write the chunks (bytes-like) to a temporary file next to path, then rename it onto path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_bsvf(path, field: RealField) -> None:
     payload = np.ascontiguousarray(field.values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.L))
-        fh.write(payload.tobytes())
+    atomic_write(path, _HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.L), payload)
 
 
 def read_bsvf(path) -> RealField:

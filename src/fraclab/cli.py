@@ -31,14 +31,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bsvf import read_bsvf, write_bsvf
+from .bsvf import atomic_write, read_bsvf, write_bsvf
 from .decay import (
     ClaimError,
     DecayClaim,
@@ -222,6 +221,8 @@ _SCHEMAS = {
 
 _DEFAULT_TOLERANCE = {"oracle": 2.0, "linear": 20.0, "sqg": 20.0, "ks": 20.0}
 _DEFAULT_L = 2.0 * math.pi * 64.0
+# Grid2D holds five n x n float64 planes: 640 MiB at n = 4096, 10 GiB at 16384.
+_MAX_N = 4096
 
 
 def _claim(config: dict) -> DecayClaim:
@@ -279,6 +280,8 @@ def validate_config(raw: dict) -> dict:
     else:
         # grid-based kinds share n and L
         out["n"] = _want_number(raw, "n", 256, integer=True)
+        if out["n"] > _MAX_N:  # refused before Grid2D allocates anything
+            raise ConfigError(f"n must be <= {_MAX_N}, got {out['n']}")
         out["L"] = _want_number(raw, "L", _DEFAULT_L)
         grid = Grid2D(out["n"], out["L"])  # range check
         cutoff = 0.1 * (2.0 * math.pi / out["L"]) ** -out["alpha"]
@@ -558,21 +561,6 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
 # -------------------------------------------------------------------- output
 
 
-def _atomic_write(path: Path, data: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _format_csv(series: NormSeries) -> bytes:
     lines = ["t,value"]
     for t, v in zip(series.times, series.values):
@@ -617,7 +605,6 @@ def emit_outputs(record: dict, series: dict, out_dir: Path, final_field=None):
     out_dir = Path(out_dir)
     written = []
     if final_field is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_bsvf(out_dir / "final.bsvf", final_field)
         record["extras"]["final_state_file"] = "final.bsvf"
         written.append(out_dir / "final.bsvf")
@@ -625,13 +612,13 @@ def emit_outputs(record: dict, series: dict, out_dir: Path, final_field=None):
     manifest = []
     for name in names:
         path = out_dir / f"{name}.csv"
-        _atomic_write(path, _format_csv(series[name]))
+        atomic_write(path, _format_csv(series[name]))
         manifest.append({"label": name, "file": f"{name}.csv", "samples": len(series[name])})
         written.append(path)
     record["series"] = manifest
     if names or record.get("fits"):
         gp = out_dir / "plot.gp"
-        _atomic_write(gp, _plot_script(record, names))
+        atomic_write(gp, _plot_script(record, names))
         written.append(gp)
     if "timings" in record:
         record["timings"]["write_s"] = time.perf_counter() - started
@@ -640,7 +627,7 @@ def emit_outputs(record: dict, series: dict, out_dir: Path, final_field=None):
         payload = (json.dumps(record, sort_keys=True) + "\n").encode()  # one-line record
     else:
         payload = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
-    _atomic_write(rec_path, payload)
+    atomic_write(rec_path, payload)
     written.append(rec_path)
     return written
 

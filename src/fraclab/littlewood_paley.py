@@ -24,13 +24,14 @@ Every Besov-type norm is one pipeline: the L^p norm of each block, then the
 weighted l^r sum over levels. Coefficients come as the full (n, n) plane or,
 for the spectrum of a real field, as its rfft2 half-plane (n, n/2 + 1). For
 p = 2 the block norms come from Parseval through a level-sorted layout,
-built once per (profile, grid, level range, input width) from the block
-masks, which it does not keep cached: level by level, the flat indices of
+cached per (grid, profile, level range, input width) and built from the
+block masks, none of which it keeps: level by level, the flat indices of
 the modes in the block and their squared phi times a column weight (2 on
 the half-plane columns that stand for their mirror too). One gather of
 |c|^2 and one reduceat then give every block energy. Other p take one
 inverse FFT per block of the full plane, which a half-plane input is first
-extended to.
+extended to; they, project and bony_decompose share one bounded cache of
+block masks.
 
 Along a diagonal damping c * exp(-t * rate), such as the linear semigroup,
 spectral_besov_series takes the p = 2 norms at every sample time from the
@@ -40,6 +41,7 @@ each time then costs one exponential per distinct rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,11 +93,14 @@ def _smooth_step_array(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
+@dataclass(frozen=True)
 class DyadicProfile:
     """Radial bump phi: [0, inf) -> [0, 1] supported in [3/4, 8/3].
 
     ``chi`` is the underlying smooth cutoff. ``phi_array``/``chi_array`` are
-    the implementation; ``phi``/``chi`` evaluate them at one radius.
+    the implementation; ``phi``/``chi`` evaluate them at one radius. The
+    profile has no fields, so every instance is the same bump: instances
+    compare equal and share the entries of caches keyed on a profile.
     """
 
     inner_edge = INNER_EDGE
@@ -133,18 +138,6 @@ class DyadicProfile:
         total = self.phi_array(np.exp2(-levels) * safe[..., None]).sum(axis=-1)
         total = np.where(r > 0.0, total, 0.0)
         return float(total) if total.ndim == 0 else total
-
-    @property
-    def cache_key(self):
-        return (self.inner_edge, self.outer_edge)
-
-    # Profiles with one cache_key are the same bump: caches keyed on a
-    # profile share their entries across instances.
-    def __eq__(self, other):
-        return isinstance(other, DyadicProfile) and self.cache_key == other.cache_key
-
-    def __hash__(self):
-        return hash(self.cache_key)
 
 
 def build_dyadic_profile() -> DyadicProfile:
@@ -221,40 +214,34 @@ def block_range(grid: Grid2D, profile: DyadicProfile | None = None) -> BlockRang
     return BlockRange(j_min, j_max)
 
 
-# Multiplier masks are pure functions of (profile, grid, level, kind); cache them.
-_MASK_CACHE: dict = {}
-
-
-def _mask_key(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> tuple:
-    return (profile.cache_key, grid.n, grid.L, int(j), kind)
-
-
 def block_multiplier(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> np.ndarray:
+    """A new read-only mask: phi(2^-j |xi|) for kind='block', chi(2^-j |xi|) for 'low_pass'."""
     if kind not in ("block", "low_pass"):
         raise SpectralError(f"projection kind must be 'block' or 'low_pass', got {kind!r}")
-    key = _mask_key(grid, j, kind, profile)
-    mask = _MASK_CACHE.get(key)
-    if mask is None:
-        scale = 2.0 ** -float(j)
-        if kind == "block":
-            # phi(r 2^-j) is exactly 0 outside 3/4 < r 2^-j < 8/3, and scaling by
-            # a power of two is exact, so the window is found on xi_mag itself
-            xi = grid.xi_mag.ravel()
-            inside = np.flatnonzero((xi > profile.inner_edge / scale) & (xi < 2.0 * profile.outer_edge / scale))
-            mask = np.zeros(grid.xi_mag.shape)
-            mask.ravel()[inside] = profile.phi_array(xi[inside] * scale)
-            mask[0, 0] = 0.0
-        else:
-            mask = profile.chi_array(grid.xi_mag * scale)
-            mask[0, 0] = 1.0  # low-pass keeps the mean
-        mask.setflags(write=False)
-        _MASK_CACHE[key] = mask
+    scale = 2.0 ** -float(j)
+    if kind == "block":
+        # phi(r 2^-j) is exactly 0 outside 3/4 < r 2^-j < 8/3, and scaling by
+        # a power of two is exact, so the window is found on xi_mag itself
+        xi = grid.xi_mag.ravel()
+        inside = np.flatnonzero((xi > profile.inner_edge / scale) & (xi < 2.0 * profile.outer_edge / scale))
+        mask = np.zeros(grid.xi_mag.shape)
+        mask.ravel()[inside] = profile.phi_array(xi[inside] * scale)
+        mask[0, 0] = 0.0
+    else:
+        mask = profile.chi_array(grid.xi_mag * scale)
+        mask[0, 0] = 1.0  # low-pass keeps the mean
+    mask.setflags(write=False)
     return mask
+
+
+# The masks of the per-block paths (p != 2 norms, project, bony_decompose):
+# bony_decompose at n = 256 reads 18 of them, 0.5 MiB each.
+_block_mask = functools.lru_cache(maxsize=32)(block_multiplier)
 
 
 def project(field: SpectralField, j: int, kind: str, profile: DyadicProfile) -> SpectralField:
     """Annulus block (kind='block') or low-pass (kind='low_pass') at level j."""
-    mask = block_multiplier(field.grid, j, kind, profile)
+    mask = _block_mask(field.grid, j, kind, profile)
     return SpectralField(field.grid, mask * field.coefficients, check=False)
 
 
@@ -285,36 +272,25 @@ class _Layout(NamedTuple):
     filled: np.ndarray  # which levels those are; reduceat cannot express an empty segment
 
 
-# p = 2 layouts by (profile, grid, level range, input width): 0.94 MiB for the
-# half-plane at n = 256. Block masks that only the build needed are dropped
-# from _MASK_CACHE afterwards (9 x 0.5 MiB at n = 256); a p != 2 norm
-# rebuilds them, bit for bit.
-_LAYOUT_CACHE: dict = {}
-
-
+# 0.94 MiB for the half-plane at n = 256. Each level's mask is built, read
+# and dropped: keeping them would hold 9 x 0.5 MiB at n = 256.
+@functools.cache
 def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange, width: int) -> _Layout:
-    key = (profile.cache_key, grid.n, grid.L, rng.j_min, rng.j_max, width)
-    layout = _LAYOUT_CACHE.get(key)
-    if layout is None:
-        col_weight = np.ones(width)
-        if width < grid.n:  # half-plane: columns 1..n/2-1 also stand for their mirror
-            col_weight[1: grid.n // 2] = 2.0
-        kept = set(_MASK_CACHE)  # masks cached before the build stay cached
-        index, weight = [], []
-        for j in rng:  # one level at a time: no (levels, n, n) stack
-            mask = block_multiplier(grid, j, "block", profile)[:, :width]
-            mask_key = _mask_key(grid, j, "block", profile)
-            if mask_key not in kept:
-                del _MASK_CACHE[mask_key]
-            flat = np.flatnonzero(mask)
-            index.append(flat)
-            weight.append(np.square(mask.ravel()[flat]) * col_weight[flat % width])
-        sizes = np.array([len(i) for i in index])
-        filled = sizes > 0
-        starts = (np.cumsum(sizes) - sizes)[filled]
-        layout = _LAYOUT_CACHE[key] = _Layout(np.concatenate(index), np.concatenate(weight), starts, filled)
-        for a in layout:
-            a.setflags(write=False)
+    col_weight = np.ones(width)
+    if width < grid.n:  # half-plane: columns 1..n/2-1 also stand for their mirror
+        col_weight[1: grid.n // 2] = 2.0
+    index, weight = [], []
+    for j in rng:  # one level at a time: no (levels, n, n) stack
+        mask = block_multiplier(grid, j, "block", profile)[:, :width]
+        flat = np.flatnonzero(mask)
+        index.append(flat)
+        weight.append(np.square(mask.ravel()[flat]) * col_weight[flat % width])
+    sizes = np.array([len(i) for i in index])
+    filled = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[filled]
+    layout = _Layout(np.concatenate(index), np.concatenate(weight), starts, filled)
+    for a in layout:
+        a.setflags(write=False)
     return layout
 
 
@@ -348,7 +324,7 @@ def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProf
     for i, j in enumerate(levels):
         # blocks holding only transform noise are legitimately tiny, so
         # skip the strict imaginary-residue check of inverse_transform
-        masked = block_multiplier(grid, int(j), "block", profile) * coeffs
+        masked = _block_mask(grid, int(j), "block", profile) * coeffs
         w = np.abs(np.fft.ifft2(masked * (grid.n * grid.n)).real)
         out[i] = float(w.max()) if math.isinf(p) else float((grid.h ** 2 * np.sum(w ** p)) ** (1.0 / p))
     return levels, out
@@ -527,11 +503,11 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
     def to_phys(c):
         return np.fft.ifft2(c * (grid.n * grid.n)).real
 
-    blocks_f = {j: to_phys(block_multiplier(grid, j, "block", profile) * cf) for j in rng}
-    blocks_g = {j: to_phys(block_multiplier(grid, j, "block", profile) * cg) for j in rng}
+    blocks_f = {j: to_phys(_block_mask(grid, j, "block", profile) * cf) for j in rng}
+    blocks_g = {j: to_phys(_block_mask(grid, j, "block", profile) * cg) for j in rng}
     # low-pass at level j-1 = sum of blocks k <= j-2
-    lows_f = {j: to_phys(block_multiplier(grid, j - 1, "low_pass", profile) * cf) for j in rng}
-    lows_g = {j: to_phys(block_multiplier(grid, j - 1, "low_pass", profile) * cg) for j in rng}
+    lows_f = {j: to_phys(_block_mask(grid, j - 1, "low_pass", profile) * cf) for j in rng}
+    lows_g = {j: to_phys(_block_mask(grid, j - 1, "low_pass", profile) * cg) for j in rng}
 
     t_fg = np.zeros((grid.n, grid.n))
     t_gf = np.zeros((grid.n, grid.n))

@@ -218,8 +218,8 @@ def _radial_rules(density: RadialSpectralDensity, edges):
 @functools.lru_cache(maxsize=64)
 def _reference_rules(edges_ref: tuple, profile: DyadicProfile):
     """The N- and 2N-node rules on the panels between edges_ref, each as
-    (nodes, weights, phi at the nodes), read-only. Profiles compare by
-    their cache_key, so every instance of one profile shares the entries."""
+    (nodes, weights, phi at the nodes), read-only. All profiles compare
+    equal, so every instance shares the entries."""
     rules = []
     for sub in _SUBPANELS:
         x, w = gauss_legendre_panels(edges_ref, sub)

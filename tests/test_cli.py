@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,21 @@ class TestMain:
         (tmp_path / "file").write_text("")
         assert main(["oracle", "--out", str(tmp_path / "file" / "x")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [8192, 2 ** 20])
+    def test_oversized_grid_exits_2_before_any_allocation(self, tmp_path, capsys, monkeypatch, n):
+        monkeypatch.setattr(cli, "Grid2D", lambda *args: pytest.fail("a grid was built"))
+        monkeypatch.setattr(cli, "execute", lambda *args: pytest.fail("the run started"))
+        path = write_config(tmp_path, {"kind": "linear", "n": n})
+        tracemalloc.start()
+        try:
+            code = main(["linear", "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert f"n must be <= 4096, got {n}" in capsys.readouterr().err
 
     def test_oracle_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)

@@ -9,6 +9,8 @@ from fraclab import littlewood_paley
 from fraclab.littlewood_paley import (
     BesovParams,
     BlockRange,
+    DyadicProfile,
+    _block_mask,
     _damped_level_norms,
     _level_layout,
     _level_norms,
@@ -260,10 +262,9 @@ class TestLevelTable:
             assert norm == pytest.approx(math.sqrt(g.h ** 2 * float(np.sum(np.abs(w) ** 2))), rel=1e-12)
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
-    def test_windowed_block_mask_bit_identical_to_full_plane_phi(self, profile, monkeypatch, n, L):
+    def test_windowed_block_mask_bit_identical_to_full_plane_phi(self, profile, n, L):
         # the mask evaluates phi only inside its annulus window; outside it phi
         # of the scaled radius is exactly +0.0, so every byte of the plane agrees
-        monkeypatch.setattr(littlewood_paley, "_MASK_CACHE", {})
         g = Grid2D(n, L)
         rng_ = block_range(g, profile)
         for j in range(rng_.j_min - 1, rng_.j_max + 2):  # one level past each end
@@ -293,31 +294,68 @@ class TestLevelTable:
         for j, encoded in zip(rng_, decoded_layout(_level_layout(g, profile, rng_, n), n * n), strict=True):
             assert np.array_equal(encoded, block_multiplier(g, j, "block", profile).ravel() ** 2)
 
-    def test_table_build_releases_only_the_masks_it_cached(self, profile, monkeypatch):
+    @staticmethod
+    def count_block_masks(monkeypatch):
+        """Levels of every block_multiplier call made through the module global."""
+        levels = []
+
+        def counted(grid, j, kind, profile):
+            levels.append(j)
+            return block_multiplier(grid, j, kind, profile)
+
+        monkeypatch.setattr(littlewood_paley, "block_multiplier", counted)
+        return levels
+
+    def test_p2_layout_builds_each_level_mask_once(self, profile, monkeypatch):
         g = Grid2D(32, 7.0)
         c = random_complex_coefficients(g, np.random.default_rng(5))
-        p2, p3 = BesovParams(0, 2, 1), BesovParams(0.5, 3, 2)
+        _level_layout.cache_clear()
+        levels = self.count_block_masks(monkeypatch)
+        spectral_besov_norm(g, c, BesovParams(0, 2, 1), profile)
+        assert levels == list(block_range(g, profile))
+        levels.clear()
+        spectral_besov_norm(g, c, BesovParams(0.5, 2, math.inf), profile)
+        assert levels == []
+
+    def test_p2_norm_leaves_the_per_block_cache_alone(self, profile):
+        g = Grid2D(32, 7.0)
+        c = random_complex_coefficients(g, np.random.default_rng(5))
+        _level_layout.cache_clear()
+        before = _block_mask.cache_info()
+        spectral_besov_norm(g, c, BesovParams(0, 2, 1), profile)
+        assert _block_mask.cache_info() == before
+
+    def test_per_block_paths_bit_identical_cold_and_warm(self, profile):
+        g = Grid2D(32, 7.0)
+        c = random_complex_coefficients(g, np.random.default_rng(5))
         j = block_range(g, profile).j_min + 1
 
-        def fresh_caches():
-            for name in ("_MASK_CACHE", "_LAYOUT_CACHE"):
-                monkeypatch.setattr(littlewood_paley, name, {})
+        def per_block_outputs():
+            field = SpectralField(g, c, check=False)
+            return [block_norms(field, 3.0, profile)[1],
+                    np.array(spectral_besov_norm(g, half_plane(c), BesovParams(0.5, math.inf, 2), profile)),
+                    project(field, j, "low_pass", profile).coefficients,
+                    project(field, j, "block", profile).coefficients]
 
-        def block_masks():
-            return [k for k in littlewood_paley._MASK_CACHE if k[1:3] == (g.n, g.L) and k[4] == "block"]
+        _block_mask.cache_clear()
+        cold = per_block_outputs()
+        misses = _block_mask.cache_info().misses
+        warm = per_block_outputs()
+        assert _block_mask.cache_info().misses == misses  # every warm mask came from the cache
+        for a, b in zip(cold, warm, strict=True):
+            assert a.tobytes() == b.tobytes()
 
-        fresh_caches()
-        cold_norm = spectral_besov_norm(g, c, p3, profile)
-        cold_block = project(SpectralField(g, c, check=False), j, "block", profile).coefficients
-        held = block_masks()
-        spectral_besov_norm(g, c, p2, profile)
-        assert held and block_masks() == held  # masks a p != 2 norm cached stay
-        fresh_caches()
-        spectral_besov_norm(g, c, p2, profile)
-        assert block_masks() == []
-        assert spectral_besov_norm(g, c, p3, profile) == cold_norm
-        block = project(SpectralField(g, c, check=False), j, "block", profile).coefficients
-        assert np.array_equal(block.view(np.float64), cold_block.view(np.float64))
+    def test_profile_instances_share_one_layout(self, monkeypatch):
+        g = Grid2D(32, 7.0)
+        c = random_complex_coefficients(g, np.random.default_rng(5))
+        first, second = DyadicProfile(), DyadicProfile()
+        assert first == second and hash(first) == hash(second)
+        _level_layout.cache_clear()
+        levels = self.count_block_masks(monkeypatch)
+        values = [spectral_besov_norm(g, c, BesovParams(0, 2, 1), prof) for prof in (first, second)]
+        assert values[0] == values[1]
+        assert _level_layout.cache_info().currsize == 1
+        assert levels == list(block_range(g, first))
 
     @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf)])
     def test_other_p_bit_identical_to_fft_loop(self, profile, s, p, r):

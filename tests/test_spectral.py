@@ -1,11 +1,14 @@
 """Transforms, multipliers, dealiasing, and the BSVF container."""
 
+import errno
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from fraclab import bsvf
 from fraclab.bsvf import read_bsvf, write_bsvf
 from fraclab.selftest import spectral_hermitian, spectral_multiplier_linearity, spectral_roundtrip
 from fraclab.spectral import (
@@ -203,6 +206,34 @@ class TestBSVF:
         path.write_bytes(bytes(raw))
         with pytest.raises(SpectralError, match="version"):
             read_bsvf(path)
+
+    def test_failed_payload_write_keeps_the_old_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "final.bsvf"
+        write_bsvf(path, random_band_field(Grid2D(8, 1.0), rng))
+        old = path.read_bytes()
+        fdopen = os.fdopen
+
+        class FailingPayload:
+            # passes the header through, then fails like a full disk
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if memoryview(data).nbytes > bsvf._HEADER.size:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(bsvf.os, "fdopen", lambda fd, mode: FailingPayload(fdopen(fd, mode)))
+        with pytest.raises(OSError, match="No space left"):
+            write_bsvf(path, random_band_field(Grid2D(16, 2.0), rng))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["final.bsvf"]
 
     @pytest.mark.parametrize(
         "n, payload, match",

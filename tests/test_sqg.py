@@ -196,11 +196,22 @@ class TestRun:
         assert 1.5 <= d2 / d1 <= 2.5
 
     def test_run_builds_only_the_half_plane_layout(self, profile, monkeypatch):
-        # the critical norm and every record are measured on the half-plane
-        monkeypatch.setattr(littlewood_paley, "_LAYOUT_CACHE", {})
+        # the critical norm and every record are measured on the half-plane,
+        # and no norm of the run reads a per-block mask
+        layout = littlewood_paley._level_layout
+        layout.cache_clear()
+        widths = []
+
+        def recorded(grid, prof, rng, width):
+            widths.append(width)
+            return layout(grid, prof, rng, width)
+
+        monkeypatch.setattr(littlewood_paley, "_level_layout", recorded)
+        before = littlewood_paley._block_mask.cache_info()
         cfg = _small_run_config()
         run_sqg(cfg, profile)
-        assert [key[-1] for key in littlewood_paley._LAYOUT_CACHE] == [cfg.n // 2 + 1]
+        assert widths and set(widths) == {cfg.n // 2 + 1}
+        assert littlewood_paley._block_mask.cache_info() == before
 
     def test_determinism(self, profile):
         a = run_sqg(_small_run_config(), profile)
