@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +31,12 @@ _HEADER = struct.Struct("<4sIId")
 
 
 def atomic_write(path, *chunks) -> None:
-    """Write the chunks (bytes-like) to a temporary file next to path, then rename it onto path."""
+    """Write the chunks (bytes-like) to a temporary file next to path, then
+    rename it onto path. The file gets mode 0o666 less the umask, like open()."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -370,14 +370,14 @@ def _nonincreasing(series: NormSeries) -> bool:
 def _oracle_series(config: dict, claim: DecayClaim, profile):
     density = RadialSpectralDensity(**config["density"])
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
-    decay = oracle_besov_series(density, claim, times, profile, "decay")
-    preserved = oracle_besov_series(density, claim, times, profile, "preserved")
+    decay, preserved = oracle_besov_series(density, claim, times, profile, ("decay", "preserved"))
     ok = _nonincreasing(preserved)
     pv = preserved.values
     extras = {
         "preserved_nonincreasing": ok,
         "preserved_final_over_initial": float(pv[-1] / pv[0]) if pv[0] > 0 else 0.0,
         "oracle_quadrature_gap": max(decay.quadrature_gap, preserved.quadrature_gap),
+        "oracle_levels": max(decay.levels, preserved.levels),
     }
     return decay, preserved, f"oracle:{claim.family}", extras, ok
 
@@ -407,10 +407,11 @@ def _linear_series(config: dict, claim: DecayClaim, profile):
     ok = _nonincreasing(preserved)
     extras = {"preserved_nonincreasing": ok}
     if config["p"] == 2.0:
-        oracle = oracle_besov_series(density, claim, times, profile, "decay")
+        (oracle,) = oracle_besov_series(density, claim, times, profile)
         dev = np.abs(decay.values - oracle.values) / oracle.values
         extras["grid_oracle_max_rel_dev"] = float(dev.max())
         extras["grid_oracle_quadrature_gap"] = oracle.quadrature_gap
+        extras["grid_oracle_levels"] = oracle.levels
     return decay, preserved, "linear-grid", extras, ok
 
 

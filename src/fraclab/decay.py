@@ -191,13 +191,14 @@ class NormSeries:
     """Norm values sampled along a trajectory, with provenance descriptor.
 
     quadrature_gap is the largest N-vs-2N node-doubling gap of a quadrature
-    series, as a fraction of the value; None for series measured on a grid.
+    series as a fraction of the value, levels the dyadic levels it summed (None on a grid).
     """
 
     times: np.ndarray
     values: np.ndarray
     descriptor: str = ""
     quadrature_gap: float | None = None
+    levels: int | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)

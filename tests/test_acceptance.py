@@ -96,7 +96,7 @@ def test_04_oracle_decay_matrix(profile):
     for alpha in (1.0, 2.0):
         for ell in (0.0, 1.0):
             claim = DecayClaim("linear", s=1.0, ell=ell, alpha=alpha, p=2.0, r=2.0)
-            series = oracle_besov_series(ball, claim, times, profile)
+            (series,) = oracle_besov_series(ball, claim, times, profile)
             fit = fit_decay_slope(series, (10.0, 1e4))
             theory = -(ell + 1.0) / alpha
             rel = abs(fit.slope - theory) / abs(theory)
@@ -113,7 +113,7 @@ def test_05_preservation_and_block_monotonicity(profile):
     ball = RadialSpectralDensity.ball_indicator(1.0)
     claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
     times = log_spaced_times(0.1, 1e3, 10)
-    series = oracle_besov_series(ball, claim, times, profile, "preserved")
+    (series,) = oracle_besov_series(ball, claim, times, profile, ("preserved",))
     series_ok = bool(np.all(series.values[1:] <= series.values[:-1] * (1 + 1e-12)))
     blocks_ok = True
     for j in range(0, -12, -1):
@@ -146,8 +146,8 @@ def test_06_grid_oracle_equivalence(profile):
     t_hi = 0.1 / g.xi_min ** alpha
     times = log_spaced_times(t_hi / 100.0, t_hi, 12)
     claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=alpha, p=2.0, r=2.0)
-    oracle_dec = oracle_besov_series(dens, claim, times, profile, "decay")
-    oracle_pre = oracle_besov_series(dens, claim, times, profile, "preserved")
+    (oracle_dec,) = oracle_besov_series(dens, claim, times, profile, ("decay",))
+    (oracle_pre,) = oracle_besov_series(dens, claim, times, profile, ("preserved",))
     worst = 0.0
     for i, t in enumerate(times):
         ct = evolve_linear(base, alpha, float(t)).coefficients

@@ -3,13 +3,17 @@
 import functools
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fraclab import cli, selftest
+from fraclab import cli, selftest, semigroup
 from fraclab.bsvf import write_bsvf
 from fraclab.cli import (
     ConfigError,
@@ -318,9 +322,9 @@ _SMALL_RUNS = {
     "run, keys",
     [
         ("oracle", {"theory_exponent", "preserved_nonincreasing", "preserved_final_over_initial",
-                    "oracle_quadrature_gap"}),
+                    "oracle_quadrature_gap", "oracle_levels"}),
         ("linear", {"theory_exponent", "preserved_nonincreasing", "grid_oracle_max_rel_dev",
-                    "grid_oracle_quadrature_gap"}),
+                    "grid_oracle_quadrature_gap", "grid_oracle_levels"}),
         ("sqg", _FLOW_EXTRAS),
         ("ks", _FLOW_EXTRAS | {"min_u", "mass_relative_drift"}),
         ("ks-subcritical", _FLOW_EXTRAS | {"min_u", "mass_relative_drift", "subcritical"}),
@@ -332,6 +336,32 @@ def test_run_record_extras_keys(tmp_path, run, keys):
     assert result.exit_code == 0
     extras = json.loads((tmp_path / "out" / "run.json").read_text())["extras"]
     assert set(extras) == keys
+
+
+def test_shipped_oracle_config_sweeps_each_level_once(tmp_path, monkeypatch):
+    calls, built = [], []
+    series, level_rules = cli.oracle_besov_series, semigroup._level_rules
+    monkeypatch.setattr(cli, "oracle_besov_series", lambda *a: calls.append(a[4]) or series(*a))
+    monkeypatch.setattr(semigroup, "_level_rules", lambda *a: built.append(a[1]) or level_rules(*a))
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "oracle-linear-decay.json")
+    result = execute(validate_config(cfg), tmp_path / "out")
+    assert result.exit_code == 0
+    assert calls == [("decay", "preserved")]
+    assert len(built) == result.record["extras"]["oracle_levels"] == 65
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_outputs_honour_the_umask(tmp_path, rng, umask):
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert execute(validate_config(_SMALL_RUNS["oracle"]), out).exit_code == 0
+        write_bsvf(out / "field.bsvf", random_band_field(Grid2D(8, 1.0), rng))
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert set(modes) == {"decay_ell0_r1.csv", "preserved_s1_rinf.csv", "plot.gp", "run.json", "field.bsvf"}
+    assert set(modes.values()) == {0o666 & ~umask}
 
 
 @pytest.mark.parametrize("run", ["oracle", "linear", "sqg", "ks"])
@@ -383,6 +413,17 @@ class TestNumericalAbort:
         # the record is still written for post-mortem inspection
         assert (tmp_path / "out" / "run.json").exists()
 
+
+    def test_unbounded_preserved_norm_exits_3(self, tmp_path):
+        # 2-D ball data is not in B^{-1.5}_{2,inf}: the sup over levels never settles
+        cfg = validate_config(
+            {"kind": "oracle", "s": 1.5, "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10}
+        )
+        result = execute(cfg, tmp_path / "out")
+        assert result.exit_code == 3
+        failure = json.loads((tmp_path / "out" / "run.json").read_text())["failure"]
+        assert failure["type"] == "QuadratureError"
+        assert failure["message"].startswith("preserved series: sup over levels did not stabilize")
 
     def test_quadrature_error_exits_3(self, tmp_path, monkeypatch):
         # an unreachable node-doubling tolerance is a numerical abort
@@ -487,6 +528,17 @@ class TestMain:
         assert record["report"]["entries"][0]["passed"] is True
         assert abs(record["fits"][0]["slope"] + 0.5) <= 0.02 * 0.5
         assert (out / "plot.gp").exists()
+
+    def test_python_m_fraclab_runs_from_a_checkout(self, tmp_path):
+        path = write_config(tmp_path, _SMALL_RUNS["oracle"])
+        env = {k: v for k, v in os.environ.items() if k != "FRACLAB_OUT"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraclab", "oracle", "--config", str(path), "--out", str(tmp_path / "out")],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout
 
     def test_env_overrides_out_flag(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from-env"

@@ -1,11 +1,14 @@
 """Linear evolution on the grid and the continuum frequency oracle."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from fraclab import semigroup
 from fraclab.decay import DecayClaim
 from fraclab.evolution import log_spaced_times, spectral_besov_norm
 from fraclab.littlewood_paley import BesovParams, build_dyadic_profile
@@ -280,7 +283,7 @@ class TestOracleSeries:
         ball = RadialSpectralDensity.ball_indicator(1.0)
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
         times = log_spaced_times(0.1, 100.0, 8)
-        series = oracle_besov_series(ball, claim, times, profile, "preserved")
+        (series,) = oracle_besov_series(ball, claim, times, profile, ("preserved",))
         assert np.all(series.values <= series.values[0] * (1 + 1e-12))
 
     def test_unreachable_tolerance_raises(self, profile):
@@ -289,7 +292,7 @@ class TestOracleSeries:
         times = log_spaced_times(1.0, 10.0, 6)
         for kind in ("decay", "preserved"):
             with pytest.raises(QuadratureError, match="node-doubling gap"):
-                oracle_besov_series(ball, claim, times, profile, kind, rel_tol=1e-18)
+                oracle_besov_series(ball, claim, times, profile, (kind,), rel_tol=1e-18)
 
     @pytest.mark.parametrize("kind", ["decay", "preserved"])
     def test_series_carries_its_node_doubling_gap(self, profile, kind):
@@ -298,13 +301,106 @@ class TestOracleSeries:
         ball = RadialSpectralDensity.ball_indicator(1.0)
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
         times = log_spaced_times(1.0, 10.0, 6)
-        series = oracle_besov_series(ball, claim, times, profile, kind)
+        (series,) = oracle_besov_series(ball, claim, times, profile, (kind,))
         gap = series.quadrature_gap
         assert 0.0 < gap <= 1e-9
         with pytest.raises(QuadratureError, match="node-doubling gap"):
-            oracle_besov_series(ball, claim, times, profile, kind, rel_tol=0.999 * gap)
-        again = oracle_besov_series(ball, claim, times, profile, kind, rel_tol=1.001 * gap)
+            oracle_besov_series(ball, claim, times, profile, (kind,), rel_tol=0.999 * gap)
+        (again,) = oracle_besov_series(ball, claim, times, profile, (kind,), rel_tol=1.001 * gap)
         assert again.quadrature_gap == gap and np.array_equal(again.values, series.values)
+
+
+_SWEEP_DENSITIES = {
+    "ball": RadialSpectralDensity.ball_indicator(1.0),
+    "power-law": RadialSpectralDensity.power_law(1.0, 1.0 / 6.0, 2.0 / 3.0),
+    "gaussian": RadialSpectralDensity.gaussian(1.0),
+    "ball-3d": RadialSpectralDensity.ball_indicator(1.0, dimension=3),
+    "power-law-3d": RadialSpectralDensity.power_law(-0.5, 0.01, 3.0, dimension=3),
+}
+_SHIPPED_ORACLE = Path(__file__).resolve().parents[1] / "configs" / "oracle-linear-decay.json"
+
+
+class TestJointSweep:
+    """One level sweep for several series kinds, against one sweep per kind."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(_SWEEP_DENSITIES))
+    def test_bit_identical_to_single_kind_sweeps(self, profile, name, alpha):
+        density = _SWEEP_DENSITIES[name]
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=alpha, p=2.0, r=2.0)
+        # on the long 3-d window the kinds stop at different times, so the
+        # late levels evaluate row subsets of the shared exponent matrix
+        window = (10.0, 1e4, 40) if density.dimension == 3 else (0.1, 100.0, 8)
+        times = log_spaced_times(*window)
+        single = {k: oracle_besov_series(density, claim, times, profile, (k,))[0] for k in ("decay", "preserved")}
+        for kinds in (("decay", "preserved"), ("preserved", "decay")):
+            for kind, series in zip(kinds, oracle_besov_series(density, claim, times, profile, kinds)):
+                ref = single[kind]
+                assert series.values.tobytes() == ref.values.tobytes()
+                assert series.quadrature_gap == ref.quadrature_gap
+                assert series.levels == ref.levels and series.descriptor == ref.descriptor
+
+    @pytest.mark.parametrize("ell", [0.0, 1.0])
+    def test_series_equal_sums_and_maxima_of_block_norms(self, profile, ell):
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=ell, alpha=1.0, p=2.0, r=2.0)
+        times = log_spaced_times(1.0, 100.0, 2)
+        decay, preserved = oracle_besov_series(ball, claim, times, profile, ("decay", "preserved"))
+        j_top = _top_level(ball)
+        for i, t in enumerate(times):
+            blocks = {
+                j: oracle_block_norm(ball, j, float(t), 1.0, profile)
+                for j in range(j_top, j_top - 81, -1)
+            }
+            l1 = sum(2.0 ** (j * ell) * b for j, b in blocks.items())
+            sup = max(2.0 ** -j * b for j, b in blocks.items())
+            assert decay.values[i] == pytest.approx(l1, rel=1e-12, abs=0.0)
+            assert preserved.values[i] == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+    def test_unreachable_tolerance_names_the_failing_kind(self, profile):
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        times = log_spaced_times(1.0, 10.0, 6)
+        for kinds in (("decay", "preserved"), ("preserved", "decay")):
+            with pytest.raises(QuadratureError, match=f"^{kinds[0]} series at t = .* node-doubling gap"):
+                oracle_besov_series(ball, claim, times, profile, kinds, rel_tol=1e-18)
+
+    @pytest.mark.parametrize("kinds", [("preserved",), ("decay", "preserved"), ("preserved", "decay")])
+    def test_unbounded_sup_aborts_naming_the_kind(self, profile, kinds):
+        # ball data in 2-D is not in B^{-s}_{2,inf} for s > 1: the sup keeps
+        # growing as j falls, until the 400-level limit
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.5, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        times = log_spaced_times(10.0, 100.0, 10)
+        with pytest.raises(QuadratureError, match="^preserved series: sup over levels did not stabilize"):
+            oracle_besov_series(ball, claim, times, profile, kinds)
+
+    def test_shipped_config_builds_each_level_once(self, profile, monkeypatch):
+        cfg = json.loads(_SHIPPED_ORACLE.read_text())
+        density = RadialSpectralDensity(**cfg["density"])
+        claim = DecayClaim("linear", s=cfg["s"], ell=cfg["ell"], alpha=cfg["alpha"], p=2.0, r=2.0)
+        times = log_spaced_times(cfg["t_lo"], cfg["t_hi"], cfg["samples_per_decade"])
+        built = []
+        monkeypatch.setattr(
+            semigroup, "_level_rules", lambda d, j, p: built.append(j) or _level_rules(d, j, p)
+        )
+        counts = {}
+        for kinds in (("decay",), ("preserved",), ("decay", "preserved")):
+            built.clear()
+            series = oracle_besov_series(density, claim, times, profile, kinds)
+            counts[kinds] = len(built)
+            assert len(set(built)) == len(built) == max(s.levels for s in series)
+        assert counts["decay",] + counts["preserved",] == 127
+        assert counts["decay", "preserved"] == max(counts["decay",], counts["preserved",]) == 65
+
+    @pytest.mark.parametrize(
+        "kinds", [(), "decay", "preserved", ("decay", "decay"), ("decay", "sup")], ids=repr
+    )
+    def test_bad_kinds_refused(self, profile, kinds):
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        with pytest.raises(SpectralError, match="kinds must be distinct names"):
+            oracle_besov_series(ball, claim, [1.0, 2.0], profile, kinds)
 
 
 class TestGridOracleAgreement:
@@ -321,7 +417,7 @@ class TestGridOracleAgreement:
         for alpha, t_hi in ((1.0, 0.1 / g.xi_min), (2.0, 160.0)):
             claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=alpha, p=2.0, r=2.0)
             times = log_spaced_times(t_hi / 50.0, t_hi, 8)
-            oracle = oracle_besov_series(dens, claim, times, profile)
+            (oracle,) = oracle_besov_series(dens, claim, times, profile)
             for i, t in enumerate(times):
                 ct = evolve_linear(base, alpha, float(t)).coefficients
                 gv = spectral_besov_norm(g, ct, BesovParams(0.0, 2.0, 1.0), profile)
