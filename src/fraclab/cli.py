@@ -55,6 +55,7 @@ from .evolution import (
     NumericalAbort,
     RunConfig,
     log_spaced_times,
+    sample_count,
     spectral_besov_norm,  # noqa: F401
 )
 from .keller_segel import run_ks
@@ -223,6 +224,8 @@ _DEFAULT_TOLERANCE = {"oracle": 2.0, "linear": 20.0, "sqg": 20.0, "ks": 20.0}
 _DEFAULT_L = 2.0 * math.pi * 64.0
 # Grid2D holds five n x n float64 planes: 640 MiB at n = 4096, 10 GiB at 16384.
 _MAX_N = 4096
+# The oracle holds one (samples x rates) exponent matrix per level; shipped configs take <= 121 samples.
+_MAX_SAMPLES = 10_000
 
 
 def _claim(config: dict) -> DecayClaim:
@@ -321,6 +324,10 @@ def validate_config(raw: dict) -> dict:
     if not (0 < out["t_lo"] < t_hi):
         raise ConfigError(f"need 0 < t_lo < t_hi (T for sqg/ks), got [{out['t_lo']}, {t_hi}]")
     out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True, at_least=2)
+    count = sample_count(out["t_lo"], t_hi, out["samples_per_decade"])
+    if count > _MAX_SAMPLES:  # refused before any schedule is built
+        raise ConfigError(f"the sample schedule has {count} times, more than {_MAX_SAMPLES}; "
+                          "lower samples_per_decade or narrow [t_lo, t_hi]")
     if kind == "oracle":
         return out  # the fit window is [t_lo, t_hi]
 
@@ -342,15 +349,11 @@ def validate_config(raw: dict) -> dict:
 # ----------------------------------------------------------------- execution
 
 
+@dataclasses.dataclass
 class ExecutionResult:
-    def __init__(self, record: dict, exit_code: int, out_dir: Path | None):
-        self.record = record
-        self.exit_code = exit_code
-        self.out_dir = out_dir
-
-    @property
-    def passed(self):
-        return self.record.get("pass", False)
+    record: dict
+    exit_code: int
+    out_dir: Path | None
 
 
 def _canonical_hash(config: dict) -> str:

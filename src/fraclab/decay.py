@@ -24,7 +24,7 @@ formulas agree identically there. ``ks_subcritical`` is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
@@ -265,15 +265,6 @@ class ReportEntry:
     relative_error: float
     passed: bool
 
-    def to_dict(self):
-        return {
-            "descriptor": self.descriptor,
-            "theory": self.theory,
-            "slope": self.slope,
-            "relative_error": self.relative_error,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class DecayReport:
@@ -288,7 +279,7 @@ class DecayReport:
         return {
             "tolerance_pct": self.tolerance_pct,
             "passed": self.passed,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 

@@ -51,7 +51,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
@@ -183,13 +183,7 @@ class RunConfig:
             "dt": self.dt,
             "T": self.T,
             "seed": self.seed,
-            "initial": [
-                self.initial.epsilon,
-                self.initial.j_lo,
-                self.initial.j_hi,
-                self.initial.s_data,
-                self.initial.taper,
-            ],
+            "initial": list(astuple(self.initial)),  # field order (epsilon, j_lo, j_hi, s_data, taper) fixes the hash
             "norms": [[p.s, p.p, p.r] for p in self.norms],
         }
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -214,9 +208,13 @@ def log_spaced_times(t_lo: float, t_hi: float, per_decade: int) -> np.ndarray:
     """Logarithmically spaced sample times, at least per_decade per decade."""
     if not (0 < t_lo < t_hi):
         raise SpectralError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    decades = math.log10(t_hi / t_lo)
-    count = max(2, int(math.ceil(per_decade * decades)) + 1)
-    return np.exp(np.linspace(math.log(t_lo), math.log(t_hi), count))
+    return np.exp(np.linspace(math.log(t_lo), math.log(t_hi), sample_count(t_lo, t_hi, per_decade)))
+
+
+def sample_count(t_lo: float, t_hi: float, per_decade: int):
+    """How many times log_spaced_times takes; math.inf past the float range."""
+    span = per_decade * math.log10(t_hi / t_lo)
+    return max(2, math.ceil(span) + 1) if math.isfinite(span) else math.inf
 
 
 def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) -> np.ndarray:

@@ -21,17 +21,18 @@ comparisons on |xi|, and a block mask evaluates phi only there (at most
 about 1/9 of the plane); it is exactly 0 elsewhere.
 
 Every Besov-type norm is one pipeline: the L^p norm of each block, then the
-weighted l^r sum over levels. Coefficients come as the full (n, n) plane or,
-for the spectrum of a real field, as its rfft2 half-plane (n, n/2 + 1). For
-p = 2 the block norms come from Parseval through a level-sorted layout,
-cached per (grid, profile, level range, input width) and built from the
-block masks, none of which it keeps: level by level, the flat indices of
-the modes in the block and their squared phi times a column weight (2 on
-the half-plane columns that stand for their mirror too). One gather of
-|c|^2 and one reduceat then give every block energy. Other p take one
-inverse FFT per block of the full plane, which a half-plane input is first
-extended to; they, project and bony_decompose share one bounded cache of
-block masks.
+weighted l^r sum over levels, always of a real field and always computed on
+its rfft2 half-plane (n, n/2 + 1). A half-plane is used as it is; a full
+(n, n) plane must pass the Hermitian check of SpectralField and is then read
+through its half-plane; a RealField is transformed with rfft2. For p = 2
+the block norms come from Parseval through a level-sorted layout, cached
+per (grid, profile, level range) and built from the block masks, none of
+which it keeps: level by level, the flat half-plane indices of the modes in
+the block and their squared phi times a column weight (2 on the columns
+that stand for their mirror too). One gather of |c|^2 and one reduceat then
+give every block energy. Other p extend the half-plane to the full plane
+and take one inverse FFT per block; they, project and bony_decompose share
+one bounded cache of block masks.
 
 Along a diagonal damping c * exp(-t * rate), such as the linear semigroup,
 spectral_besov_series takes the p = 2 norms at every sample time from the
@@ -54,9 +55,14 @@ from .spectral import (
     RealField,
     SpectralField,
     SpectralError,
-    dealias_mask,
+    check_hermitian,
+    dealias,
+    forward_half_plane,
     forward_transform,
     full_plane,
+    half_plane,
+    inverse_real,
+    inverse_transform,
 )
 
 __all__ = [
@@ -80,7 +86,7 @@ __all__ = [
 
 INNER_EDGE = 0.75  # chi == 1 on r <= 3/4
 OUTER_EDGE = 4.0 / 3.0  # chi == 0 on r >= 4/3
-_WIDTH = OUTER_EDGE - INNER_EDGE
+_RAMP = OUTER_EDGE - INNER_EDGE  # length of chi's transition
 
 
 def _smooth_step_array(t: np.ndarray) -> np.ndarray:
@@ -114,7 +120,7 @@ class DyadicProfile:
 
     def chi_array(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
-        return _smooth_step_array((OUTER_EDGE - r) / _WIDTH)
+        return _smooth_step_array((OUTER_EDGE - r) / _RAMP)
 
     def phi_array(self, r: np.ndarray) -> np.ndarray:
         # chi(r/2) - chi(r) evaluated piecewise without cancellation: below
@@ -125,7 +131,7 @@ class DyadicProfile:
         # argument leaves [0, 1], which gives the support.
         r = np.asarray(r, dtype=np.float64)
         return _smooth_step_array(
-            np.where(r < OUTER_EDGE, (r - INNER_EDGE) / _WIDTH, (OUTER_EDGE - 0.5 * r) / _WIDTH))
+            np.where(r < OUTER_EDGE, (r - INNER_EDGE) / _RAMP, (OUTER_EDGE - 0.5 * r) / _RAMP))
 
     def partition_sum(self, r, j_pad: int = 3):
         """sum_j phi(2^-j r) over every level whose annulus can contain r.
@@ -188,12 +194,8 @@ class BlockRange:
 
 def _largest_j_below(bound: float) -> int:
     """Largest integer j with 2^j < bound (strict)."""
-    j = math.floor(math.log2(bound))
-    while 2.0 ** j >= bound:
-        j -= 1
-    while 2.0 ** (j + 1) < bound:
-        j += 1
-    return j
+    mantissa, exponent = math.frexp(bound)  # bound = mantissa 2^exponent, 1/2 <= mantissa < 1
+    return exponent - 2 if mantissa == 0.5 else exponent - 1
 
 
 def block_range(grid: Grid2D, profile: DyadicProfile | None = None) -> BlockRange:
@@ -257,10 +259,21 @@ def lebesgue_norm(field: RealField, p: float) -> float:
 
 def _coeffs_of(field) -> tuple[Grid2D, np.ndarray]:
     if isinstance(field, RealField):
-        return field.grid, forward_transform(field).coefficients
+        return field.grid, forward_half_plane(field.values)
     if isinstance(field, SpectralField):
-        return field.grid, field.coefficients
+        return field.grid, _half_plane_of(field.grid, field.coefficients)
     raise SpectralError(f"expected RealField or SpectralField, got {type(field).__name__}")
+
+
+def _half_plane_of(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
+    """The half-plane as it is (unchecked, uncopied); a full plane checked by check_hermitian, then halved."""
+    if coeffs.shape == (grid.n, grid.n // 2 + 1):
+        return coeffs
+    if coeffs.shape != (grid.n, grid.n):
+        raise SpectralError(f"coefficient shape {coeffs.shape} is neither the full nor the half plane "
+                            f"of grid n = {grid.n}")
+    check_hermitian(coeffs)
+    return half_plane(coeffs)
 
 
 class _Layout(NamedTuple):
@@ -272,19 +285,19 @@ class _Layout(NamedTuple):
     filled: np.ndarray  # which levels those are; reduceat cannot express an empty segment
 
 
-# 0.94 MiB for the half-plane at n = 256. Each level's mask is built, read
-# and dropped: keeping them would hold 9 x 0.5 MiB at n = 256.
+# 0.94 MiB at n = 256. Each level's mask is built, read and dropped: keeping
+# them would hold 9 x 0.5 MiB at n = 256.
 @functools.cache
-def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange, width: int) -> _Layout:
-    col_weight = np.ones(width)
-    if width < grid.n:  # half-plane: columns 1..n/2-1 also stand for their mirror
-        col_weight[1: grid.n // 2] = 2.0
+def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange) -> _Layout:
+    cols = grid.n // 2 + 1
+    col_weight = np.full(cols, 2.0)  # columns 1..n/2-1 also stand for their mirror
+    col_weight[[0, -1]] = 1.0
     index, weight = [], []
     for j in rng:  # one level at a time: no (levels, n, n) stack
-        mask = block_multiplier(grid, j, "block", profile)[:, :width]
+        mask = half_plane(block_multiplier(grid, j, "block", profile))
         flat = np.flatnonzero(mask)
         index.append(flat)
-        weight.append(np.square(mask.ravel()[flat]) * col_weight[flat % width])
+        weight.append(np.square(mask.ravel()[flat]) * col_weight[flat % cols])
     sizes = np.array([len(i) for i in index])
     filled = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[filled]
@@ -294,38 +307,28 @@ def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange, width: 
     return layout
 
 
-def _plane_width(grid: Grid2D, coeffs: np.ndarray) -> int:
-    width = coeffs.shape[-1]
-    if coeffs.shape != (grid.n, width) or width not in (grid.n, grid.n // 2 + 1):
-        raise SpectralError(f"coefficient shape {coeffs.shape} is neither the full nor the half plane "
-                            f"of grid n = {grid.n}")
-    return width
-
-
 def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProfile,
                  rng: BlockRange | None = None):
     """Levels of the range and the L^p norm of every block; returns (levels, norms).
 
-    coeffs is the full (n, n) plane or the (n, n/2 + 1) half-plane of a real
-    field's spectrum.
+    coeffs is the spectrum of a real field: its (n, n/2 + 1) half-plane, or
+    the full (n, n) plane, which is checked and halved (_half_plane_of).
     """
     rng = rng or block_range(grid, profile)
     levels = np.arange(rng.j_min, rng.j_max + 1)
-    width = _plane_width(grid, coeffs)
+    coeffs = _half_plane_of(grid, coeffs)
     if p == 2.0:
-        layout = _level_layout(grid, profile, rng, width)
+        layout = _level_layout(grid, profile, rng)
         energy = (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()
         sums = np.zeros(len(levels))
         sums[layout.filled] = np.add.reduceat(layout.weight * energy[layout.index], layout.starts)
         return levels, grid.L * np.sqrt(sums)
-    if width != grid.n:
-        coeffs = full_plane(coeffs)
+    coeffs = full_plane(coeffs)
     out = np.empty(len(levels))
     for i, j in enumerate(levels):
         # blocks holding only transform noise are legitimately tiny, so
         # skip the strict imaginary-residue check of inverse_transform
-        masked = _block_mask(grid, int(j), "block", profile) * coeffs
-        w = np.abs(np.fft.ifft2(masked * (grid.n * grid.n)).real)
+        w = np.abs(inverse_real(_block_mask(grid, int(j), "block", profile) * coeffs))
         out[i] = float(w.max()) if math.isinf(p) else float((grid.h ** 2 * np.sum(w ** p)) ** (1.0 / p))
     return levels, out
 
@@ -345,16 +348,17 @@ def _combine(levels: np.ndarray, norms: np.ndarray, s: float, r: float):
 
 
 def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None = None):
-    """L^p norms of every block in the range; returns (levels, norms)."""
+    """L^p norms of every block of a RealField (via rfft2) or a Hermitian SpectralField; returns (levels, norms)."""
     return _level_norms(*_coeffs_of(field), _check_exponent(p, "p"), profile, rng)
 
 
 def spectral_besov_norms(grid: Grid2D, coeffs: np.ndarray, params_seq, profile: DyadicProfile) -> list[float]:
-    """Besov norms straight from full- or half-plane coefficients.
+    """Besov norms straight from half-plane coefficients, or a full plane checked and halved once.
 
     The block norms are taken once per distinct p and then combined into
     every requested norm, in the order given.
     """
+    coeffs = _half_plane_of(grid, coeffs)
     rng = block_range(grid, profile)
     blocks = {}
     for params in params_seq:
@@ -376,9 +380,11 @@ def _damped_level_norms(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, tim
     distinct rate u (exact float equality, so each mode keeps its own rate):
     A[i, m] sums weight * |c|^2 over the modes of level i whose rate is u[m].
     Modes without energy are left out. The block energies at time t are then
-    A @ exp(-2 t u).
+    A @ exp(-2 t u). A full plane is checked and halved, and its rates with it.
     """
-    layout = _level_layout(grid, profile, rng, _plane_width(grid, coeffs))
+    coeffs = _half_plane_of(grid, coeffs)
+    rates = rates[:, : coeffs.shape[1]]
+    layout = _level_layout(grid, profile, rng)
     energy = layout.weight * (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()[layout.index]
     sizes = np.diff(np.append(layout.starts, len(layout.index)))
     level = np.repeat(np.flatnonzero(layout.filled), sizes)
@@ -399,15 +405,18 @@ def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, t
                           profile: DyadicProfile) -> np.ndarray:
     """Besov norms of coeffs * exp(-t * rates) at every t; shape (len(params_seq), len(times)).
 
-    coeffs and rates share one layout, full or half plane. p = 2 norms take
-    the block norms at every time from one grouped reduction
+    coeffs and rates share one shape, full or half plane. A full-plane
+    coeffs is checked like a SpectralField, then both are halved. p = 2
+    norms take the block norms at every time from one grouped reduction
     (_damped_level_norms): one exponential per distinct rate and time, no
     damped plane. Other p take spectral_besov_norms of the damped
-    coefficients at each time.
+    half-plane at each time.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.shape != coeffs.shape:
         raise SpectralError(f"rates of shape {rates.shape} do not match coefficients of shape {coeffs.shape}")
+    coeffs = _half_plane_of(grid, coeffs)
+    rates = rates[:, : coeffs.shape[1]]
     rng = block_range(grid, profile)
     levels = np.arange(rng.j_min, rng.j_max + 1)
     times = np.asarray(times, dtype=np.float64)
@@ -427,7 +436,7 @@ def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, t
 
 
 def spectral_besov_norm(grid: Grid2D, coeffs: np.ndarray, params: BesovParams, profile: DyadicProfile) -> float:
-    """One Besov norm straight from full- or half-plane coefficients."""
+    """One Besov norm straight from half- or full-plane coefficients (see spectral_besov_norms)."""
     return spectral_besov_norms(grid, coeffs, [params], profile)[0]
 
 
@@ -493,21 +502,17 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
             f"grid mismatch: {(f.grid.n, f.grid.L)} vs {(g.grid.n, g.grid.L)}"
         )
     grid = f.grid
-    mask = dealias_mask(grid)
-    cf = np.where(mask, forward_transform(f).coefficients, 0.0)
-    cg = np.where(mask, forward_transform(g).coefficients, 0.0)
+    cf = dealias(forward_transform(f)).coefficients
+    cg = dealias(forward_transform(g)).coefficients
     cf[0, 0] = 0.0
     cg[0, 0] = 0.0
     rng = block_range(grid, profile)
 
-    def to_phys(c):
-        return np.fft.ifft2(c * (grid.n * grid.n)).real
-
-    blocks_f = {j: to_phys(_block_mask(grid, j, "block", profile) * cf) for j in rng}
-    blocks_g = {j: to_phys(_block_mask(grid, j, "block", profile) * cg) for j in rng}
+    blocks_f = {j: inverse_real(_block_mask(grid, j, "block", profile) * cf) for j in rng}
+    blocks_g = {j: inverse_real(_block_mask(grid, j, "block", profile) * cg) for j in rng}
     # low-pass at level j-1 = sum of blocks k <= j-2
-    lows_f = {j: to_phys(_block_mask(grid, j - 1, "low_pass", profile) * cf) for j in rng}
-    lows_g = {j: to_phys(_block_mask(grid, j - 1, "low_pass", profile) * cg) for j in rng}
+    lows_f = {j: inverse_real(_block_mask(grid, j - 1, "low_pass", profile) * cf) for j in rng}
+    lows_g = {j: inverse_real(_block_mask(grid, j - 1, "low_pass", profile) * cg) for j in rng}
 
     t_fg = np.zeros((grid.n, grid.n))
     t_gf = np.zeros((grid.n, grid.n))
@@ -523,7 +528,6 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
         diag += blocks_f[j] * near
 
     def dealiased(values):
-        c = np.where(mask, np.fft.fft2(values) / (grid.n * grid.n), 0.0)
-        return RealField(grid, np.fft.ifft2(c * (grid.n * grid.n)).real)
+        return inverse_transform(dealias(forward_transform(RealField(grid, values))))
 
     return dealiased(t_fg), dealiased(t_gf), dealiased(diag)

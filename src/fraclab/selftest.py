@@ -50,6 +50,7 @@ from .spectral import (
     forward_transform,
     hermitian_defect,
     hermitian_noise,
+    inverse_real,
     inverse_transform,
 )
 from .sqg import SQGState, sqg_step, sqg_velocity
@@ -136,10 +137,6 @@ def _rel(a, b) -> float:
 def _l2(grid: Grid2D, coeffs) -> float:
     """L^2 norm of a field from its coefficients (Parseval)."""
     return grid.L * math.sqrt(np.vdot(coeffs, coeffs).real)
-
-
-def _to_phys(grid: Grid2D, coeffs) -> np.ndarray:
-    return np.fft.ifft2(coeffs * grid.n ** 2).real
 
 
 def _path(step, state, steps: int, dt: float = 0.02) -> list:
@@ -251,17 +248,16 @@ def lp_almost_orthogonality(rng, grid=GRID, samples=10):
 @_check("lp.paraproduct_remote_zero", 1e-8)
 def lp_paraproduct_remote_zero(rng, grid=GRID, pairs=4):
     levels = block_range(grid, PROFILE)
-    keep = dealias_mask(grid)
     worst = 0.0
     for _ in range(pairs):
         f, g = random_band_field(grid, rng), random_band_field(grid, rng)
         cf, cg = forward_transform(f).coefficients, forward_transform(g).coefficients
         scale = lebesgue_norm(f, 2.0) * lebesgue_norm(g, 2.0)
         for j in levels:
-            low = _to_phys(grid, block_multiplier(grid, j - 1, "low_pass", PROFILE) * cf)
-            blk = _to_phys(grid, block_multiplier(grid, j, "block", PROFILE) * cg)
-            prod = np.where(keep, np.fft.fft2(low * blk) / grid.n ** 2, 0.0)
-            lv, norms = block_norms(SpectralField(grid, prod, check=False), 2.0, PROFILE, levels)
+            low = inverse_real(block_multiplier(grid, j - 1, "low_pass", PROFILE) * cf)
+            blk = inverse_real(block_multiplier(grid, j, "block", PROFILE) * cg)
+            prod = dealias(forward_transform(RealField(grid, low * blk)))
+            lv, norms = block_norms(prod, 2.0, PROFILE, levels)
             worst = max(worst, float(norms[np.abs(lv - j) >= 5].max(initial=0.0)) / scale)
     return worst, f"max ||D_i (S_j-1 f D_j g)||_2 / (||f||_2 ||g||_2) over |i - j| >= 5, {pairs} pairs"
 
@@ -292,7 +288,7 @@ def lp_bernstein_annulus_stability(rng, grid=DENSE, samples=8):
         for _ in range(samples):
             f = shell_field(grid, j, rng, PROFILE)
             c = forward_transform(f).coefficients
-            grad = np.hypot(_to_phys(grid, 1j * grid.xi1 * c), _to_phys(grid, 1j * grid.xi2 * c))
+            grad = np.hypot(inverse_real(1j * grid.xi1 * c), inverse_real(1j * grid.xi2 * c))
             ratios.append(lebesgue_norm(RealField(grid, grad), 2.0) / (2.0 ** j * lebesgue_norm(f, 2.0)))
         means.append(np.mean(ratios))
     lo, hi = min(means), max(means)

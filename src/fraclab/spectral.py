@@ -34,9 +34,12 @@ __all__ = [
     "dealias",
     "dealias_mask",
     "hermitian_defect",
+    "check_hermitian",
     "hermitian_noise",
     "half_plane",
     "full_plane",
+    "forward_half_plane",
+    "inverse_real",
 ]
 
 
@@ -160,16 +163,7 @@ class SpectralField:
         if idx is not None:
             raise SpectralError(f"non-finite coefficient near index {idx}")
         if self.check:
-            defect = hermitian_defect(self.coefficients)
-            scale = float(np.abs(self.coefficients).max()) or 1.0
-            if defect > 1e-12 * scale:
-                raise SpectralError(
-                    f"coefficients are not Hermitian-symmetric (defect {defect:.3e}, scale {scale:.3e})"
-                )
-
-    @property
-    def mean_coefficient(self) -> complex:
-        return complex(self.coefficients[0, 0])
+            check_hermitian(self.coefficients)
 
 
 def hermitian_defect(coefficients: np.ndarray) -> float:
@@ -178,6 +172,16 @@ def hermitian_defect(coefficients: np.ndarray) -> float:
     idx = (-np.arange(n)) % n
     mirrored = np.conj(coefficients[np.ix_(idx, idx)])
     return float(np.abs(coefficients - mirrored).max())
+
+
+def check_hermitian(coefficients: np.ndarray) -> None:
+    """Raise ``SpectralError`` unless the Hermitian defect is at most 1e-12 of max |c_k|."""
+    defect = hermitian_defect(coefficients)
+    scale = float(np.abs(coefficients).max()) or 1.0
+    if defect > 1e-12 * scale:
+        raise SpectralError(
+            f"coefficients are not Hermitian-symmetric (defect {defect:.3e}, scale {scale:.3e})"
+        )
 
 
 def hermitian_noise(grid: Grid2D, rng) -> np.ndarray:
@@ -211,9 +215,7 @@ def full_plane(h: np.ndarray) -> np.ndarray:
 
 def forward_transform(field: RealField) -> SpectralField:
     """Real field -> coefficients with f(x) = sum_k c_k exp(i xi_k . x)."""
-    n = field.grid.n
-    coeffs = np.fft.fft2(field.values) / (n * n)
-    return SpectralField(field.grid, coeffs, check=False)
+    return SpectralField(field.grid, np.fft.fft2(field.values, norm="forward"), check=False)
 
 
 def inverse_transform(spec: SpectralField) -> RealField:
@@ -222,8 +224,7 @@ def inverse_transform(spec: SpectralField) -> RealField:
     Raises ``SpectralError`` if the inverse has relative imaginary residue
     above 1e-9, which indicates non-Hermitian input.
     """
-    n = spec.grid.n
-    w = np.fft.ifft2(spec.coefficients * (n * n))
+    w = np.fft.ifft2(spec.coefficients, norm="forward")
     scale = float(np.abs(w.real).max()) or 1.0
     residue = float(np.abs(w.imag).max())
     if residue > 1e-9 * scale:
@@ -232,6 +233,16 @@ def inverse_transform(spec: SpectralField) -> RealField:
             "input coefficients are not the spectrum of a real field"
         )
     return RealField(spec.grid, np.ascontiguousarray(w.real))
+
+
+def forward_half_plane(values: np.ndarray) -> np.ndarray:
+    """The rfft2 half-plane (n, n/2 + 1) of real point values, normalized like forward_transform; unchecked."""
+    return np.fft.rfft2(values, norm="forward")
+
+
+def inverse_real(coefficients: np.ndarray) -> np.ndarray:
+    """Real part of the inverse transform of full-plane coefficients; unchecked, the imaginary part is dropped."""
+    return np.fft.ifft2(coefficients, norm="forward").real
 
 
 _ODD_KINDS = {"riesz", "partial"}
@@ -301,13 +312,8 @@ def multiplier_symbol(grid: Grid2D, m: MultiplierSpec) -> np.ndarray:
         nz = r > 0
         sym[nz] = r[nz] ** m.alpha
         return sym
-    if m.kind == "inverse_laplacian":
-        with np.errstate(divide="ignore"):
-            sym = np.where(r > 0, r, 1.0) ** -2.0
-        sym[0, 0] = 0.0
-        return sym
-    if m.kind == "inverse_lambda":
-        sym = np.where(r > 0, r, 1.0) ** -1.0
+    if m.kind in _INVERSE_KINDS:
+        sym = np.where(r > 0, r, 1.0) ** (-2.0 if m.kind == "inverse_laplacian" else -1.0)
         sym[0, 0] = 0.0
         return sym
     xi_i = grid.xi1 if m.axis == 1 else grid.xi2

@@ -121,6 +121,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, text))
 
+    def test_sample_schedule_bound_counts_like_log_spaced_times(self):
+        # one decade at 9,999 per decade: 10,000 times, the most a schedule may take
+        cfg = validate_config({"kind": "oracle", "t_lo": 1.0, "t_hi": 10.0, "samples_per_decade": 9999})
+        assert len(log_spaced_times(cfg["t_lo"], cfg["t_hi"], cfg["samples_per_decade"])) == 10_000
+        for raw in ({"kind": "oracle", "t_lo": 1.0, "t_hi": 10.0, "samples_per_decade": 10_000},
+                    {"kind": "linear", "n": 16, "t_lo": 1e-300, "t_hi": 1e300, "samples_per_decade": 10 ** 300}):
+            with pytest.raises(ConfigError, match="more than 10000"):
+                validate_config(raw)
+
     def test_shipped_configs_load_and_revalidate(self):
         paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
         assert len(paths) >= 3
@@ -512,6 +521,23 @@ class TestMain:
         assert code == 2
         assert peak < 1 << 20
         assert f"n must be <= 4096, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,extra", [("oracle", {}), ("sqg", {"n": 32})])
+    def test_oversized_sample_schedule_exits_2_before_any_allocation(self, tmp_path, capsys, monkeypatch,
+                                                                       kind, extra):
+        # 10^9 per decade would ask for ~3 x 10^9 sample times
+        monkeypatch.setattr(cli, "log_spaced_times", lambda *args: pytest.fail("a schedule was built"))
+        monkeypatch.setattr(cli, "execute", lambda *args: pytest.fail("the run started"))
+        path = write_config(tmp_path, {"kind": kind, "samples_per_decade": 10 ** 9, **extra})
+        tracemalloc.start()
+        try:
+            code = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert "more than 10000" in capsys.readouterr().err
 
     def test_oracle_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)

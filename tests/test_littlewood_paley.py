@@ -35,6 +35,7 @@ from fraclab.spectral import (
     SpectralError,
     SpectralField,
     dealias_mask,
+    forward_half_plane,
     forward_transform,
     full_plane,
     half_plane,
@@ -211,13 +212,18 @@ class TestBesov:
         assert (res.j_min, res.j_max) == (rb.j_min, rb.j_max)
 
     def test_coefficient_norm_matches_field_norm(self, profile, rng):
-        # spectral_besov_norm and besov_norm share one level loop: equal bit for bit
+        # spectral_besov_norm and besov_norm share one level loop: equal bit for
+        # bit on the rfft2 half-plane that besov_norm reads, and to rounding on
+        # the fft2 full plane
         g = Grid2D(64, 2 * math.pi * 4)
         f = random_band_field(g, rng)
-        c = forward_transform(f).coefficients
+        c = forward_half_plane(f.values)
         for s, p, r in ((0, 2, 1), (-1, 2, math.inf), (0.5, 3, 2), (0, math.inf, 1), (0, 1, math.inf)):
             params = BesovParams(s, p, r)
-            assert spectral_besov_norm(g, c, params, profile) == besov_norm(f, params, profile).value
+            value = besov_norm(f, params, profile).value
+            assert spectral_besov_norm(g, c, params, profile) == value
+            full = spectral_besov_norm(g, forward_transform(f).coefficients, params, profile)
+            assert full == pytest.approx(value, rel=1e-13, abs=0)
 
 
 # Grids of the level-table tests: every tested size at two torus lengths.
@@ -235,13 +241,20 @@ def decoded_layout(layout, size: int):
         yield dense
 
 
+def hermitian_data(g: Grid2D, seed: int) -> np.ndarray:
+    """A real field's spectrum with energy on every mode, the mean included."""
+    c = hermitian_noise(g, np.random.default_rng(seed))
+    c[0, 0] = 3.0
+    return c
+
+
 class TestLevelTable:
     """The p = 2 pipeline against a per-level mask loop and an inverse FFT."""
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_p2_matches_per_level_mask_loop(self, profile, n, L):
         g = Grid2D(n, L)
-        c = random_complex_coefficients(g, np.random.default_rng(n))
+        c = hermitian_data(g, n)
         full = block_range(g, profile)
         # a narrowed range leaves energy outside it, at both ends
         narrow = BlockRange(full.j_min + 1, full.j_max - 1)
@@ -255,7 +268,7 @@ class TestLevelTable:
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_p2_block_norms_match_inverse_fft(self, profile, n, L):
         g = Grid2D(n, L)
-        c = random_complex_coefficients(g, np.random.default_rng(n + 1))
+        c = hermitian_data(g, n + 1)
         levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile)
         for j, norm in zip(levels, norms):
             w = np.fft.ifft2(block_multiplier(g, int(j), "block", profile) * c * (n * n))
@@ -290,9 +303,14 @@ class TestLevelTable:
         total = masks.sum(axis=0)
         total[0, 0] = 1.0  # the mean mode lies in no block
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
-        # the full-plane layout holds exactly the squared masks of the range
-        for j, encoded in zip(rng_, decoded_layout(_level_layout(g, profile, rng_, n), n * n), strict=True):
-            assert np.array_equal(encoded, block_multiplier(g, j, "block", profile).ravel() ** 2)
+        # the half-plane layout holds exactly the squared masks of the range,
+        # doubled on the columns whose mirror column it leaves out
+        k2 = np.arange(n // 2 + 1)
+        mirrors = np.where((k2 == 0) | (k2 == n // 2), 1.0, 2.0)
+        decoded = decoded_layout(_level_layout(g, profile, rng_), n * (n // 2 + 1))
+        for j, encoded in zip(rng_, decoded, strict=True):
+            half = half_plane(block_multiplier(g, j, "block", profile))
+            assert np.array_equal(encoded, (np.square(half) * mirrors).ravel())
 
     @staticmethod
     def count_block_masks(monkeypatch):
@@ -308,7 +326,7 @@ class TestLevelTable:
 
     def test_p2_layout_builds_each_level_mask_once(self, profile, monkeypatch):
         g = Grid2D(32, 7.0)
-        c = random_complex_coefficients(g, np.random.default_rng(5))
+        c = hermitian_data(g, 5)
         _level_layout.cache_clear()
         levels = self.count_block_masks(monkeypatch)
         spectral_besov_norm(g, c, BesovParams(0, 2, 1), profile)
@@ -319,7 +337,7 @@ class TestLevelTable:
 
     def test_p2_norm_leaves_the_per_block_cache_alone(self, profile):
         g = Grid2D(32, 7.0)
-        c = random_complex_coefficients(g, np.random.default_rng(5))
+        c = hermitian_data(g, 5)
         _level_layout.cache_clear()
         before = _block_mask.cache_info()
         spectral_besov_norm(g, c, BesovParams(0, 2, 1), profile)
@@ -327,7 +345,7 @@ class TestLevelTable:
 
     def test_per_block_paths_bit_identical_cold_and_warm(self, profile):
         g = Grid2D(32, 7.0)
-        c = random_complex_coefficients(g, np.random.default_rng(5))
+        c = hermitian_data(g, 5)
         j = block_range(g, profile).j_min + 1
 
         def per_block_outputs():
@@ -347,7 +365,7 @@ class TestLevelTable:
 
     def test_profile_instances_share_one_layout(self, monkeypatch):
         g = Grid2D(32, 7.0)
-        c = random_complex_coefficients(g, np.random.default_rng(5))
+        c = hermitian_data(g, 5)
         first, second = DyadicProfile(), DyadicProfile()
         assert first == second and hash(first) == hash(second)
         _level_layout.cache_clear()
@@ -360,7 +378,7 @@ class TestLevelTable:
     @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf)])
     def test_other_p_bit_identical_to_fft_loop(self, profile, s, p, r):
         g = Grid2D(64, 50.0)
-        c = random_complex_coefficients(g, np.random.default_rng(7))
+        c = hermitian_data(g, 7)
         params = BesovParams(s, p, r)
         levels, norms = block_norms(SpectralField(g, c, check=False), params.p, profile)
         ref = reference_block_norms(g, c, params.p, profile, levels)
@@ -412,6 +430,37 @@ class TestLevelTable:
         g = Grid2D(16, 2 * math.pi)
         with pytest.raises(SpectralError, match="neither the full nor the half plane"):
             spectral_besov_norm(g, np.zeros((16, 12), complex), BesovParams(0, 2, 1), profile)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_every_entry_point_refuses_a_non_hermitian_full_plane(self, profile, p):
+        g = Grid2D(32, 7.0)
+        c = random_complex_coefficients(g, np.random.default_rng(12))
+        field = SpectralField(g, c, check=False)
+        params = BesovParams(0, p, 1)
+        calls = [
+            lambda: block_norms(field, p, profile),
+            lambda: besov_norm(field, params, profile),
+            lambda: spectral_besov_norm(g, c, params, profile),
+            lambda: spectral_besov_norms(g, c, [params], profile),
+            lambda: spectral_besov_series(g, c, _dissipation_symbol(g, 1.0), [0.5], [params], profile),
+        ]
+        for call in calls:
+            with pytest.raises(SpectralError, match="not Hermitian-symmetric"):
+                call()
+
+    def test_p2_agrees_with_nearby_p_on_every_input(self, profile):
+        # both read the same real field: Parseval on the layout against one
+        # inverse FFT per block
+        g = Grid2D(32, 7.0)
+        c = hermitian_data(g, 13)
+        f = random_band_field(g, np.random.default_rng(14))
+
+        def blocks(p):
+            return [_level_norms(g, half_plane(c), p, profile)[1], block_norms(SpectralField(g, c), p, profile)[1],
+                    block_norms(f, p, profile)[1]]
+
+        for at_two, near_two in zip(blocks(2.0), blocks(2.0 + 1e-9), strict=True):
+            np.testing.assert_allclose(near_two, at_two, rtol=1e-8, atol=0)
 
     def test_one_level_pass_per_distinct_p(self, profile, monkeypatch):
         g = Grid2D(32, 7.0)

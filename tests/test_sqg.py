@@ -8,7 +8,7 @@ import pytest
 
 from fraclab import littlewood_paley
 from fraclab.evolution import CFLError, InitialSpectrum, RunConfig, log_spaced_times
-from fraclab.littlewood_paley import BesovParams
+from fraclab.littlewood_paley import BesovParams, besov_norm, spectral_besov_norm
 from fraclab.selftest import sqg_l2_monotone, sqg_mean_conservation, sqg_shell_steady_state
 from fraclab.semigroup import evolve_linear
 from fraclab.spectral import (
@@ -195,23 +195,26 @@ class TestRun:
         d2 = np.abs(normalized_dev(4e-4) - normalized_dev(2e-4)).max()
         assert 1.5 <= d2 / d1 <= 2.5
 
-    def test_run_builds_only_the_half_plane_layout(self, profile, monkeypatch):
-        # the critical norm and every record are measured on the half-plane,
+    def test_run_builds_only_the_half_plane_layout(self, profile):
+        # the critical norm and every record are measured on one p = 2 layout,
         # and no norm of the run reads a per-block mask
-        layout = littlewood_paley._level_layout
-        layout.cache_clear()
-        widths = []
-
-        def recorded(grid, prof, rng, width):
-            widths.append(width)
-            return layout(grid, prof, rng, width)
-
-        monkeypatch.setattr(littlewood_paley, "_level_layout", recorded)
+        littlewood_paley._level_layout.cache_clear()
         before = littlewood_paley._block_mask.cache_info()
-        cfg = _small_run_config()
-        run_sqg(cfg, profile)
-        assert widths and set(widths) == {cfg.n // 2 + 1}
+        run_sqg(_small_run_config(), profile)
+        assert littlewood_paley._level_layout.cache_info().misses == 1
         assert littlewood_paley._block_mask.cache_info() == before
+
+    def test_one_layout_serves_every_p2_norm_of_a_grid(self, profile):
+        # the run's half-plane records, the final field's besov_norm (rfft2) and
+        # a full-plane spectral norm all read the same layout
+        littlewood_paley._level_layout.cache_clear()
+        cfg = _small_run_config()
+        res = run_sqg(cfg, profile)
+        grid = res.final_values.grid
+        besov_norm(res.final_values, BesovParams(0.0, 2.0, 1.0), profile)
+        spectral_besov_norm(grid, hermitian_noise(grid, np.random.default_rng(3)), BesovParams(-1, 2, math.inf),
+                            profile)
+        assert littlewood_paley._level_layout.cache_info().currsize == 1
 
     def test_determinism(self, profile):
         a = run_sqg(_small_run_config(), profile)
