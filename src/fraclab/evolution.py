@@ -1,6 +1,6 @@
-"""Shared machinery for the nonlinear runs: configuration, seeded initial
-spectra, the one exponential-integrating-factor RK2 time loop, the one run
-driver, and norm recording.
+"""Shared machinery for the nonlinear runs: configuration, the sample
+schedule, seeded initial spectra, the one exponential-integrating-factor RK2
+time loop and the one run driver.
 
 Both solvers advance coefficients c of the state via
 
@@ -34,7 +34,10 @@ them, so the stage-1 velocity is transformed once per step. ``integrate``
 is the only time loop (a single step is an ``integrate`` call with T = dt),
 and ``run_flow`` is the only driver: seeded data rescaled to the critical
 norm, the smallness refusal, norm recording at the sample schedule, and the
-final state.
+final state. It also owns the run's entries of the run record: its
+``RunResult.extras`` carry them under their run.json names, the equation
+module adds its own (``run_ks``: ``min_u``, ``mass_relative_drift``), and
+the command line adds only what it derives from the series.
 
 A step allocates almost nothing: ``integrate`` rotates two state buffers
 and reuses one predictor buffer, and each flux writes its transforms and
@@ -51,6 +54,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
@@ -78,6 +82,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "MAX_SAMPLES",
     "CFLError",
     "NumericalAbort",
     "InitialSpectrum",
@@ -95,6 +100,9 @@ __all__ = [
 ]
 
 CFL_LIMIT = 0.5
+# The longest sample schedule: the oracle holds one (samples x rates) exponent
+# matrix per level, and the shipped configs take <= 121 samples.
+MAX_SAMPLES = 10_000
 
 
 class CFLError(RuntimeError):
@@ -169,6 +177,8 @@ class RunConfig:
         if not (0.0 < self.alpha <= 2.0):
             raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
         self.sample_times = np.asarray(sorted(float(t) for t in self.sample_times))
+        if len(self.sample_times) > MAX_SAMPLES:
+            raise SpectralError(f"{len(self.sample_times)} sample times, more than {MAX_SAMPLES}")
         if len(self.sample_times) and self.sample_times[0] <= 0:
             raise SpectralError("sample times must be positive")
 
@@ -192,29 +202,44 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Norm series bundle plus the final state and provenance."""
+    """The norm series, the final state, and the run's entries of the run record.
+
+    extras holds those entries under their run.json names (the initial
+    critical norm and its label, the velocity and Courant figures, the step
+    count, the final time, ``config_hash_run``, and whatever the equation
+    module adds), plus ``initial_norms``: the t = 0 value of each recorded
+    norm, keyed like series, which the command line reads but does not store.
+    """
 
     series: dict  # label -> NormSeries
     final_values: RealField
-    final_time: float
-    config_hash: str
-    seed: int
-    initial_critical_norm: float
-    max_velocity_seen: float
-    extras: dict = dc_field(default_factory=dict)
+    extras: dict
 
 
 def log_spaced_times(t_lo: float, t_hi: float, per_decade: int) -> np.ndarray:
     """Logarithmically spaced sample times, at least per_decade per decade."""
+    count = sample_count(t_lo, t_hi, per_decade)
+    return np.exp(np.linspace(math.log(t_lo), math.log(t_hi), count))
+
+
+def sample_count(t_lo: float, t_hi: float, per_decade: int) -> int:
+    """How many times log_spaced_times takes, at most MAX_SAMPLES.
+
+    Raises SpectralError unless 0 < t_lo < t_hi and per_decade is an integer
+    >= 2, and for a longer schedule, one past the float range included.
+    """
     if not (0 < t_lo < t_hi):
         raise SpectralError(f"need 0 < t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    return np.exp(np.linspace(math.log(t_lo), math.log(t_hi), sample_count(t_lo, t_hi, per_decade)))
-
-
-def sample_count(t_lo: float, t_hi: float, per_decade: int):
-    """How many times log_spaced_times takes; math.inf past the float range."""
-    span = per_decade * math.log10(t_hi / t_lo)
-    return max(2, math.ceil(span) + 1) if math.isfinite(span) else math.inf
+    if not isinstance(per_decade, numbers.Integral) or per_decade < 2:
+        raise SpectralError(f"per_decade must be an integer >= 2, got {per_decade!r}")
+    try:
+        span = per_decade * math.log10(t_hi / t_lo)
+    except OverflowError:  # an integer per_decade past the float range
+        span = math.inf
+    count = math.ceil(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_SAMPLES:
+        raise SpectralError(f"the sample schedule has {count} times, more than {MAX_SAMPLES}")
+    return max(2, count)
 
 
 def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) -> np.ndarray:
@@ -419,33 +444,6 @@ def integrate(
     return full_plane(c), n_steps, vmax_seen
 
 
-class NormRecorder:
-    """Collects one series per requested norm along a run."""
-
-    def __init__(self, grid: Grid2D, norms, profile: DyadicProfile, descriptor_prefix: str):
-        self.grid = grid
-        self.norms = list(norms)
-        self.profile = profile
-        self.prefix = descriptor_prefix
-        self.times: list[float] = []
-        self.values: list[list[float]] = [[] for _ in self.norms]
-
-    def __call__(self, t: float, coeffs: np.ndarray):
-        self.times.append(t)
-        for value, vals in zip(spectral_besov_norms(self.grid, coeffs, self.norms, self.profile), self.values):
-            vals.append(value)
-
-    def series(self) -> dict:
-        times = np.asarray(self.times)
-        keep = times > 0  # NormSeries wants positive times; drop the t=0 record
-        return {p.label(): NormSeries(times[keep], np.asarray(v)[keep], f"{self.prefix}:{p.label()}")
-                for p, v in zip(self.norms, self.values)}
-
-    def initial_values(self) -> dict:
-        """Norm values recorded at t = 0, keyed like series()."""
-        return {p.label(): float(v[0]) if v else 0.0 for p, v in zip(self.norms, self.values)}
-
-
 def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: RunConfig,
              profile: DyadicProfile | None = None, on_sample=None) -> RunResult:
     """Integrate one flow to T, recording the configured norms at the samples.
@@ -453,7 +451,8 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     The initial field is the seeded shell-localized spectrum on the flux's
     grid, scaled so its critical norm equals the configured amplitude; runs
     whose amplitude exceeds the smallness budget are refused. on_sample(t, c)
-    sees every recorded half-plane state after the norms are taken.
+    sees every recorded half-plane state after the norms are taken. The
+    extras are the run's entries of the run record (see ``RunResult``).
     """
     profile = profile or build_dyadic_profile()
     grid = flux.grid
@@ -469,29 +468,33 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
             f"{config.smallness_budget:.3e}"
         )
     norms = list(config.norms) or [BesovParams(0.0, 2.0, 1.0)]
-    recorder = NormRecorder(grid, norms, profile, f"{equation}:seed={config.seed}")
+    times, rows = [], []  # one row of norm values per record
 
     def record(t, c):
-        recorder(t, c)
+        times.append(t)
+        rows.append(spectral_besov_norms(grid, c, norms, profile))
         if on_sample is not None:
             on_sample(t, c)
 
     final_c, n_steps, vmax = integrate(grid, coeffs, config.alpha, config.dt, config.T, flux.rhs,
                                       flux.max_velocity, config.sample_times, record)
     peak_courant = config.dt * vmax * grid.n / grid.L
+    times, values = np.asarray(times), np.asarray(rows)
+    keep = times > 0  # NormSeries wants positive times; drop the t = 0 record
+    prefix = f"{equation}:seed={config.seed}"
     return RunResult(
-        series=recorder.series(),
+        series={p.label(): NormSeries(times[keep], values[keep, i], f"{prefix}:{p.label()}")
+                for i, p in enumerate(norms)},
         final_values=inverse_transform(SpectralField(grid, final_c, check=False)),
-        final_time=n_steps * config.dt,
-        config_hash=config.config_hash(),
-        seed=config.seed,
-        initial_critical_norm=crit,
-        max_velocity_seen=vmax,
         extras={
-            "initial_norms": recorder.initial_values(),
+            "initial_norms": {p.label(): float(v) for p, v in zip(norms, values[0])},
+            "initial_critical_norm": crit,
             "critical_norm_label": critical.label(),
-            "n_steps": n_steps,
+            "max_velocity_seen": vmax,
             "peak_courant": peak_courant,
             "courant_margin": CFL_LIMIT - peak_courant,
+            "n_steps": n_steps,
+            "final_time": n_steps * config.dt,
+            "config_hash_run": config.config_hash(),
         },
     )

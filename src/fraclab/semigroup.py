@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayClaim, NormSeries
+from .evolution import MAX_SAMPLES
 from .littlewood_paley import DyadicProfile
 from .spectral import Grid2D, MultiplierSpec, SpectralError, SpectralField, multiplier_symbol
 
@@ -378,7 +379,8 @@ def oracle_besov_series(
     Each series is also summed with the N-node rule; QuadratureError is
     raised where the two differ by more than rel_tol of the value, and the
     series carries the largest relative gap as ``quadrature_gap`` and the
-    number of levels it summed as ``levels``.
+    number of levels it summed as ``levels``. A schedule of more than
+    ``MAX_SAMPLES`` times raises SpectralError.
     """
     weight = {"decay": claim.ell, "preserved": -claim.s}
     if isinstance(kinds, str) or not kinds or len(set(kinds)) < len(kinds) or set(kinds) - set(weight):
@@ -386,6 +388,8 @@ def oracle_besov_series(
     times = np.asarray([float(t) for t in times])
     if len(times) == 0 or np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise SpectralError("times must be positive and strictly increasing")
+    if len(times) > MAX_SAMPLES:
+        raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")
     j_top = _top_level(density)
     # per kind and time: the 2N-node value, the N-node value over the same
     # levels, the levels without gain; and per kind its live times

@@ -115,6 +115,8 @@ class TestLoadConfig:
             ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 8}', "oracle runs measure with p = 2 only"),
             ('{"kind": "oracle", "r": 4}', "oracle runs measure with r = 2 only"),
             ('{"kind": "linear", "n": 64, "r": 4}', "linear runs measure with r = 2 only"),
+            ('{"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}', "lebesgue runs measure with ell = 0 only"),
+            ('{"kind": "oracle", "theorem": "lebesgue", "ell": -0.5}', "lebesgue runs measure with ell = 0 only"),
         ],
     )
     def test_rejected_before_any_computation(self, tmp_path, text, match):
@@ -345,6 +347,29 @@ def test_run_record_extras_keys(tmp_path, run, keys):
     assert result.exit_code == 0
     extras = json.loads((tmp_path / "out" / "run.json").read_text())["extras"]
     assert set(extras) == keys
+
+
+@pytest.mark.parametrize("run", ["sqg", "ks", "ks-subcritical"])
+def test_flow_record_holds_the_run_entries_as_returned(tmp_path, monkeypatch, run):
+    # the run owns its entries; the command line adds only what it derives
+    results = []
+
+    def spy(runner):
+        return lambda *args: results.append(runner(*args)) or results[-1]
+
+    monkeypatch.setattr(cli, "run_sqg", spy(cli.run_sqg))
+    monkeypatch.setattr(cli, "run_ks", spy(cli.run_ks))
+    assert execute(validate_config(_SMALL_RUNS[run]), tmp_path / "out").exit_code == 0
+    extras = json.loads((tmp_path / "out" / "run.json").read_text())["extras"]
+    (result,) = results
+    owned = set(result.extras) - {"initial_norms"}
+    assert {key: extras[key] for key in owned} == {key: result.extras[key] for key in owned}
+    derived = {"theory_exponent", "preserved_initial", "preserved_max", "preserved_bounded_2x", "final_state_file"}
+    if run == "ks-subcritical":
+        derived.add("subcritical")
+    assert set(extras) == owned | derived
+    ks_owned = set() if run == "sqg" else {"min_u", "mass_relative_drift"}
+    assert set(extras) == _FLOW_EXTRAS | ks_owned | derived
 
 
 def test_shipped_oracle_config_sweeps_each_level_once(tmp_path, monkeypatch):
@@ -607,7 +632,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}, {"kind": "linear", "n": 64, "r": 4}],
+        [{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}, {"kind": "linear", "n": 64, "r": 4},
+         {"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}],
     )
     def test_unread_exponent_exits_2_before_computing(self, tmp_path, capsys, monkeypatch, payload):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraclab.evolution import (
+    MAX_SAMPLES,
     InitialSpectrum,
     NumericalAbort,
     RunConfig,
@@ -14,6 +15,7 @@ from fraclab.evolution import (
     integrate,
     log_spaced_times,
     make_initial_coefficients,
+    sample_count,
 )
 from fraclab.keller_segel import KSState, _KSFlux, ks_rhs, ks_step
 from fraclab.littlewood_paley import BesovParams
@@ -44,6 +46,25 @@ class TestLogSpacedTimes:
             log_spaced_times(0.0, 1.0, 10)
         with pytest.raises(SpectralError):
             log_spaced_times(2.0, 1.0, 10)
+
+    @pytest.mark.parametrize("per_decade", [0, -5, 1, 2.5, 40.0, True])
+    def test_per_decade_must_be_an_integer_of_at_least_2(self, per_decade):
+        with pytest.raises(SpectralError, match="per_decade must be an integer >= 2"):
+            log_spaced_times(1.0, 10.0, per_decade)
+
+    def test_schedule_of_at_most_max_samples(self):
+        assert MAX_SAMPLES == 10_000
+        assert sample_count(1.0, 10.0, np.int64(40)) == 41
+        assert len(log_spaced_times(1.0, 10.0, MAX_SAMPLES - 1)) == MAX_SAMPLES
+        with pytest.raises(SpectralError, match="has 10001 times, more than 10000"):
+            log_spaced_times(1.0, 10.0, MAX_SAMPLES)
+
+    @pytest.mark.parametrize("t_lo, t_hi, per_decade", [(1e-320, 1e10, 40), (1.0, math.inf, 40),
+                                                         (1.0, 10.0, 10 ** 400)],
+                             ids=["ratio-overflows", "infinite-t_hi", "per_decade-past-float-range"])
+    def test_schedule_past_the_float_range_is_refused(self, t_lo, t_hi, per_decade):
+        with pytest.raises(SpectralError, match="has inf times, more than 10000"):
+            log_spaced_times(t_lo, t_hi, per_decade)
 
 
 class TestInitialSpectrum:
@@ -88,6 +109,12 @@ class TestRunConfig:
             RunConfig(**{**good, "dt": 0.0})
         with pytest.raises(SpectralError):
             RunConfig(**{**good, "alpha": 3.0})
+
+    def test_schedule_of_at_most_max_samples(self):
+        good = dict(n=64, L=1.0, alpha=1.0, dt=0.1, T=1.0, seed=0, initial=InitialSpectrum(1.0, -1, 0))
+        RunConfig(**good, sample_times=np.linspace(0.1, 1.0, MAX_SAMPLES))
+        with pytest.raises(SpectralError, match="10001 sample times, more than 10000"):
+            RunConfig(**good, sample_times=np.linspace(0.1, 1.0, MAX_SAMPLES + 1))
 
     def test_hash_sensitive_to_fields(self):
         base = dict(

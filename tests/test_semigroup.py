@@ -10,7 +10,7 @@ import pytest
 
 from fraclab import semigroup
 from fraclab.decay import DecayClaim
-from fraclab.evolution import log_spaced_times, spectral_besov_norm
+from fraclab.evolution import MAX_SAMPLES, log_spaced_times, spectral_besov_norm
 from fraclab.littlewood_paley import BesovParams, build_dyadic_profile
 from fraclab.selftest import semigroup_oracle_vs_riemann
 from fraclab.semigroup import (
@@ -279,6 +279,14 @@ class TestLevelRules:
 
 
 class TestOracleSeries:
+    def test_schedule_longer_than_max_samples_refused_before_the_sweep(self, profile, monkeypatch):
+        monkeypatch.setattr(semigroup, "_level_rules", lambda *args: pytest.fail("the sweep started"))
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        times = np.linspace(1.0, 2.0, MAX_SAMPLES + 1)
+        with pytest.raises(SpectralError, match="10001 sample times, more than 10000"):
+            oracle_besov_series(ball, claim, times, profile)
+
     def test_preserved_bounded_by_initial(self, profile):
         ball = RadialSpectralDensity.ball_indicator(1.0)
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)

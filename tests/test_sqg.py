@@ -181,7 +181,7 @@ class TestRun:
 
     def test_initial_critical_norm_reported(self, profile):
         res = run_sqg(_small_run_config(), profile)
-        assert res.initial_critical_norm == pytest.approx(1e-2, rel=1e-9)
+        assert res.extras["initial_critical_norm"] == pytest.approx(1e-2, rel=1e-9)
         assert res.extras["critical_norm_label"] == critical_norm_params(1.0).label()
 
     def test_amplitude_scaling_confirms_quadratic_nonlinearity(self, profile):
@@ -221,4 +221,4 @@ class TestRun:
         b = run_sqg(_small_run_config(), profile)
         for label in a.series:
             assert np.array_equal(a.series[label].values, b.series[label].values)
-        assert a.config_hash == b.config_hash
+        assert a.extras["config_hash_run"] == b.extras["config_hash_run"]
