@@ -60,12 +60,7 @@ from .evolution import (
 )
 from .keller_segel import run_ks
 from .littlewood_paley import BesovParams, besov_norm, block_range, build_dyadic_profile, spectral_besov_series
-from .semigroup import (
-    QuadratureError,
-    RadialSpectralDensity,
-    _dissipation_symbol,
-    oracle_besov_series,
-)
+from .semigroup import QuadratureError, RadialSpectralDensity, oracle_besov_series
 from .spectral import Grid2D, SpectralError, dealias_mask, half_plane
 from .sqg import run_sqg
 
@@ -313,7 +308,7 @@ def validate_config(raw: dict) -> dict:
     else:
         out["epsilon"] = _want_number(raw, "epsilon", 1e-2, at_least=0)
         out["smallness_budget"] = _want_number(raw, "smallness_budget", 1e-2, above=0)
-        rng = block_range(grid, build_dyadic_profile())
+        rng = block_range(grid)
         out["j_lo"] = _want_number(raw, "j_lo", rng.j_min, integer=True)
         out["j_hi"] = _want_number(raw, "j_hi", rng.j_max - 1, integer=True)
         if out["j_lo"] > out["j_hi"]:
@@ -399,12 +394,11 @@ def _linear_series(config: dict, claim: DecayClaim, profile):
     density = RadialSpectralDensity(**config["density"])
     # the exact semigroup exp(-t |xi|^alpha) on the half-plane of a real spectrum
     base = half_plane(_radial_grid_coefficients(grid, density))
-    symbol = half_plane(_dissipation_symbol(grid, config["alpha"]))
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["p"], math.inf)
     decay_vals, preserved_vals = spectral_besov_series(
-        grid, base, symbol, times, [decay_params, preserved_params], profile
+        grid, base, config["alpha"], times, [decay_params, preserved_params], profile
     )
     decay = NormSeries(times, decay_vals, f"linear-grid:{decay_params.label()}")
     preserved = NormSeries(times, preserved_vals, f"linear-grid:{preserved_params.label()}")

@@ -205,8 +205,8 @@ class NormSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.times.shape != self.values.shape or self.times.ndim != 1:
             raise FitError("times and values must be 1-d arrays of equal length")
-        if len(self.times) and (np.any(self.times <= 0) or np.any(np.diff(self.times) <= 0)):
-            raise FitError("times must be positive and strictly increasing")
+        if not (np.all(np.isfinite(self.times) & (self.times > 0)) and np.all(np.diff(self.times) > 0)):
+            raise FitError("times must be finite, positive and strictly increasing")
         if np.any(~np.isfinite(self.values)) or np.any(self.values < 0):
             raise FitError("values must be finite and nonnegative")
 

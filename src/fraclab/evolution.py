@@ -170,17 +170,19 @@ class RunConfig:
     smallness_budget: float = 1e-2
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise SpectralError(f"dt must be positive, got {self.dt}")
-        if not (self.T > 0):
-            raise SpectralError(f"T must be positive, got {self.T}")
+        if not (0 < self.dt < math.inf):
+            raise SpectralError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 < self.T < math.inf):
+            raise SpectralError(f"T must be positive and finite, got {self.T}")
         if not (0.0 < self.alpha <= 2.0):
             raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
-        self.sample_times = np.asarray(sorted(float(t) for t in self.sample_times))
-        if len(self.sample_times) > MAX_SAMPLES:
-            raise SpectralError(f"{len(self.sample_times)} sample times, more than {MAX_SAMPLES}")
-        if len(self.sample_times) and self.sample_times[0] <= 0:
-            raise SpectralError("sample times must be positive")
+        times = np.array([float(t) for t in self.sample_times])
+        if len(times) > MAX_SAMPLES:
+            raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")
+        last = self.T + 0.5 * self.dt  # integrate drops every later sample
+        if not np.all((times > 0) & (times <= last)):
+            raise SpectralError(f"sample times must lie in (0, T + dt/2] = (0, {last:.17g}]")
+        self.sample_times = np.sort(times)
 
     def grid(self) -> Grid2D:
         return Grid2D(self.n, self.L)

@@ -24,20 +24,21 @@ Every Besov-type norm is one pipeline: the L^p norm of each block, then the
 weighted l^r sum over levels, always of a real field and always computed on
 its rfft2 half-plane (n, n/2 + 1). A half-plane is used as it is; a full
 (n, n) plane must pass the Hermitian check of SpectralField and is then read
-through its half-plane; a RealField is transformed with rfft2. For p = 2
-the block norms come from Parseval through a level-sorted layout, cached
-per (grid, profile, level range) and built from the block masks, none of
-which it keeps: level by level, the flat half-plane indices of the modes in
-the block and their squared phi times a column weight (2 on the columns
-that stand for their mirror too). One gather of |c|^2 and one reduceat then
-give every block energy. Other p extend the half-plane to the full plane
+through its half-plane; a RealField is transformed with rfft2. The levels
+are those of block_range(grid). For p = 2 the block norms come from
+Parseval through a level-sorted layout, cached per grid and built from the
+block masks, none of which it keeps: level by level, the flat half-plane
+indices of the modes in the block and their squared phi times a column
+weight (2 on the columns that stand for their mirror too). One gather of
+|c|^2 and one reduceat then give every block energy. Other p extend the half-plane to the full plane
 and take one inverse FFT per block; they, project and bony_decompose share
 one bounded cache of block masks.
 
-Along a diagonal damping c * exp(-t * rate), such as the linear semigroup,
-spectral_besov_series takes the p = 2 norms at every sample time from the
-same layout: the energies are grouped once by level and distinct rate, and
-each time then costs one exponential per distinct rate.
+Along the linear semigroup c * exp(-t |xi|^alpha), spectral_besov_series
+takes alpha, builds the rates |xi|^alpha with spectral.multiplier_symbol and
+takes the p = 2 norms at every sample time from the same layout: the
+energies are grouped once by level and distinct rate, and each time then
+costs one exponential per distinct rate.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import numpy as np
 
 from .spectral import (
     Grid2D,
+    MultiplierSpec,
     RealField,
     SpectralField,
     SpectralError,
@@ -63,6 +65,7 @@ from .spectral import (
     half_plane,
     inverse_real,
     inverse_transform,
+    multiplier_symbol,
 )
 
 __all__ = [
@@ -198,7 +201,7 @@ def _largest_j_below(bound: float) -> int:
     return exponent - 2 if mantissa == 0.5 else exponent - 1
 
 
-def block_range(grid: Grid2D, profile: DyadicProfile | None = None) -> BlockRange:
+def block_range(grid: Grid2D) -> BlockRange:
     """Levels j whose open annulus (3/4 * 2^j, 8/3 * 2^j) meets the band
     [xi_min, sqrt(2) * (2/3) * xi_nyquist].
 
@@ -288,12 +291,12 @@ class _Layout(NamedTuple):
 # 0.94 MiB at n = 256. Each level's mask is built, read and dropped: keeping
 # them would hold 9 x 0.5 MiB at n = 256.
 @functools.cache
-def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange) -> _Layout:
+def _level_layout(grid: Grid2D, profile: DyadicProfile) -> _Layout:
     cols = grid.n // 2 + 1
     col_weight = np.full(cols, 2.0)  # columns 1..n/2-1 also stand for their mirror
     col_weight[[0, -1]] = 1.0
     index, weight = [], []
-    for j in rng:  # one level at a time: no (levels, n, n) stack
+    for j in block_range(grid):  # one level at a time: no (levels, n, n) stack
         mask = half_plane(block_multiplier(grid, j, "block", profile))
         flat = np.flatnonzero(mask)
         index.append(flat)
@@ -307,18 +310,17 @@ def _level_layout(grid: Grid2D, profile: DyadicProfile, rng: BlockRange) -> _Lay
     return layout
 
 
-def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProfile,
-                 rng: BlockRange | None = None):
-    """Levels of the range and the L^p norm of every block; returns (levels, norms).
+def _levels(grid: Grid2D) -> np.ndarray:
+    rng = block_range(grid)
+    return np.arange(rng.j_min, rng.j_max + 1)
 
-    coeffs is the spectrum of a real field: its (n, n/2 + 1) half-plane, or
-    the full (n, n) plane, which is checked and halved (_half_plane_of).
-    """
-    rng = rng or block_range(grid, profile)
-    levels = np.arange(rng.j_min, rng.j_max + 1)
-    coeffs = _half_plane_of(grid, coeffs)
+
+def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProfile):
+    """The levels of block_range(grid) and the L^p norm of every block of the
+    (n, n/2 + 1) half-plane coeffs of a real field; returns (levels, norms)."""
+    levels = _levels(grid)
     if p == 2.0:
-        layout = _level_layout(grid, profile, rng)
+        layout = _level_layout(grid, profile)
         energy = (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()
         sums = np.zeros(len(levels))
         sums[layout.filled] = np.add.reduceat(layout.weight * energy[layout.index], layout.starts)
@@ -347,9 +349,9 @@ def _combine(levels: np.ndarray, norms: np.ndarray, s: float, r: float):
     return float(out) if out.ndim == 0 else out
 
 
-def block_norms(field, p: float, profile: DyadicProfile, rng: BlockRange | None = None):
+def block_norms(field, p: float, profile: DyadicProfile):
     """L^p norms of every block of a RealField (via rfft2) or a Hermitian SpectralField; returns (levels, norms)."""
-    return _level_norms(*_coeffs_of(field), _check_exponent(p, "p"), profile, rng)
+    return _level_norms(*_coeffs_of(field), _check_exponent(p, "p"), profile)
 
 
 def spectral_besov_norms(grid: Grid2D, coeffs: np.ndarray, params_seq, profile: DyadicProfile) -> list[float]:
@@ -359,11 +361,10 @@ def spectral_besov_norms(grid: Grid2D, coeffs: np.ndarray, params_seq, profile: 
     every requested norm, in the order given.
     """
     coeffs = _half_plane_of(grid, coeffs)
-    rng = block_range(grid, profile)
     blocks = {}
     for params in params_seq:
         if params.p not in blocks:
-            blocks[params.p] = _level_norms(grid, coeffs, params.p, profile, rng)
+            blocks[params.p] = _level_norms(grid, coeffs, params.p, profile)
     return [_combine(*blocks[params.p], params.s, params.r) for params in params_seq]
 
 
@@ -373,18 +374,16 @@ _DAMPING_CHUNK = 1 << 15
 
 
 def _damped_level_norms(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, times: np.ndarray,
-                        profile: DyadicProfile, rng: BlockRange) -> np.ndarray:
+                        profile: DyadicProfile) -> np.ndarray:
     """L^2 norms of every block of coeffs * exp(-t * rates); shape (len(times), levels).
 
-    The energies of the layout's modes are grouped once by level and by
-    distinct rate u (exact float equality, so each mode keeps its own rate):
-    A[i, m] sums weight * |c|^2 over the modes of level i whose rate is u[m].
-    Modes without energy are left out. The block energies at time t are then
-    A @ exp(-2 t u). A full plane is checked and halved, and its rates with it.
+    coeffs and rates are half-planes. The energies of the layout's modes are
+    grouped once by level and by distinct rate u (exact float equality, so
+    each mode keeps its own rate): A[i, m] sums weight * |c|^2 over the modes
+    of level i whose rate is u[m]. Modes without energy are left out. The
+    block energies at time t are then A @ exp(-2 t u).
     """
-    coeffs = _half_plane_of(grid, coeffs)
-    rates = rates[:, : coeffs.shape[1]]
-    layout = _level_layout(grid, profile, rng)
+    layout = _level_layout(grid, profile)
     energy = layout.weight * (np.square(coeffs.real) + np.square(coeffs.imag)).ravel()[layout.index]
     sizes = np.diff(np.append(layout.starts, len(layout.index)))
     level = np.repeat(np.flatnonzero(layout.filled), sizes)
@@ -401,30 +400,26 @@ def _damped_level_norms(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, tim
     return norms
 
 
-def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, rates: np.ndarray, times, params_seq,
+def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, alpha: float, times, params_seq,
                           profile: DyadicProfile) -> np.ndarray:
-    """Besov norms of coeffs * exp(-t * rates) at every t; shape (len(params_seq), len(times)).
+    """Besov norms of the linear flow coeffs * exp(-t |xi|^alpha) at every t;
+    shape (len(params_seq), len(times)).
 
-    coeffs and rates share one shape, full or half plane. A full-plane
-    coeffs is checked like a SpectralField, then both are halved. p = 2
-    norms take the block norms at every time from one grouped reduction
-    (_damped_level_norms): one exponential per distinct rate and time, no
-    damped plane. Other p take spectral_besov_norms of the damped
+    coeffs is a half-plane, or a full plane checked like a SpectralField and
+    halved. p = 2 norms take the block norms at every time from one grouped
+    reduction (_damped_level_norms): one exponential per distinct rate and
+    time, no damped plane. Other p take spectral_besov_norms of the damped
     half-plane at each time.
     """
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.shape != coeffs.shape:
-        raise SpectralError(f"rates of shape {rates.shape} do not match coefficients of shape {coeffs.shape}")
     coeffs = _half_plane_of(grid, coeffs)
-    rates = rates[:, : coeffs.shape[1]]
-    rng = block_range(grid, profile)
-    levels = np.arange(rng.j_min, rng.j_max + 1)
+    rates = half_plane(multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
     times = np.asarray(times, dtype=np.float64)
     out = np.empty((len(params_seq), len(times)))
     closed = [i for i, params in enumerate(params_seq) if params.p == 2.0]
     looped = [i for i, params in enumerate(params_seq) if params.p != 2.0]
     if closed:
-        norms = _damped_level_norms(grid, coeffs, rates, times, profile, rng)
+        levels = _levels(grid)
+        norms = _damped_level_norms(grid, coeffs, rates, times, profile)
         for i in closed:
             out[i] = _combine(levels, norms, params_seq[i].s, params_seq[i].r)
     if looped:
@@ -457,9 +452,8 @@ def besov_norm(field, params: BesovParams, profile: DyadicProfile) -> BesovNormR
     scale = float(np.abs(coeffs).max()) or 1.0
     if c0 > 1e-12 * scale:
         warnings.warn(f"besov_norm: projecting out nonzero mean (|c_0| = {c0:.3e})", stacklevel=2)
-    rng = block_range(grid, profile)
-    levels, norms = _level_norms(grid, coeffs, params.p, profile, rng)
-    return BesovNormResult(_combine(levels, norms, params.s, params.r), rng.j_min, rng.j_max)
+    levels, norms = _level_norms(grid, coeffs, params.p, profile)
+    return BesovNormResult(_combine(levels, norms, params.s, params.r), int(levels[0]), int(levels[-1]))
 
 
 def chemin_lerner_norm(times, fields, rho: float, params: BesovParams, profile: DyadicProfile) -> float:
@@ -476,17 +470,16 @@ def chemin_lerner_norm(times, fields, rho: float, params: BesovParams, profile: 
         raise SpectralError("times and fields must have equal length")
     if len(times) == 0:
         raise SpectralError("empty time series")
-    if np.any(np.diff(times) <= 0):
-        raise SpectralError("timestamps must be strictly increasing")
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise SpectralError("timestamps must be finite and strictly increasing")
     if not math.isinf(rho) and len(times) < 2:
         raise SpectralError("finite rho requires at least 2 samples for the time integral")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise SpectralError("all fields must share one grid")
-    rng = block_range(grid, profile)
-    traj = np.array([block_norms(f, params.p, profile, rng)[1] for f in fields])  # (ntimes, nlevels)
+    traj = np.array([block_norms(f, params.p, profile)[1] for f in fields])  # (ntimes, nlevels)
     integrated = traj.max(axis=0) if math.isinf(rho) else np.trapezoid(traj ** rho, times, axis=0) ** (1.0 / rho)
-    return _combine(np.arange(rng.j_min, rng.j_max + 1), integrated, params.s, params.r)
+    return _combine(_levels(grid), integrated, params.s, params.r)
 
 
 def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
@@ -506,7 +499,7 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
     cg = dealias(forward_transform(g)).coefficients
     cf[0, 0] = 0.0
     cg[0, 0] = 0.0
-    rng = block_range(grid, profile)
+    rng = block_range(grid)
 
     blocks_f = {j: inverse_real(_block_mask(grid, j, "block", profile) * cf) for j in rng}
     blocks_g = {j: inverse_real(_block_mask(grid, j, "block", profile) * cg) for j in rng}

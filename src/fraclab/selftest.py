@@ -232,7 +232,7 @@ def lp_partition_of_unity(rng, radii=10_000):
 
 @_check("lp.almost_orthogonality", 1e-12)
 def lp_almost_orthogonality(rng, grid=GRID, samples=10):
-    masks = {j: block_multiplier(grid, j, "block", PROFILE) for j in block_range(grid, PROFILE)}
+    masks = {j: block_multiplier(grid, j, "block", PROFILE) for j in block_range(grid)}
     worst = 0.0
     for _ in range(samples):
         c = forward_transform(random_band_field(grid, rng)).coefficients
@@ -247,7 +247,7 @@ def lp_almost_orthogonality(rng, grid=GRID, samples=10):
 
 @_check("lp.paraproduct_remote_zero", 1e-8)
 def lp_paraproduct_remote_zero(rng, grid=GRID, pairs=4):
-    levels = block_range(grid, PROFILE)
+    levels = block_range(grid)
     worst = 0.0
     for _ in range(pairs):
         f, g = random_band_field(grid, rng), random_band_field(grid, rng)
@@ -257,7 +257,7 @@ def lp_paraproduct_remote_zero(rng, grid=GRID, pairs=4):
             low = inverse_real(block_multiplier(grid, j - 1, "low_pass", PROFILE) * cf)
             blk = inverse_real(block_multiplier(grid, j, "block", PROFILE) * cg)
             prod = dealias(forward_transform(RealField(grid, low * blk)))
-            lv, norms = block_norms(prod, 2.0, PROFILE, levels)
+            lv, norms = block_norms(prod, 2.0, PROFILE)
             worst = max(worst, float(norms[np.abs(lv - j) >= 5].max(initial=0.0)) / scale)
     return worst, f"max ||D_i (S_j-1 f D_j g)||_2 / (||f||_2 ||g||_2) over |i - j| >= 5, {pairs} pairs"
 

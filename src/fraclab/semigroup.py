@@ -39,7 +39,7 @@ import numpy as np
 from .decay import DecayClaim, NormSeries
 from .evolution import MAX_SAMPLES
 from .littlewood_paley import DyadicProfile
-from .spectral import Grid2D, MultiplierSpec, SpectralError, SpectralField, multiplier_symbol
+from .spectral import MultiplierSpec, SpectralError, SpectralField, multiplier_symbol
 
 __all__ = [
     "evolve_linear",
@@ -61,18 +61,10 @@ def evolve_linear(field: SpectralField, alpha: float, t: float) -> SpectralField
     """
     if not (0.0 < alpha <= 2.0):
         raise SpectralError(f"alpha must be in (0, 2], got {alpha}")
-    if t < 0.0:
-        raise SpectralError(f"evolution time must be nonnegative, got t={t}")
-    sym = _dissipation_symbol(field.grid, alpha)
+    if not (0.0 <= t < math.inf):
+        raise SpectralError(f"evolution time must be finite and nonnegative, got t={t}")
+    sym = multiplier_symbol(field.grid, MultiplierSpec.fractional_laplacian(alpha))
     return SpectralField(field.grid, field.coefficients * np.exp(-t * sym), check=False)
-
-
-@functools.cache
-def _dissipation_symbol(grid: Grid2D, alpha: float) -> np.ndarray:
-    """|xi|^alpha of one grid, built once and shared read-only by every sample time."""
-    sym = multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha))
-    sym.setflags(write=False)
-    return sym
 
 
 def sphere_measure(n: int) -> float:
@@ -317,8 +309,8 @@ def oracle_block_norm(
     than rel_tol of the block's initial (t = 0) integral: the flow only damps
     a block, so that is the scale its error is measured against.
     """
-    if t < 0.0:
-        raise SpectralError(f"time must be nonnegative, got t={t}")
+    if not (0.0 <= t < math.inf):
+        raise SpectralError(f"time must be finite and nonnegative, got t={t}")
     if not (0.0 < alpha <= 2.0):
         raise SpectralError(f"alpha must be in (0, 2], got {alpha}")
     rules = _level_rules(density, j, profile)
@@ -386,8 +378,8 @@ def oracle_besov_series(
     if isinstance(kinds, str) or not kinds or len(set(kinds)) < len(kinds) or set(kinds) - set(weight):
         raise SpectralError(f"kinds must be distinct names from 'decay', 'preserved'; got {kinds!r}")
     times = np.asarray([float(t) for t in times])
-    if len(times) == 0 or np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise SpectralError("times must be positive and strictly increasing")
+    if len(times) == 0 or not (np.all(np.isfinite(times) & (times > 0)) and np.all(np.diff(times) > 0)):
+        raise SpectralError("times must be finite, positive and strictly increasing")
     if len(times) > MAX_SAMPLES:
         raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")
     j_top = _top_level(density)

@@ -109,6 +109,11 @@ class TestNormSeries:
         with pytest.raises(FitError, match="finite"):
             NormSeries(np.array([1.0, 2.0]), np.array([1.0, math.nan]))
 
+    @pytest.mark.parametrize("times", [[math.nan, 1.0], [1.0, math.nan], [1.0, math.inf]])
+    def test_refuses_non_finite_times(self, times):
+        with pytest.raises(FitError, match="times must be finite"):
+            NormSeries(np.array(times), np.array([1.0, 1.0]))
+
 
 class TestFit:
     def test_exact_power_law(self):

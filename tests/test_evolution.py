@@ -116,6 +116,32 @@ class TestRunConfig:
         with pytest.raises(SpectralError, match="10001 sample times, more than 10000"):
             RunConfig(**good, sample_times=np.linspace(0.1, 1.0, MAX_SAMPLES + 1))
 
+    @pytest.mark.parametrize("bad", [
+        {"dt": math.inf},
+        {"T": math.inf},
+        {"sample_times": [0.5, 1.0, 2.0, 5.0]},  # past T
+        {"sample_times": [0.5, 1.0 + 0.06]},  # past T + dt/2
+        {"sample_times": [math.nan, 0.5]},
+        {"sample_times": [0.5, math.inf]},
+    ])
+    def test_refuses_what_integrate_would_drop_or_choke_on(self, bad):
+        good = dict(n=64, L=1.0, alpha=1.0, dt=0.1, T=1.0, seed=0, initial=InitialSpectrum(1.0, -1, 0),
+                    sample_times=[0.5, 1.0])
+        with pytest.raises(SpectralError, match="finite|sample times must lie in"):
+            RunConfig(**{**good, **bad})
+
+    def test_samples_up_to_t_plus_half_a_step_are_recorded(self):
+        # T = 0.93 is not a step multiple: integrate stops at t = 1.0 and keeps
+        # the samples up to T + dt/2 = 0.98, each at the first step that reaches it
+        cfg = RunConfig(n=16, L=2 * math.pi, alpha=1.0, dt=0.1, T=0.93, seed=0,
+                        initial=InitialSpectrum(1.0, -1, 0), sample_times=[0.98, 0.25])
+        with pytest.raises(SpectralError, match="sample times must lie in"):
+            RunConfig(**{**vars(cfg), "sample_times": [0.99]})
+        recorded = []
+        integrate(cfg.grid(), np.zeros((16, 16), complex), cfg.alpha, cfg.dt, cfg.T, rhs=np.zeros_like,
+                  max_velocity=lambda c: 0.0, sample_times=cfg.sample_times, record=lambda t, c: recorded.append(t))
+        assert recorded == pytest.approx([0.0, 0.3, 1.0])
+
     def test_hash_sensitive_to_fields(self):
         base = dict(
             n=64, L=1.0, alpha=1.0, dt=0.1, T=1.0, seed=0,
@@ -165,28 +191,32 @@ class TestIntegrate:
         assert np.array_equal(recorded[-1], half_plane(final))
 
     def test_nan_tendency_aborts_with_finite_last_good(self):
-        # the tendency turns the state to NaN in step 3 (t = 0.3 -> 0.4); the
-        # next velocity check stops the run before the sample at t = 1
+        # the tendency turns the state to NaN in the fourth step (t = 0.3 -> 0.4);
+        # the velocity check of the fifth stops the run before the sample at t = 1.
+        # integrate checks the velocity once per step, so the stub counts steps
         g = Grid2D(32, 2 * math.pi)
         c0 = np.zeros((32, 32), dtype=complex)
         c0[2, 0] = c0[-2, 0] = 0.5
-        calls = []
+        steps = []
+
+        def max_velocity(c):
+            steps.append(None)
+            return float(np.abs(c).max())
 
         def rhs(c):
-            calls.append(None)
-            return np.full_like(c, np.nan) if len(calls) == 7 else np.zeros_like(c)
+            return np.full_like(c, np.nan) if len(steps) == 4 else np.zeros_like(c)
 
         recorded = []
         with pytest.raises(NumericalAbort) as info:
             integrate(
                 g, c0, 1.0, 0.1, 2.0,
                 rhs=rhs,
-                max_velocity=lambda c: float(np.abs(c).max()),
+                max_velocity=max_velocity,
                 sample_times=[1.0, 2.0],
                 record=lambda t, c: recorded.append(t),
             )
         assert info.value.t == pytest.approx(0.4)
-        assert len(calls) == 8  # no step ran after the NaN state
+        assert len(steps) == 5  # no step ran after the NaN state
         assert recorded == [0.0]
         good = info.value.last_good
         assert np.all(np.isfinite(good.view(np.float64)))

@@ -8,7 +8,6 @@ import pytest
 from fraclab import littlewood_paley
 from fraclab.littlewood_paley import (
     BesovParams,
-    BlockRange,
     DyadicProfile,
     _block_mask,
     _damped_level_norms,
@@ -28,9 +27,10 @@ from fraclab.littlewood_paley import (
 )
 from fraclab.evolution import log_spaced_times
 from fraclab.selftest import lp_chemin_lerner_minkowski
-from fraclab.semigroup import RadialSpectralDensity, _dissipation_symbol, evolve_linear
+from fraclab.semigroup import RadialSpectralDensity, evolve_linear
 from fraclab.spectral import (
     Grid2D,
+    MultiplierSpec,
     RealField,
     SpectralError,
     SpectralField,
@@ -40,6 +40,7 @@ from fraclab.spectral import (
     full_plane,
     half_plane,
     hermitian_noise,
+    multiplier_symbol,
 )
 from helpers import random_band_field, random_complex_coefficients, reference_block_norms, shell_field
 
@@ -89,7 +90,7 @@ class TestProjections:
         g = Grid2D(64, 2 * math.pi)
         f = random_band_field(g, rng)
         sp = forward_transform(f)
-        rb = block_range(g, profile)
+        rb = block_range(g)
         total = np.zeros_like(sp.coefficients)
         for j in rb:
             total += project(sp, j, "block", profile).coefficients
@@ -98,7 +99,7 @@ class TestProjections:
     def test_low_pass_equals_block_sum(self, profile, rng):
         g = Grid2D(64, 2 * math.pi)
         sp = forward_transform(random_band_field(g, rng))
-        rb = block_range(g, profile)
+        rb = block_range(g)
         j = rb.j_max - 1
         low = project(sp, j, "low_pass", profile).coefficients
         acc = np.zeros_like(low)
@@ -119,7 +120,7 @@ class TestProjections:
     def test_block_range_covers_corner_modes(self, profile):
         # the top block must reach the corner radius of the retained square
         g = Grid2D(64, 2 * math.pi)
-        rb = block_range(g, profile)
+        rb = block_range(g)
         corner = math.sqrt(2.0) * (2.0 / 3.0) * g.xi_nyquist
         assert (8.0 / 3.0) * 2.0 ** rb.j_max > corner
         assert (8.0 / 3.0) * 2.0 ** rb.j_min > g.xi_min
@@ -208,7 +209,7 @@ class TestBesov:
     def test_reports_block_range(self, profile, rng):
         g = Grid2D(64, 2 * math.pi)
         res = besov_norm(random_band_field(g, rng), BesovParams(0.0, 2.0, 1.0), profile)
-        rb = block_range(g, profile)
+        rb = block_range(g)
         assert (res.j_min, res.j_max) == (rb.j_min, rb.j_max)
 
     def test_coefficient_norm_matches_field_norm(self, profile, rng):
@@ -255,15 +256,11 @@ class TestLevelTable:
     def test_p2_matches_per_level_mask_loop(self, profile, n, L):
         g = Grid2D(n, L)
         c = hermitian_data(g, n)
-        full = block_range(g, profile)
-        # a narrowed range leaves energy outside it, at both ends
-        narrow = BlockRange(full.j_min + 1, full.j_max - 1)
-        for rng_ in (full, narrow):
-            levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile, rng_)
-            assert list(levels) == list(rng_)
-            ref = reference_block_norms(g, c, 2.0, profile, levels)
-            assert np.all(ref > 0)
-            np.testing.assert_allclose(norms, ref, rtol=1e-13, atol=0)
+        levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile)
+        assert list(levels) == list(block_range(g))
+        ref = reference_block_norms(g, c, 2.0, profile, levels)
+        assert np.all(ref > 0)
+        np.testing.assert_allclose(norms, ref, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_p2_block_norms_match_inverse_fft(self, profile, n, L):
@@ -279,7 +276,7 @@ class TestLevelTable:
         # the mask evaluates phi only inside its annulus window; outside it phi
         # of the scaled radius is exactly +0.0, so every byte of the plane agrees
         g = Grid2D(n, L)
-        rng_ = block_range(g, profile)
+        rng_ = block_range(g)
         for j in range(rng_.j_min - 1, rng_.j_max + 2):  # one level past each end
             direct = profile.phi_array(g.xi_mag * 2.0 ** -j)
             direct[0, 0] = 0.0
@@ -290,7 +287,7 @@ class TestLevelTable:
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_at_most_two_adjacent_levels_summing_to_one(self, profile, n, L):
         g = Grid2D(n, L)
-        rng_ = block_range(g, profile)
+        rng_ = block_range(g)
         # every level whose annulus can hold a mode of the grid
         wide = range(math.floor(math.log2(g.xi_min)) - 2, math.ceil(math.log2(g.xi_mag.max())) + 2)
         masks = np.array([block_multiplier(g, j, "block", profile) for j in wide])
@@ -307,7 +304,7 @@ class TestLevelTable:
         # doubled on the columns whose mirror column it leaves out
         k2 = np.arange(n // 2 + 1)
         mirrors = np.where((k2 == 0) | (k2 == n // 2), 1.0, 2.0)
-        decoded = decoded_layout(_level_layout(g, profile, rng_), n * (n // 2 + 1))
+        decoded = decoded_layout(_level_layout(g, profile), n * (n // 2 + 1))
         for j, encoded in zip(rng_, decoded, strict=True):
             half = half_plane(block_multiplier(g, j, "block", profile))
             assert np.array_equal(encoded, (np.square(half) * mirrors).ravel())
@@ -330,7 +327,7 @@ class TestLevelTable:
         _level_layout.cache_clear()
         levels = self.count_block_masks(monkeypatch)
         spectral_besov_norm(g, c, BesovParams(0, 2, 1), profile)
-        assert levels == list(block_range(g, profile))
+        assert levels == list(block_range(g))
         levels.clear()
         spectral_besov_norm(g, c, BesovParams(0.5, 2, math.inf), profile)
         assert levels == []
@@ -346,7 +343,7 @@ class TestLevelTable:
     def test_per_block_paths_bit_identical_cold_and_warm(self, profile):
         g = Grid2D(32, 7.0)
         c = hermitian_data(g, 5)
-        j = block_range(g, profile).j_min + 1
+        j = block_range(g).j_min + 1
 
         def per_block_outputs():
             field = SpectralField(g, c, check=False)
@@ -373,7 +370,7 @@ class TestLevelTable:
         values = [spectral_besov_norm(g, c, BesovParams(0, 2, 1), prof) for prof in (first, second)]
         assert values[0] == values[1]
         assert _level_layout.cache_info().currsize == 1
-        assert levels == list(block_range(g, first))
+        assert levels == list(block_range(g))
 
     @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf)])
     def test_other_p_bit_identical_to_fft_loop(self, profile, s, p, r):
@@ -391,38 +388,35 @@ class TestLevelTable:
     def test_p2_half_plane_matches_full_plane(self, profile, n, L):
         g = Grid2D(n, L)
         c = hermitian_noise(g, np.random.default_rng(n + 2))
-        full = block_range(g, profile)
-        for rng_ in (full, BlockRange(full.j_min + 1, full.j_max - 1)):
-            levels, from_full = _level_norms(g, c, 2.0, profile, rng_)
-            _, from_half = _level_norms(g, half_plane(c), 2.0, profile, rng_)
-            np.testing.assert_allclose(from_half, from_full, rtol=1e-14, atol=0)
-            ref = reference_block_norms(g, c, 2.0, profile, levels)
-            assert np.all(ref > 0)
-            np.testing.assert_allclose(from_full, ref, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(from_half, ref, rtol=1e-13, atol=0)
+        levels, from_full = block_norms(SpectralField(g, c, check=False), 2.0, profile)
+        _, from_half = _level_norms(g, half_plane(c), 2.0, profile)
+        np.testing.assert_allclose(from_half, from_full, rtol=1e-14, atol=0)
+        ref = reference_block_norms(g, c, 2.0, profile, levels)
+        assert np.all(ref > 0)
+        np.testing.assert_allclose(from_full, ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(from_half, ref, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("n,L", [(16, 2 * math.pi), (64, 50.0)])
-    def test_levels_past_the_band_read_exactly_zero(self, profile, n, L):
-        # empty segments at both ends of the layout, and a range with no mode at all
-        g = Grid2D(n, L)
-        c = hermitian_noise(g, np.random.default_rng(n + 3))
-        full = block_range(g, profile)
-        for rng_ in (BlockRange(full.j_min - 3, full.j_max + 4), BlockRange(full.j_min - 5, full.j_min - 3)):
-            levels = np.arange(rng_.j_min, rng_.j_max + 1)
-            empty = np.array([not block_multiplier(g, int(j), "block", profile).any() for j in levels])
-            ref = reference_block_norms(g, c, 2.0, profile, levels)
-            for coeffs in (c, half_plane(c)):
-                norms = _level_norms(g, coeffs, 2.0, profile, rng_)[1]
-                assert np.all(norms[empty] == 0.0)
-                np.testing.assert_allclose(norms[~empty], ref[~empty], rtol=1e-13, atol=0)
-            assert empty[0] and empty[-1]
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_empty_lowest_level_reads_exactly_zero(self, profile, n):
+        # at L = 3 pi / 4 the lowest |xi| is 8/3, the open outer edge of level 0:
+        # block_range keeps level 0, the layout holds no mode of it, and its
+        # block norm is exactly 0 while every other level matches the mask loop
+        g = Grid2D(n, 0.75 * math.pi)
+        c = hermitian_data(g, n + 3)
+        levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile)
+        assert levels[0] == 0 and not block_multiplier(g, 0, "block", profile).any()
+        assert not _level_layout(g, profile).filled[0] and _level_layout(g, profile).filled[1:].all()
+        assert norms[0] == 0.0
+        ref = reference_block_norms(g, c, 2.0, profile, levels[1:])
+        np.testing.assert_allclose(norms[1:], ref, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
     def test_other_p_half_plane_bit_identical_to_full_plane(self, profile, p):
         g = Grid2D(64, 50.0)
         c = hermitian_noise(g, np.random.default_rng(8))
         assert np.array_equal(full_plane(half_plane(c)), c)
-        assert np.array_equal(_level_norms(g, half_plane(c), p, profile)[1], _level_norms(g, c, p, profile)[1])
+        assert np.array_equal(_level_norms(g, half_plane(c), p, profile)[1],
+                              block_norms(SpectralField(g, c, check=False), p, profile)[1])
         params = BesovParams(0.5, p, 2.0)
         assert spectral_besov_norm(g, half_plane(c), params, profile) == spectral_besov_norm(g, c, params, profile)
 
@@ -442,7 +436,7 @@ class TestLevelTable:
             lambda: besov_norm(field, params, profile),
             lambda: spectral_besov_norm(g, c, params, profile),
             lambda: spectral_besov_norms(g, c, [params], profile),
-            lambda: spectral_besov_series(g, c, _dissipation_symbol(g, 1.0), [0.5], [params], profile),
+            lambda: spectral_besov_series(g, c, 1.0, [0.5], [params], profile),
         ]
         for call in calls:
             with pytest.raises(SpectralError, match="not Hermitian-symmetric"):
@@ -510,20 +504,19 @@ class TestDampedSeries:
     def test_p2_matches_evolve_linear_loop_and_reference_blocks(self, profile, alpha, density, L):
         g = Grid2D(32, L)
         c = lattice_coefficients(g, DENSITIES[density])
-        sym = _dissipation_symbol(g, alpha)
         times = flow_times(g, alpha)
         damped = [evolve_linear(SpectralField(g, c, check=False), alpha, t).coefficients for t in times]
         loop = np.array([spectral_besov_norms(g, d, self.PARAMS, profile) for d in damped]).T
         # the l^r sums written out over the per-level mask products of the test helper
-        levels = np.arange(block_range(g, profile).j_min, block_range(g, profile).j_max + 1)
+        levels = np.arange(block_range(g).j_min, block_range(g).j_max + 1)
         blocks = np.array([reference_block_norms(g, d, 2.0, profile, levels) for d in damped])
         ref = [
             np.sum(blocks, axis=1),
             np.max(2.0 ** -levels * blocks, axis=1),
             np.sqrt(np.sum((2.0 ** (0.5 * levels) * blocks) ** 2, axis=1)),
         ]
-        for coeffs, rates in ((c, sym), (half_plane(c), half_plane(sym))):
-            series = spectral_besov_series(g, coeffs, rates, times, self.PARAMS, profile)
+        for coeffs in (c, half_plane(c)):
+            series = spectral_besov_series(g, coeffs, alpha, times, self.PARAMS, profile)
             assert series.shape == (3, len(times)) and np.all(series > 0)
             np.testing.assert_allclose(series, loop, rtol=1e-13, atol=0)
             np.testing.assert_allclose(series, ref, rtol=1e-13, atol=0)
@@ -537,8 +530,7 @@ class TestDampedSeries:
 
         monkeypatch.setattr(littlewood_paley, "spectral_besov_norms", refuse)
         monkeypatch.setattr(littlewood_paley, "_level_norms", refuse)
-        spectral_besov_series(g, c, half_plane(_dissipation_symbol(g, 1.0)), flow_times(g, 1.0), self.PARAMS,
-                              profile)
+        spectral_besov_series(g, c, 1.0, flow_times(g, 1.0), self.PARAMS, profile)
 
     @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
     def test_other_p_bit_identical_to_evolve_linear_loop(self, profile, p):
@@ -551,38 +543,36 @@ class TestDampedSeries:
                                  params, profile)
             for t in times
         ]).T
-        series = spectral_besov_series(g, c, _dissipation_symbol(g, 1.0), times, params, profile)
+        series = spectral_besov_series(g, c, 1.0, times, params, profile)
         assert np.array_equal(series[:2], loop[:2])
         np.testing.assert_allclose(series[2], loop[2], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n,L", [(16, 2 * math.pi), (64, 50.0)])
     def test_levels_the_data_misses_read_zero_at_every_time(self, profile, n, L):
         g = Grid2D(n, L)
-        rng_ = block_range(g, profile)
+        rng_ = block_range(g)
         j = (rng_.j_min + rng_.j_max) // 2
         c = np.where(block_multiplier(g, j, "block", profile) > 0, hermitian_noise(g, np.random.default_rng(n)), 0.0)
         levels = np.arange(rng_.j_min, rng_.j_max + 1)
         missed = reference_block_norms(g, c, 2.0, profile, levels) == 0.0
         assert missed[0] and missed[-1] and not missed.all()
-        sym = _dissipation_symbol(g, 1.0)
+        rates = half_plane(multiplier_symbol(g, MultiplierSpec.fractional_laplacian(1.0)))
         times = flow_times(g, 1.0)
-        for coeffs, rates in ((c, sym), (half_plane(c), half_plane(sym))):
-            norms = _damped_level_norms(g, coeffs, rates, times, profile, rng_)
-            assert np.all(norms[:, missed] == 0.0) and np.all(norms[:, ~missed] > 0.0)
-            for t, row in zip(times, norms):
-                damped = evolve_linear(SpectralField(g, c, check=False), 1.0, t).coefficients
-                ref = reference_block_norms(g, damped, 2.0, profile, levels[~missed])
-                np.testing.assert_allclose(row[~missed], ref, rtol=1e-13, atol=0)
+        norms = _damped_level_norms(g, half_plane(c), rates, times, profile)
+        assert np.all(norms[:, missed] == 0.0) and np.all(norms[:, ~missed] > 0.0)
+        for t, row in zip(times, norms):
+            damped = evolve_linear(SpectralField(g, c, check=False), 1.0, t).coefficients
+            ref = reference_block_norms(g, damped, 2.0, profile, levels[~missed])
+            np.testing.assert_allclose(row[~missed], ref, rtol=1e-13, atol=0)
 
     def test_zero_spectrum_and_underflowed_times_read_zero(self, profile):
         g = Grid2D(32, 50.0)
-        sym = half_plane(_dissipation_symbol(g, 1.0))
         c = half_plane(lattice_coefficients(g, DENSITIES["ball"]))
         zero = np.zeros_like(c)
         late = np.array([1e5, 1e300])  # exp(-2 t |xi|) underflows on every mode
         with np.errstate(invalid="raise", divide="raise"):  # underflow to 0 is the point
-            from_zero = spectral_besov_series(g, zero, sym, flow_times(g, 1.0), self.PARAMS, profile)
-            from_late = spectral_besov_series(g, c, sym, late, self.PARAMS, profile)
+            from_zero = spectral_besov_series(g, zero, 1.0, flow_times(g, 1.0), self.PARAMS, profile)
+            from_late = spectral_besov_series(g, c, 1.0, late, self.PARAMS, profile)
         assert np.array_equal(from_zero, np.zeros((3, len(flow_times(g, 1.0)))))
         assert np.array_equal(from_late, np.zeros((3, 2)))
 
@@ -590,17 +580,10 @@ class TestDampedSeries:
     def test_half_plane_matches_full_plane(self, profile, n, L):
         g = Grid2D(n, L)
         c = hermitian_noise(g, np.random.default_rng(n + 4))
-        sym = _dissipation_symbol(g, 1.5)
         times = flow_times(g, 1.5)
-        from_full = spectral_besov_series(g, c, sym, times, self.PARAMS, profile)
-        from_half = spectral_besov_series(g, half_plane(c), half_plane(sym), times, self.PARAMS, profile)
+        from_full = spectral_besov_series(g, c, 1.5, times, self.PARAMS, profile)
+        from_half = spectral_besov_series(g, half_plane(c), 1.5, times, self.PARAMS, profile)
         np.testing.assert_allclose(from_half, from_full, rtol=1e-14, atol=0)
-
-    def test_rejects_rates_of_another_shape(self, profile):
-        g = Grid2D(16, 2 * math.pi)
-        c = half_plane(hermitian_noise(g, np.random.default_rng(11)))
-        with pytest.raises(SpectralError, match="do not match"):
-            spectral_besov_series(g, c, _dissipation_symbol(g, 1.0), [1.0], self.PARAMS, profile)
 
 
 class TestCheminLerner:
@@ -636,6 +619,12 @@ class TestCheminLerner:
         f = random_band_field(g, rng)
         with pytest.raises(SpectralError, match="increasing"):
             chemin_lerner_norm([1.0, 1.0], [f, f], 2.0, BesovParams(0.0, 2.0, 2.0), profile)
+
+    @pytest.mark.parametrize("times", [[math.nan, 1.0], [0.0, math.inf]])
+    def test_requires_finite_times(self, profile, rng, times):
+        f = random_band_field(Grid2D(32, 2 * math.pi), rng)
+        with pytest.raises(SpectralError, match="finite"):
+            chemin_lerner_norm(times, [f, f], 2.0, BesovParams(0.0, 2.0, 2.0), profile)
 
 
 class TestBony:

@@ -18,7 +18,6 @@ from fraclab.semigroup import (
     QuadratureError,
     RadialSpectralDensity,
     _SUBPANELS,
-    _dissipation_symbol,
     _level_rules,
     _reference_rules,
     _top_level,
@@ -58,22 +57,25 @@ class TestEvolveLinear:
         out = evolve_linear(sp, 0.7, 5.0)
         assert out.coefficients[0, 0] == sp.coefficients[0, 0]
 
-    def test_symbol_built_once_and_bit_identical(self, rng):
+    def test_bit_identical_to_the_symbol_product(self, rng):
         g = Grid2D(64, 7.0)
         sp = forward_transform(random_band_field(g, rng))
         sym = multiplier_symbol(g, MultiplierSpec.fractional_laplacian(0.8))
         for t in (0.0, 0.37, 4.0):
             out = evolve_linear(sp, 0.8, t)
             assert np.array_equal(out.coefficients, sp.coefficients * np.exp(-t * sym))
-        cached = _dissipation_symbol(Grid2D(64, 7.0), 0.8)
-        assert cached is _dissipation_symbol(g, 0.8)
-        assert np.array_equal(cached, sym) and not cached.flags.writeable
 
     def test_negative_time_rejected(self, rng):
         g = Grid2D(32, 1.0)
         sp = forward_transform(random_band_field(g, rng))
         with pytest.raises(SpectralError, match="nonnegative"):
             evolve_linear(sp, 1.0, -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, rng, t):
+        sp = forward_transform(random_band_field(Grid2D(32, 1.0), rng))
+        with pytest.raises(SpectralError, match="finite and nonnegative"):
+            evolve_linear(sp, 1.0, t)
 
 
 def phi_mp(x):
@@ -143,6 +145,12 @@ class TestOracleBlocks:
     def test_zero_outside_support(self, profile):
         ball = RadialSpectralDensity.ball_indicator(1.0)
         assert oracle_block_norm(ball, 1, 0.5, 1.0, profile) == 0.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_refuses_a_time_that_is_not_finite_and_nonnegative(self, profile, t):
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        with pytest.raises(SpectralError, match="finite and nonnegative"):
+            oracle_block_norm(ball, -2, t, 1.0, profile)
 
     def test_strictly_decreasing_in_time(self, profile):
         ball = RadialSpectralDensity.ball_indicator(1.0)
@@ -285,6 +293,14 @@ class TestOracleSeries:
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
         times = np.linspace(1.0, 2.0, MAX_SAMPLES + 1)
         with pytest.raises(SpectralError, match="10001 sample times, more than 10000"):
+            oracle_besov_series(ball, claim, times, profile)
+
+    @pytest.mark.parametrize("times", [[1.0, math.inf], [math.nan, 1.0], [1.0, math.nan]])
+    def test_refuses_non_finite_times_before_the_sweep(self, profile, monkeypatch, times):
+        monkeypatch.setattr(semigroup, "_level_rules", lambda *args: pytest.fail("the sweep started"))
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        with pytest.raises(SpectralError, match="times must be finite"):
             oracle_besov_series(ball, claim, times, profile)
 
     def test_preserved_bounded_by_initial(self, profile):
