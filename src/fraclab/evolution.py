@@ -1,20 +1,28 @@
 """Shared machinery for the nonlinear runs: configuration, the sample
-schedule, seeded initial spectra, the one exponential-integrating-factor RK2
-time loop and the one run driver.
+schedule, seeded initial spectra, the one exponential-integrating-factor time
+loop and the one run driver.
 
 Both solvers advance coefficients c of the state via
 
     dc/dt = -|xi|^alpha c + N(c),
 
-where N is the (dealiased, pseudo-spectral) nonlinear term. One step of
-size dt applies the linear factor E = exp(-dt |xi|^alpha) exactly and the
-nonlinearity at second order:
+where N is the (dealiased, pseudo-spectral) nonlinear term. A step of size
+dt applies the linear factor E = exp(-dt |xi|^alpha) exactly and the
+nonlinearity at second order. The first step is integrating-factor RK2,
 
     predictor:  c* = E (c + dt N(c))
-    corrector:  c' = E c + dt/2 (E N(c) + N(c*))
+    corrector:  c' = E c + dt/2 (E N(c) + N(c*)),
 
-With N = 0 the step reduces to the exact linear flow, so vanishing-amplitude
-runs coincide with ``evolve_linear`` by construction.
+and every later step is integrating-factor Adams-Bashforth 2 (AB2 on
+v = exp(t |xi|^alpha) c; Cox & Matthews, J. Comput. Phys. 176, 2002), which
+needs one new tendency per step, that of the current state:
+
+    c' = E (c + dt (3/2 N(c) - 1/2 E N(c_prev))).
+
+With N = 0 either step reduces to the exact linear flow, so vanishing-amplitude
+runs coincide with ``evolve_linear`` by construction. The shipped runs have
+dt |xi|^alpha <= 0.04 at the band edge, where the exponential-time-differencing
+weights of ETD2 would differ from these only at first order in that number.
 
 The state is real, so its spectrum is Hermitian and the loop keeps only the
 rfft2 half-plane: an (n, n/2 + 1) array of columns k2 = 0..n/2
@@ -30,22 +38,23 @@ critical-norm index, and a flux, which is a ``GridOperators`` subclass with
 ``rhs(c)`` -> N(c) and ``max_velocity(c)`` -> max |u| for the CFL check,
 both on half-plane coefficients. ``max_velocity(c)`` keeps the physical
 fields it built, and the ``rhs`` call that follows on the same array reuses
-them, so the stage-1 velocity is transformed once per step. ``integrate``
-is the only time loop (a single step is an ``integrate`` call with T = dt),
-and ``run_flow`` is the only driver: seeded data rescaled to the critical
-norm, the smallness refusal, norm recording at the sample schedule, and the
-final state. It also owns the run's entries of the run record: its
-``RunResult.extras`` carry them under their run.json names, the equation
-module adds its own (``run_ks``: ``min_u``, ``mass_relative_drift``), and
-the command line adds only what it derives from the series.
+them, so the velocity of the step's state is transformed once per step.
+``integrate`` is the only time loop (a single step is an ``integrate`` call
+with T = dt), and ``run_flow`` is the only driver: seeded data rescaled to
+the critical norm, the smallness refusal, norm recording at the sample
+schedule, and the final state. It also owns the run's entries of the run
+record: its ``RunResult.extras`` carry them under their run.json names, the
+equation module adds its own (``run_ks``: ``min_u``, ``mass_relative_drift``),
+and the command line adds only what it derives from the series.
 
-A step allocates almost nothing: ``integrate`` rotates two state buffers
-and reuses one predictor buffer, and each flux writes its transforms and
-products into scratch arrays it owns; only the tendency that ``rhs``
-returns is a new array. The tendency reads only the 2/3 band of its input
-(the stored symbols carry the mask), so every transform works on the
-n//3 + 1 band columns of the half-plane, and a step of either equation
-costs 10 band-pruned real transforms of two passes each.
+A step allocates almost nothing: ``integrate`` rotates two state buffers,
+reuses one predictor buffer in the first step and keeps the previous step's
+tendency, and each flux writes its transforms and products into scratch
+arrays it owns; only the tendency that ``rhs`` returns is a new array. The
+tendency reads only the 2/3 band of its input (the stored symbols carry the
+mask), so every transform works on the n//3 + 1 band columns of the
+half-plane. A step of either equation after the first costs 5 band-pruned
+real transforms of two passes each (the RK2 first step: 10).
 """
 
 from __future__ import annotations
@@ -103,6 +112,9 @@ CFL_LIMIT = 0.5
 # The longest sample schedule: the oracle holds one (samples x rates) exponent
 # matrix per level, and the shipped configs take <= 121 samples.
 MAX_SAMPLES = 10_000
+# Relative slack of the sample rule: log_spaced_times(t_lo, T, k) ends at
+# exp(log(T)), a few ulp off T, and a step time k * dt is rounded too.
+SAMPLE_RTOL = 1e-12
 
 
 class CFLError(RuntimeError):
@@ -179,9 +191,10 @@ class RunConfig:
         times = np.array([float(t) for t in self.sample_times])
         if len(times) > MAX_SAMPLES:
             raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")
-        last = self.T + 0.5 * self.dt  # integrate drops every later sample
+        last = step_schedule(self.T, self.dt)[1]  # integrate drops every later sample
         if not np.all((times > 0) & (times <= last)):
-            raise SpectralError(f"sample times must lie in (0, T + dt/2] = (0, {last:.17g}]")
+            raise SpectralError(f"sample times must lie in (0, {last:.17g}], "
+                                "up to T + dt/2 and the final step time")
         self.sample_times = np.sort(times)
 
     def grid(self) -> Grid2D:
@@ -242,6 +255,15 @@ def sample_count(t_lo: float, t_hi: float, per_decade: int) -> int:
     if count > MAX_SAMPLES:
         raise SpectralError(f"the sample schedule has {count} times, more than {MAX_SAMPLES}")
     return max(2, count)
+
+
+def step_schedule(T: float, dt: float) -> tuple[int, float]:
+    """(n_steps, last): a run of step dt to T takes the first step count whose
+    time reaches T, and keeps the sample times up to last, at most half a step
+    past T and at most the final step time, up to the relative SAMPLE_RTOL.
+    ``RunConfig`` refuses later samples and ``integrate`` drops them."""
+    n_steps = int(math.ceil(T / dt - 1e-12))
+    return n_steps, min(T + 0.5 * dt, n_steps * dt) * (1 + SAMPLE_RTOL)
 
 
 def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) -> np.ndarray:
@@ -385,38 +407,45 @@ def integrate(
     sample_times,
     record,
 ):
-    """Integrating-factor RK2 loop with CFL monitoring and sampling.
+    """Integrating-factor time loop with CFL monitoring and sampling.
+
+    The first step is IF-RK2 and every later one IF-AB2 (see the module
+    docstring), so a single step (T = dt) is exactly the RK2 step.
 
     coeffs0 is the full-plane spectrum of a real field; only its half-plane
     (columns k2 = 0..n/2) is read, and the loop steps that half-plane. So
     rhs(c) -> spectral nonlinear term and max_velocity(c) -> max |u| on the
     grid for the CFL check both receive (n, n/2 + 1) arrays; the Nyquist
     column n/2 of the state is kept as it is. rhs(c) returns a new half-plane
-    array that the loop then owns and overwrites. The tendencies of ``sqg``
-    and ``keller_segel`` dealias their input: they read only the 2/3 band of
-    c and return a tendency that is zero outside it, so content of the state
-    outside the band feels only the linear factor.
+    array that the loop then owns and overwrites: it holds the tendency of
+    one step over to the next and writes the AB2 product into it. The
+    tendencies of ``sqg`` and ``keller_segel`` dealias their input: they
+    read only the 2/3 band of c and return a tendency that is zero outside
+    it, so content of the state outside the band feels only the linear
+    factor.
 
     The loop keeps two state buffers and one predictor buffer and writes
     every product into them, so the c that rhs and max_velocity see is valid
-    only during the call. max_velocity(c) is called once per step, right
-    before rhs(c) on the same array. record(t, c) is called at t = 0 and
-    whenever a step boundary reaches the next sample time (recorded at the
-    actual step time) with a new copy of the half-plane state, which the
-    callback may keep. A non-finite velocity or state raises NumericalAbort
-    with a full-plane copy of the last state whose velocity check passed.
-    Returns (final_coeffs, n_steps, max_velocity_seen), final_coeffs
-    full-plane.
+    only during the call. Each step calls max_velocity(c) once and then
+    rhs(c) on the same array; the first step also calls rhs on its
+    predictor. record(t, c) is called at t = 0 and whenever a step boundary
+    reaches the next sample time (recorded at the actual step time) with a
+    new copy of the half-plane state, which the callback may keep. Sample
+    times past ``step_schedule(T, dt)[1]`` are dropped; ``RunConfig`` refuses
+    them. A non-finite velocity or state raises NumericalAbort with a
+    full-plane copy of the last state whose velocity check passed. Returns
+    (final_coeffs, n_steps, max_velocity_seen), final_coeffs full-plane.
     """
     E = np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
     E = half_plane(E).astype(np.complex128)  # the cast every complex product would make
     c = good = np.array(half_plane(coeffs0), dtype=np.complex128)
     spare, pred = np.empty_like(c), np.empty_like(c)
+    prev = None  # the tendency of the previous step's state
     t = 0.0
     record(t, c.copy())
-    samples = [s for s in sorted(sample_times) if s <= T + 0.5 * dt]
+    n_steps, last = step_schedule(T, dt)
+    samples = [s for s in sorted(sample_times) if s <= last]
     next_i = 0
-    n_steps = int(math.ceil(T / dt - 1e-12))
     vmax_seen = 0.0
     courant = grid.n / grid.L
     for step in range(n_steps):
@@ -428,15 +457,23 @@ def integrate(
             raise CFLError(vmax, dt)
         good = c
         n0 = rhs(c)
-        # pred = E * (c + dt * n0)
-        np.multiply(E, np.add(c, np.multiply(dt, n0, out=pred), out=pred), out=pred)
-        n1 = rhs(pred)
-        # c' = E * c + (0.5 * dt) * (E * n0 + n1), into the other state buffer
-        np.multiply(0.5 * dt, np.add(np.multiply(E, n0, out=n0), n1, out=n0), out=n0)
-        c, spare = np.add(np.multiply(E, c, out=spare), n0, out=spare), c
+        if prev is None:  # the RK2 starter step
+            # pred = E * (c + dt * n0)
+            np.multiply(E, np.add(c, np.multiply(dt, n0, out=pred), out=pred), out=pred)
+            n1 = rhs(pred)
+            # c' = E * c + (0.5 * dt) * (E * n0 + n1), into the other state buffer
+            np.multiply(0.5 * dt, np.add(np.multiply(E, n0, out=pred), n1, out=pred), out=pred)
+            np.add(np.multiply(E, c, out=spare), pred, out=spare)
+        else:
+            # c' = E * (c + dt * (1.5 * n0 - 0.5 * E * prev)), into the other state buffer
+            np.multiply(0.5 * dt, np.multiply(E, prev, out=prev), out=prev)
+            np.subtract(np.multiply(1.5 * dt, n0, out=spare), prev, out=spare)
+            np.multiply(E, np.add(c, spare, out=spare), out=spare)
+        c, spare, prev = spare, c, n0
         t = (step + 1) * dt
-        if next_i < len(samples) and t >= samples[next_i] - 1e-12:
-            while next_i < len(samples) and t >= samples[next_i] - 1e-12:
+        reach = t * (1 + SAMPLE_RTOL)  # the rule of step_schedule
+        if next_i < len(samples) and samples[next_i] <= reach:
+            while next_i < len(samples) and samples[next_i] <= reach:
                 next_i += 1  # several samples may fall inside one step
             if not np.all(np.isfinite(c.view(np.float64))):
                 raise NumericalAbort(t, full_plane(good))

@@ -154,7 +154,8 @@ def _sqg_paths(grid: Grid2D, rng, samples: int, amplitude: float, steps: int):
 
 
 def _dt_ratio(step, base, values) -> float:
-    """|w(h) - w(h/2)| / |w(h/2) - w(h/4)| at T = 0.4, h = 0.04 (4 at second order)."""
+    """|w(h) - w(h/2)| / |w(h/2) - w(h/4)| at T = 0.4, h = 0.04 (4 at second order),
+    over single steps: the RK2 starter of ``integrate``, not its multistep path."""
     w1, w2, w4 = (values(_path(step, base, n, dt)[-1]) for dt, n in ((0.04, 10), (0.02, 20), (0.01, 40)))
     return float(np.abs(w1 - w2).max()) / float(np.abs(w2 - w4).max())
 
@@ -454,7 +455,7 @@ def sqg_l2_monotone(rng, grid=GRID, samples=1, amplitude=0.02, steps=25):
 def sqg_dt_self_convergence(rng, grid=GRID, amplitude=0.5):
     base = SQGState(_scaled_field(grid, rng, amplitude), 0.0, 1.0)
     ratio = _dt_ratio(sqg_step, base, lambda s: s.theta.values)
-    return abs(ratio - 4.0), f"|error ratio - 4|, ratio {ratio:.2f} at T = 0.4"
+    return abs(ratio - 4.0), f"|error ratio - 4| of single RK2 starter steps, ratio {ratio:.2f} at T = 0.4"
 
 
 @_check("sqg.quadratic_nonlinearity", 0.4)
@@ -506,7 +507,7 @@ def ks_linear_limit(rng, grid=GRID):
 def ks_dt_self_convergence(rng, grid=GRID):
     base = KSState(_scaled_field(grid, rng, 2.0), 0.0, 1.0)
     ratio = _dt_ratio(ks_step, base, lambda s: s.u.values)
-    return abs(ratio - 4.0), f"|error ratio - 4|, ratio {ratio:.2f} at T = 0.4"
+    return abs(ratio - 4.0), f"|error ratio - 4| of single RK2 starter steps, ratio {ratio:.2f} at T = 0.4"
 
 
 # --------------------------------------------------------------------- decay

@@ -38,6 +38,29 @@ def convolution_product_coefficients(cf: np.ndarray, cg: np.ndarray, band: int) 
     return out
 
 
+def padded_product_coefficients(cf: np.ndarray, cg: np.ndarray, band: int) -> np.ndarray:
+    """The same product as ``convolution_product_coefficients``, by full-plane FFTs on a 2n grid.
+
+    The modes |k|_inf <= band < n/2 of each factor go to a (2n, 2n) plane, so
+    their product (modes up to 2 band < n) does not alias there. Fast enough
+    for a reference run of many steps; it shares no code with the stepper's
+    band-pruned half-plane transforms.
+    """
+    n = cf.shape[0]
+    k = np.r_[0 : band + 1, n - band : n]  # the band's indices on the n grid
+    k2 = np.r_[0 : band + 1, 2 * n - band : 2 * n]  # the same wavenumbers on the 2n grid
+
+    def physical(c):
+        padded = np.zeros((2 * n, 2 * n), dtype=complex)
+        padded[np.ix_(k2, k2)] = c[np.ix_(k, k)]
+        return np.fft.ifft2(padded, norm="forward")
+
+    product = np.fft.fft2(physical(cf) * physical(cg), norm="forward")
+    out = np.zeros_like(cf)
+    out[np.ix_(k, k)] = product[np.ix_(k2, k2)]
+    return out
+
+
 def reference_block_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile, levels) -> np.ndarray:
     """Per-level block L^p norms by one full mask product per level.
 

@@ -30,7 +30,7 @@ from fraclab.spectral import (
     inverse_transform,
 )
 from fraclab.sqg import SQGState, _SQGFlux, sqg_rhs, sqg_step
-from helpers import convolution_product_coefficients, random_band_field
+from helpers import convolution_product_coefficients, padded_product_coefficients, random_band_field
 
 
 class TestLogSpacedTimes:
@@ -142,6 +142,24 @@ class TestRunConfig:
                   max_velocity=lambda c: 0.0, sample_times=cfg.sample_times, record=lambda t, c: recorded.append(t))
         assert recorded == pytest.approx([0.0, 0.3, 1.0])
 
+    def test_samples_past_the_final_step_are_refused(self):
+        # T = 1 is a step multiple, so the run ends at t = 1.0 < 1.04 <= T + dt/2
+        with pytest.raises(SpectralError, match="sample times must lie in"):
+            RunConfig(n=16, L=2 * math.pi, alpha=1.0, dt=0.1, T=1.0, seed=0,
+                      initial=InitialSpectrum(1.0, -1, 0), sample_times=[0.5, 1.04])
+
+    def test_last_log_spaced_sample_is_recorded_at_a_large_T(self):
+        # exp(log(T)) ends the schedule 1e-11 past T: within the relative slack
+        T, dt = 10000.0, 50.0
+        samples = log_spaced_times(dt, T, 10)
+        assert samples[-1] > T
+        cfg = RunConfig(n=16, L=2 * math.pi, alpha=1.0, dt=dt, T=T, seed=0,
+                        initial=InitialSpectrum(1.0, -1, 0), sample_times=samples)
+        recorded = []
+        integrate(cfg.grid(), np.zeros((16, 16), complex), cfg.alpha, cfg.dt, cfg.T, rhs=np.zeros_like,
+                  max_velocity=lambda c: 0.0, sample_times=cfg.sample_times, record=lambda t, c: recorded.append(t))
+        assert recorded[-1] == T
+
     def test_hash_sensitive_to_fields(self):
         base = dict(
             n=64, L=1.0, alpha=1.0, dt=0.1, T=1.0, seed=0,
@@ -231,21 +249,20 @@ def _reference_step(g, c, alpha, dt, tendency):
     return E * c + 0.5 * dt * (E * n0 + n1)
 
 
-def _sqg_tendency(g, c):
-    # -(u . grad theta) by direct convolution; u = (-R2 theta, R1 theta)
+def _sqg_tendency(g, c, product=convolution_product_coefficients):
+    # -(u . grad theta) by direct convolution (or the given product); u = (-R2 theta, R1 theta)
     safe = np.where(g.xi_mag > 0, g.xi_mag, 1.0)
     u1, u2 = -1j * g.xi2 / safe * c, 1j * g.xi1 / safe * c
     band = g.n // 3
-    return -(convolution_product_coefficients(u1, 1j * g.xi1 * c, band)
-             + convolution_product_coefficients(u2, 1j * g.xi2 * c, band))
+    return -(product(u1, 1j * g.xi1 * c, band) + product(u2, 1j * g.xi2 * c, band))
 
 
-def _ks_tendency(g, c):
-    # -div(u grad psi) by direct convolution; -Laplace psi = u - mean(u)
+def _ks_tendency(g, c, product=convolution_product_coefficients):
+    # -div(u grad psi) by direct convolution (or the given product); -Laplace psi = u - mean(u)
     psi = np.where(g.xi_mag > 0, c / np.where(g.xi_mag > 0, g.xi_mag, 1.0) ** 2, 0.0)
     band = g.n // 3
-    f1 = convolution_product_coefficients(c, 1j * g.xi1 * psi, band)
-    f2 = convolution_product_coefficients(c, 1j * g.xi2 * psi, band)
+    f1 = product(c, 1j * g.xi1 * psi, band)
+    f2 = product(c, 1j * g.xi2 * psi, band)
     return -(1j * g.xi1 * f1 + 1j * g.xi2 * f2)
 
 
@@ -278,6 +295,78 @@ class TestHalfPlaneStepper:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+_EQUATIONS = {"sqg": (_SQGFlux, _sqg_tendency, 0.0), "ks": (_KSFlux, _ks_tendency, 1.0)}  # flux, oracle, mean
+
+
+def _band_state(g, rng, mean, amplitude):
+    """Coefficients of mean + a random band field of max |f| = amplitude."""
+    w = random_band_field(g, rng).values
+    return forward_transform(RealField(g, mean + amplitude * w / np.abs(w).max())).coefficients
+
+
+def _run(g, c0, dt, T, flux):
+    return integrate(g, c0, 1.0, dt, T, flux.rhs, flux.max_velocity, [], lambda t, c: None)
+
+
+def _rel_err(c, ref):
+    return np.abs(c - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("equation", ["sqg", "ks"])
+class TestMultistep:
+    """integrate over many steps: an RK2 starter step, then IF-AB2."""
+
+    def test_padded_reference_tendency_is_the_convolution_one(self, equation, rng):
+        _, tendency, mean = _EQUATIONS[equation]
+        g = Grid2D(16, 2 * math.pi * 4)
+        c = _band_state(g, rng, mean, 0.5)
+        ref = tendency(g, c)
+        assert _rel_err(tendency(g, c, padded_product_coefficients), ref) <= 1e-13
+
+    def test_second_order_against_a_fine_reference(self, equation, rng):
+        # dt |xi|^alpha <= 0.09 at the band corner (the shipped runs: <= 0.04);
+        # the reference is full-plane RK2 at dt/8
+        flux_class, tendency, mean = _EQUATIONS[equation]
+        g = Grid2D(16, 2 * math.pi * 4)
+        flux = flux_class.on(g)
+        c0 = _band_state(g, rng, mean, 0.5)
+        T, dt = 1.0, 0.05
+
+        def reference(h):
+            c = c0
+            for _ in range(round(T / h)):
+                c = _reference_step(g, c, 1.0, h, lambda c: tendency(g, c, padded_product_coefficients))
+            return c
+
+        ref = reference(dt / 8)
+        errors = [_rel_err(_run(g, c0, h, T, flux)[0], ref) for h in (dt, dt / 2, dt / 4)]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert orders.min() >= 1.8  # measured 1.92-2.03
+        assert errors[0] <= 10 * _rel_err(reference(dt), ref)  # measured 3.7-4.7x
+
+    def test_stable_near_the_cfl_limit(self, equation, rng):
+        # 200 steps at peak Courant 0.36 on 64^2: the state stays finite, and the
+        # error against RK2 at dt/8 stays within 5x that of RK2 at dt
+        flux_class, _, mean = _EQUATIONS[equation]
+        g = Grid2D(64, 2 * math.pi)
+        flux = flux_class.on(g)
+        c0 = _band_state(g, rng, mean, 1.0)
+        dt = 0.36 * g.L / (g.n * flux.max_velocity(half_plane(c0)))
+        final, n_steps, vmax = _run(g, c0, dt, 200 * dt, flux)
+        assert n_steps == 200 and dt * vmax * g.n / g.L == pytest.approx(0.36, rel=1e-12)
+        assert np.all(np.isfinite(final.view(np.float64)))
+
+        def rk2(h, steps):  # half-plane IF-RK2 on the stepper's tendency
+            E, c = half_plane(np.exp(-h * g.xi_mag)), half_plane(c0)
+            for _ in range(steps):
+                n0 = flux.rhs(c)
+                c = E * c + 0.5 * h * (E * n0 + flux.rhs(E * (c + h * n0)))
+            return full_plane(c)
+
+        ref = rk2(dt / 8, 1600)
+        assert _rel_err(final, ref) <= 5 * _rel_err(rk2(dt, 200), ref)  # measured 1.1-2.1x
+
+
 @pytest.mark.parametrize("rhs,tendency", [(sqg_rhs, _sqg_tendency), (ks_rhs, _ks_tendency)])
 def test_tendency_dealiases_its_input(rhs, tendency, rng):
     # content on every mode: the tendency is that of the field's 2/3 band part,
@@ -292,32 +381,39 @@ def test_tendency_dealiases_its_input(rhs, tendency, rng):
 @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
 def test_handed_out_arrays_survive_later_steps(flux_class, rng):
     # recorded states, the final state, last_good and rhs returns are never
-    # buffers that a later step of the same flux writes into
+    # buffers that a later step of the same flux writes into, and no tendency
+    # the loop holds over to the next step is one of them
     g = Grid2D(32, 2 * math.pi)
     flux = flux_class.on(g)
     w = random_band_field(g, rng).values
     c0 = forward_transform(RealField(g, 1.0 + 0.5 * w / np.abs(w).max())).coefficients
-    kept = [c0]
+    kept, tendencies = [c0], []
 
-    def run(T, rhs=flux.rhs, record=lambda t, c: kept.append(c)):
-        return integrate(g, c0, 1.0, 0.02, T, rhs, flux.max_velocity, [0.04, 0.1], record)[0]
+    def run(T, nan_step=None, record=lambda t, c: kept.append(c)):
+        steps = []  # integrate checks the velocity once per step
+
+        def max_velocity(c):
+            steps.append(None)
+            return flux.max_velocity(c)
+
+        def rhs(c):
+            tendencies.append(np.full_like(c, np.nan) if len(steps) == nan_step else flux.rhs(c))
+            return tendencies[-1]
+
+        return integrate(g, c0, 1.0, 0.02, T, rhs, max_velocity, [0.04, 0.1], record)[0]
 
     kept.append(run(0.1))
     assert len(kept) == 5  # c0, three records, the final state
-    calls = []
-
-    def nan_in_step_three(c):
-        calls.append(None)
-        return np.full_like(c, np.nan) if len(calls) == 5 else flux.rhs(c)
-
     with pytest.raises(NumericalAbort) as info:
-        run(0.2, rhs=nan_in_step_three, record=lambda t, c: None)
+        run(0.2, nan_step=3, record=lambda t, c: None)
+    assert info.value.t == pytest.approx(0.06)  # the fourth velocity check saw the NaN state
     kept.append(info.value.last_good)
     kept += [flux.rhs(half_plane(c0)), flux.rhs(half_plane(kept[-2]))]
     snapshot = [a.copy() for a in kept]
     run(0.1, record=lambda t, c: None)
     for a, b in zip(kept, snapshot, strict=True):
         assert np.array_equal(a.view(np.float64), b.view(np.float64))
+    assert not any(np.shares_memory(a, b) for a in tendencies for b in kept)
 
 
 @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
