@@ -188,6 +188,8 @@ class RunConfig:
             raise SpectralError(f"T must be positive and finite, got {self.T}")
         if not (0.0 < self.alpha <= 2.0):
             raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
+        if not (0 < self.smallness_budget < math.inf):
+            raise SpectralError(f"smallness_budget must be positive and finite, got {self.smallness_budget}")
         times = np.array([float(t) for t in self.sample_times])
         if len(times) > MAX_SAMPLES:
             raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")

@@ -30,9 +30,10 @@ Parseval through a level-sorted layout, cached per grid and built from the
 block masks, none of which it keeps: level by level, the flat half-plane
 indices of the modes in the block and their squared phi times a column
 weight (2 on the columns that stand for their mirror too). One gather of
-|c|^2 and one reduceat then give every block energy. Other p extend the half-plane to the full plane
-and take one inverse FFT per block; they, project and bony_decompose share
-one bounded cache of block masks.
+|c|^2 and one reduceat then give every block energy. Other p multiply the
+half-plane by each block mask's half-plane columns and take one irfft2 per
+block (spectral.inverse_real); they, project and bony_decompose share one
+bounded cache of block masks.
 
 Along the linear semigroup c * exp(-t |xi|^alpha), spectral_besov_series
 takes alpha, builds the rates |xi|^alpha with spectral.multiplier_symbol and
@@ -58,13 +59,10 @@ from .spectral import (
     SpectralField,
     SpectralError,
     check_hermitian,
-    dealias,
+    dealias_mask,
     forward_half_plane,
-    forward_transform,
-    full_plane,
     half_plane,
     inverse_real,
-    inverse_transform,
     multiplier_symbol,
 )
 
@@ -325,12 +323,9 @@ def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProf
         sums = np.zeros(len(levels))
         sums[layout.filled] = np.add.reduceat(layout.weight * energy[layout.index], layout.starts)
         return levels, grid.L * np.sqrt(sums)
-    coeffs = full_plane(coeffs)
     out = np.empty(len(levels))
     for i, j in enumerate(levels):
-        # blocks holding only transform noise are legitimately tiny, so
-        # skip the strict imaginary-residue check of inverse_transform
-        w = np.abs(inverse_real(_block_mask(grid, int(j), "block", profile) * coeffs))
+        w = np.abs(inverse_real(half_plane(_block_mask(grid, int(j), "block", profile)) * coeffs))
         out[i] = float(w.max()) if math.isinf(p) else float((grid.h ** 2 * np.sum(w ** p)) ** (1.0 / p))
     return levels, out
 
@@ -406,14 +401,17 @@ def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, alpha: float, times,
     shape (len(params_seq), len(times)).
 
     coeffs is a half-plane, or a full plane checked like a SpectralField and
-    halved. p = 2 norms take the block norms at every time from one grouped
-    reduction (_damped_level_norms): one exponential per distinct rate and
-    time, no damped plane. Other p take spectral_besov_norms of the damped
+    halved; times must be finite and >= 0 (SpectralError, as in evolve_linear).
+    p = 2 norms take the block norms at every time from one grouped reduction
+    (_damped_level_norms): one exponential per distinct rate and time, no
+    damped plane. Other p take spectral_besov_norms of the damped
     half-plane at each time.
     """
     coeffs = _half_plane_of(grid, coeffs)
     rates = half_plane(multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
     times = np.asarray(times, dtype=np.float64)
+    if not np.all((times >= 0.0) & (times < math.inf)):
+        raise SpectralError("times must be finite and nonnegative")
     out = np.empty((len(params_seq), len(times)))
     closed = [i for i, params in enumerate(params_seq) if params.p == 2.0]
     looped = [i for i, params in enumerate(params_seq) if params.p != 2.0]
@@ -495,17 +493,22 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
             f"grid mismatch: {(f.grid.n, f.grid.L)} vs {(g.grid.n, g.grid.L)}"
         )
     grid = f.grid
-    cf = dealias(forward_transform(f)).coefficients
-    cg = dealias(forward_transform(g)).coefficients
+    keep = half_plane(dealias_mask(grid))
+
+    def dealiased(values):
+        return np.where(keep, forward_half_plane(values), 0.0)
+
+    cf = dealiased(f.values)
+    cg = dealiased(g.values)
     cf[0, 0] = 0.0
     cg[0, 0] = 0.0
     rng = block_range(grid)
 
-    blocks_f = {j: inverse_real(_block_mask(grid, j, "block", profile) * cf) for j in rng}
-    blocks_g = {j: inverse_real(_block_mask(grid, j, "block", profile) * cg) for j in rng}
+    blocks_f = {j: inverse_real(half_plane(_block_mask(grid, j, "block", profile)) * cf) for j in rng}
+    blocks_g = {j: inverse_real(half_plane(_block_mask(grid, j, "block", profile)) * cg) for j in rng}
     # low-pass at level j-1 = sum of blocks k <= j-2
-    lows_f = {j: inverse_real(_block_mask(grid, j - 1, "low_pass", profile) * cf) for j in rng}
-    lows_g = {j: inverse_real(_block_mask(grid, j - 1, "low_pass", profile) * cg) for j in rng}
+    lows_f = {j: inverse_real(half_plane(_block_mask(grid, j - 1, "low_pass", profile)) * cf) for j in rng}
+    lows_g = {j: inverse_real(half_plane(_block_mask(grid, j - 1, "low_pass", profile)) * cg) for j in rng}
 
     t_fg = np.zeros((grid.n, grid.n))
     t_gf = np.zeros((grid.n, grid.n))
@@ -520,7 +523,4 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
             near += blocks_g[j + 1]
         diag += blocks_f[j] * near
 
-    def dealiased(values):
-        return inverse_transform(dealias(forward_transform(RealField(grid, values))))
-
-    return dealiased(t_fg), dealiased(t_gf), dealiased(diag)
+    return tuple(RealField(grid, inverse_real(dealiased(v))) for v in (t_fg, t_gf, diag))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,11 @@ def sphere_measure(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _radial_prefactor(n: int) -> float:
+    """(2 pi)^-n omega_{n-1}: a radial integral's factor in the squared L^2 norm on R^n."""
+    return (2.0 * math.pi) ** -n * sphere_measure(n)
+
+
 @dataclass(frozen=True)
 class RadialSpectralDensity:
     """Radial modulus profile rho(|xi|) of an initial spectrum on R^n.
@@ -80,6 +86,9 @@ class RadialSpectralDensity:
         ball_indicator(radius): rho = 1 on [0, radius], 0 beyond
         power_law(exponent, r_lo, r_hi): rho = r^exponent on [r_lo, r_hi]
         gaussian(sigma): rho = exp(-r^2 / (2 sigma^2))
+
+    Parameters are finite, only the Gaussian has unbounded support, and the
+    dimension n keeps (2 pi)^-n omega_{n-1} a normal float (n <= 226).
     """
 
     form: str
@@ -95,12 +104,21 @@ class RadialSpectralDensity:
             raise SpectralError(f"unknown density form {self.form!r}")
         if self.dimension < 1:
             raise SpectralError(f"dimension must be >= 1, got {self.dimension}")
+        try:
+            prefactor = _radial_prefactor(self.dimension)
+        except OverflowError:  # Gamma(n/2) past the float range
+            prefactor = 0.0
+        if not prefactor >= sys.float_info.min:
+            raise SpectralError(f"dimension {self.dimension} is too large: (2 pi)^-n times the unit "
+                                "sphere's measure is not a normal float")
+        if not all(math.isfinite(x) for x in (self.radius, self.exponent, self.sigma)):
+            raise SpectralError("radius, exponent and sigma must be finite")
         if self.form == "ball_indicator" and not (self.radius > 0):
             raise SpectralError("ball_indicator requires radius > 0")
         if self.form == "gaussian" and not (self.sigma > 0):
             raise SpectralError("gaussian requires sigma > 0")
-        if self.form == "power_law" and not (0 <= self.r_lo < self.r_hi):
-            raise SpectralError("power_law requires 0 <= r_lo < r_hi")
+        if self.form == "power_law" and not (0 <= self.r_lo < self.r_hi < math.inf):
+            raise SpectralError("power_law requires 0 <= r_lo < r_hi < inf")
 
     @classmethod
     def ball_indicator(cls, radius: float, dimension: int = 2):
@@ -126,6 +144,11 @@ class RadialSpectralDensity:
         if self.form == "power_law":
             return self.r_lo, self.r_hi
         return 0.0, math.inf
+
+    def outer_radius(self) -> float:
+        """Where radial integrals stop: the support's upper edge, or 40 sigma for
+        the Gaussian, past which rho is exactly 0 in float64."""
+        return 40.0 * self.sigma if self.form == "gaussian" else self.support()[1]
 
     def rho(self, r) -> np.ndarray:
         """rho at r, elementwise; a scalar r gives a 0-d array."""
@@ -291,8 +314,7 @@ def _check_gap(what: str, times, coarse, fine, scale, rel_tol: float) -> float:
 
 
 def _radial_norm(density: RadialSpectralDensity, integral):
-    n = density.dimension
-    return np.sqrt((2.0 * math.pi) ** -n * sphere_measure(n) * np.maximum(integral, 0.0))
+    return np.sqrt(_radial_prefactor(density.dimension) * np.maximum(integral, 0.0))
 
 
 def oracle_block_norm(
@@ -329,10 +351,7 @@ def oracle_l2_norm(
     QuadratureError when the N- and 2N-node integrals differ by more than
     rel_tol of the value.
     """
-    s_lo, s_hi = density.support()
-    if math.isinf(s_hi):
-        # Gaussian tail: integrate far enough that the remainder is negligible.
-        s_hi = 40.0 * density.sigma
+    s_lo, s_hi = density.support()[0], density.outer_radius()
     halvings = 2.0 ** -np.arange(_GEOMETRIC_PANELS, -1, -1.0)
     edges = np.append(s_lo, s_lo + (s_hi - s_lo) * halvings)
     coarse, fine = _damped_integrals(_radial_rules(density, edges), alpha, np.array([float(t)]))
@@ -344,11 +363,8 @@ _TRUNCATION = 1e-14  # stop the descending level sum at this relative weight
 
 
 def _top_level(density: RadialSpectralDensity) -> int:
-    _, hi = density.support()
-    if math.isinf(hi):
-        hi = 40.0 * density.sigma
-    # highest level whose annulus reaches the support: 3/4 * 2^j < hi
-    return math.floor(math.log2(hi / 0.75)) + 1
+    # highest level whose annulus reaches the support: 3/4 * 2^j < outer radius
+    return math.floor(math.log2(density.outer_radius() / 0.75)) + 1
 
 
 def oracle_besov_series(

@@ -241,8 +241,10 @@ def forward_half_plane(values: np.ndarray) -> np.ndarray:
 
 
 def inverse_real(coefficients: np.ndarray) -> np.ndarray:
-    """Real part of the inverse transform of full-plane coefficients; unchecked, the imaginary part is dropped."""
-    return np.fft.ifft2(coefficients, norm="forward").real
+    """Real values of (n, n/2 + 1) half-plane coefficients, the exact inverse of forward_half_plane;
+    unchecked. A Hermitian full plane gives the same field: irfft2 reads its first n/2 + 1 columns."""
+    n = coefficients.shape[0]
+    return np.fft.irfft2(coefficients, s=(n, n), norm="forward")
 
 
 _ODD_KINDS = {"riesz", "partial"}

@@ -547,6 +547,14 @@ class TestMain:
         assert peak < 1 << 20
         assert f"n must be <= 4096, got {n}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension", [227, 344, 400])
+    def test_oracle_dimension_without_a_normal_prefactor_exits_2(self, tmp_path, capsys, monkeypatch, dimension):
+        # (2 pi)^-n omega_{n-1} underflows from n = 227 on; Gamma(n/2) overflows from n = 344 on
+        monkeypatch.setattr(cli, "execute", lambda *args: pytest.fail("the run started"))
+        path = write_config(tmp_path, {"kind": "oracle", "dimension": dimension})
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"dimension {dimension} is too large" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,extra", [("oracle", {}), ("sqg", {"n": 32})])
     def test_oversized_sample_schedule_exits_2_before_any_allocation(self, tmp_path, capsys, monkeypatch,
                                                                        kind, extra):

@@ -130,6 +130,14 @@ class TestRunConfig:
         with pytest.raises(SpectralError, match="finite|sample times must lie in"):
             RunConfig(**{**good, **bad})
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e-2])
+    def test_refuses_a_smallness_budget_that_is_not_finite_and_positive(self, budget):
+        # a NaN budget would switch the smallness refusal off: crit > NaN is never true
+        good = dict(n=64, L=1.0, alpha=1.0, dt=0.1, T=1.0, seed=0, initial=InitialSpectrum(1.0, -1, 0),
+                    sample_times=[0.5, 1.0])
+        with pytest.raises(SpectralError, match="smallness_budget must be positive and finite"):
+            RunConfig(**good, smallness_budget=budget)
+
     def test_samples_up_to_t_plus_half_a_step_are_recorded(self):
         # T = 0.93 is not a step multiple: integrate stops at t = 1.0 and keeps
         # the samples up to T + dt/2 = 0.98, each at the first step that reaches it

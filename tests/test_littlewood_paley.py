@@ -372,17 +372,18 @@ class TestLevelTable:
         assert _level_layout.cache_info().currsize == 1
         assert levels == list(block_range(g))
 
-    @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf)])
-    def test_other_p_bit_identical_to_fft_loop(self, profile, s, p, r):
-        g = Grid2D(64, 50.0)
+    @pytest.mark.parametrize("n,L", TABLE_GRIDS)
+    @pytest.mark.parametrize("s,p,r", [(0, 3, 2), (0, math.inf, 1), (0, 1, math.inf), (0.5, 4, 2)])
+    def test_other_p_matches_fft_loop(self, profile, n, L, s, p, r):
+        g = Grid2D(n, L)
         c = hermitian_data(g, 7)
         params = BesovParams(s, p, r)
         levels, norms = block_norms(SpectralField(g, c, check=False), params.p, profile)
         ref = reference_block_norms(g, c, params.p, profile, levels)
-        assert np.array_equal(norms, ref)
+        np.testing.assert_allclose(norms, ref, rtol=1e-13, atol=0)
         weighted = (2.0 ** (levels * params.s)) * ref
         combined = float(weighted.max()) if math.isinf(r) else float(np.sum(weighted ** r) ** (1.0 / r))
-        assert spectral_besov_norm(g, c, params, profile) == combined
+        assert spectral_besov_norm(g, c, params, profile) == pytest.approx(combined, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_p2_half_plane_matches_full_plane(self, profile, n, L):
@@ -575,6 +576,16 @@ class TestDampedSeries:
             from_late = spectral_besov_series(g, c, 1.0, late, self.PARAMS, profile)
         assert np.array_equal(from_zero, np.zeros((3, len(flow_times(g, 1.0)))))
         assert np.array_equal(from_late, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("times", [[-1.0, 0.5], [math.nan, 1.0], [math.inf], [0.5, -math.inf]])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_refuses_times_that_are_not_finite_and_nonnegative(self, profile, times, p):
+        # evolve_linear's rule: a negative time runs the flow backward and
+        # blows up, a NaN or an infinite one reads NaN or 0 depending on p
+        g = Grid2D(16, 2 * math.pi)
+        c = half_plane(lattice_coefficients(g, DENSITIES["ball"]))
+        with pytest.raises(SpectralError, match="times must be finite and nonnegative"):
+            spectral_besov_series(g, c, 1.0, times, [BesovParams(0.0, p, 2)], profile)
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_half_plane_matches_full_plane(self, profile, n, L):

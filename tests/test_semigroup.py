@@ -131,6 +131,30 @@ class TestDensities:
         with pytest.raises(SpectralError):
             RadialSpectralDensity.power_law(0.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: RadialSpectralDensity.ball_indicator(math.inf),
+        lambda: RadialSpectralDensity.ball_indicator(math.nan),
+        lambda: RadialSpectralDensity.gaussian(math.inf),
+        lambda: RadialSpectralDensity.gaussian(math.nan),
+        lambda: RadialSpectralDensity.power_law(math.nan, 0.5, 2.0),
+        lambda: RadialSpectralDensity.power_law(math.inf, 0.5, 2.0),
+        lambda: RadialSpectralDensity.power_law(-1.5, 0.5, math.inf),
+        lambda: RadialSpectralDensity.power_law(-1.5, 0.5, math.nan),
+        lambda: RadialSpectralDensity("power_law", exponent=-1.5, r_lo=0.5),  # the r_hi default is inf
+    ])
+    def test_refuses_non_finite_parameters_and_unbounded_power_laws(self, make):
+        # an infinite r_hi used to be cut at 40 sigma, a Gaussian parameter
+        with pytest.raises(SpectralError):
+            make()
+
+    def test_dimension_bound(self):
+        # (2 pi)^-n omega_{n-1} is normal up to n = 226 and subnormal at 227;
+        # from n = 344 on Gamma(n/2) overflows
+        RadialSpectralDensity.ball_indicator(1.0, dimension=226)
+        for n in (227, 343, 344, 10 ** 6):
+            with pytest.raises(SpectralError, match=f"dimension {n} is too large"):
+                RadialSpectralDensity.ball_indicator(1.0, dimension=n)
+
     def test_sphere_measure(self):
         assert sphere_measure(2) == pytest.approx(2 * math.pi)
         assert sphere_measure(3) == pytest.approx(4 * math.pi)
