@@ -11,7 +11,7 @@ output directory as
     final.bsvf    the final state of an sqg/ks run
     run.json      the run record (config echo, fits, report, pass flag, and
                   for decay experiments the wall-clock timings of the series,
-                  the fit and the file writes)
+                  of an sqg/ks run's phases, of the fit and of the file writes)
 
 CSV floats use round-trip-exact decimal formatting, so identical (config,
 seed) pairs produce byte-identical series files. Files are written to a
@@ -435,6 +435,7 @@ def _flow_series(config: dict, claim: DecayClaim, profile):
     extras["preserved_max"] = float(preserved.values.max())
     extras["preserved_bounded_2x"] = bounded
     extras["_final_field"] = result.final_values  # persisted as final.bsvf, then dropped
+    extras["_timings"] = result.timings  # joins the series' timings
     ok = True
     if kind == "ks":
         ok = bounded and extras["mass_relative_drift"] <= 1e-12
@@ -465,7 +466,8 @@ def _run_decay(config: dict):
     fit = fit_decay_slope(decay, window)
     report = build_report([fit], [claim], config["tolerance_pct"], [descriptor])
     # write_s stays 0 unless emit_outputs writes the files
-    timings = {"series_s": computed - started, "fit_s": time.perf_counter() - computed, "write_s": 0.0}
+    timings = {"series_s": computed - started, **extras.pop("_timings", {}),
+               "fit_s": time.perf_counter() - computed, "write_s": 0.0}
     fits = [{"label": "decay", **dataclasses.asdict(fit), "window": list(fit.window)}]
     series = {f"decay_ell{config['ell']:g}_r1": decay, f"preserved_s{config['s']:g}_rinf": preserved}
     extras = {"theory_exponent": theory, **extras, "_timings": timings}

@@ -243,8 +243,10 @@ def fit_decay_slope(series: NormSeries, window: tuple[float, float]) -> FitResul
     if n < 10:
         raise FitError(f"need >= 10 samples in window [{t_lo}, {t_hi}], found {n}")
     v = series.values[sel]
-    if np.any(v <= 0):
-        raise FitError("nonpositive values inside the fit window")
+    bad = np.flatnonzero(v <= 0)
+    if bad.size:
+        raise FitError(f"{bad.size} of the {n} values inside the fit window are nonpositive, the first at t = "
+                       f"{series.times[sel][bad[0]]:.6g}; a value that underflowed to 0 cannot be fitted in log scale")
     x = np.log1p(series.times[sel])
     y = np.log(v)
     xm = x.mean()

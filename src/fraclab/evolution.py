@@ -48,13 +48,13 @@ equation module adds its own (``run_ks``: ``min_u``, ``mass_relative_drift``),
 and the command line adds only what it derives from the series.
 
 A step allocates almost nothing: ``integrate`` rotates two state buffers,
-reuses one predictor buffer in the first step and keeps the previous step's
-tendency, and each flux writes its transforms and products into scratch
-arrays it owns; only the tendency that ``rhs`` returns is a new array. The
+reuses one predictor buffer in the first step, keeps the previous step's
+tendency and takes E from a cache, and each flux writes its products into
+scratch arrays it owns; only the tendency that ``rhs`` returns is new. The
 tendency reads only the 2/3 band of its input (the stored symbols carry the
-mask), so every transform works on the n//3 + 1 band columns of the
-half-plane. A step of either equation after the first costs 5 band-pruned
-real transforms of two passes each (the RK2 first step: 10).
+mask), so column passes work on the n//3 + 1 band columns and row passes on
+whole (n, n/2 + 1) half-planes (see ``GridOperators``). A step after the
+first costs 5 real transforms of two passes each (the RK2 first step: 10).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ import hashlib
 import json
 import math
 import numbers
+import time
 from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
@@ -226,11 +227,13 @@ class RunResult:
     count, the final time, ``config_hash_run``, and whatever the equation
     module adds), plus ``initial_norms``: the t = 0 value of each recorded
     norm, keyed like series, which the command line reads but does not store.
+    timings holds the volatile wall-clock times of the run's phases, never extras.
     """
 
     series: dict  # label -> NormSeries
     final_values: RealField
     extras: dict
+    timings: dict  # seconds up to the t = 0 record (init_s), in records (record_s), in the rest (integrate_s)
 
 
 def log_spaced_times(t_lo: float, t_hi: float, per_decade: int) -> np.ndarray:
@@ -294,15 +297,17 @@ class GridOperators:
 
     Spectral arrays are rfft2 half-planes (see ``half_plane``), normalized as
     ``SpectralField``. The 2/3 rule keeps the modes with max(|k1|, |k2|) <=
-    n/3, which lie in the first ``band = n//3 + 1`` half-plane columns, so the
-    transforms only work there (Orszag's pruning): ``to_phys`` runs its
-    column pass over the band columns alone and ``to_spec`` returns only the
-    band columns, with the rows outside the band zeroed. ``symbol`` stores a
-    multiplier's band columns with the 2/3 mask folded in, so a product with
-    a stored symbol truncates its input to the band.
+    n/3, in the first ``band = n//3 + 1`` half-plane columns, so column passes
+    work there alone (Orszag's pruning); row passes take a whole (n, n/2 + 1)
+    half-plane, which numpy transforms without a padded copy. ``to_phys`` and
+    ``apply`` fill the band columns of a zero-filled half-plane of the
+    instance, whose other columns nobody writes; ``to_spec`` transforms into
+    the caller's half-plane in place and zeroes it outside the band.
+    ``symbol`` stores a multiplier's band columns with the 2/3 mask folded
+    in, so a product with a stored symbol truncates its input to the band.
 
     Equation modules subclass it with their flux (``rhs``, ``max_velocity``)
-    and allocate their scratch arrays once, through ``spectral``/``physical``;
+    and allocate their scratch arrays once (``physical`` for real fields);
     the two ``work`` arrays are shared scratch that no method leaves anything
     in. Products and transforms write into these arrays through ``out=``.
     ``remember``/``recall`` let ``rhs`` reuse the physical fields that
@@ -314,14 +319,14 @@ class GridOperators:
         n = grid.n
         self.grid = grid
         self.shape = (n, n)
+        self.half = (n, n // 2 + 1)
         self.band = n // 3 + 1
         self.cut = slice(self.band, n - self.band + 1)  # rows with |k1| > n/3
         self.mask = np.ascontiguousarray(dealias_mask(grid)[:, : self.band])
         self.d1 = self.symbol(MultiplierSpec.partial(1))
         self.d2 = self.symbol(MultiplierSpec.partial(2))
-        self._spec = self.spectral()  # symbol products
-        self._col = self.spectral()  # column pass of to_phys
-        self._row = np.empty((n, n // 2 + 1), dtype=np.complex128)  # row pass of to_spec
+        self._pad = np.zeros(self.half, dtype=np.complex128)  # nothing writes past its band columns,
+        self._cols = self._pad[:, : self.band]  # which hold symbol products and to_phys's column pass
         self.work = self.physical(), self.physical()  # free between method calls
         self._last = (None, None)  # (state array, its physical fields)
 
@@ -330,19 +335,9 @@ class GridOperators:
     def on(cls, grid: Grid2D):
         return cls(grid)
 
-    def spectral(self) -> np.ndarray:
-        """A new uninitialised (n, band) complex array."""
-        return np.empty((self.grid.n, self.band), dtype=np.complex128)
-
     def physical(self) -> np.ndarray:
         """A new uninitialised (n, n) real array."""
         return np.empty(self.shape)
-
-    def tendency(self) -> np.ndarray:
-        """A new half-plane array, zero past the band columns, for the caller to keep."""
-        out = np.empty((self.grid.n, self.grid.n // 2 + 1), dtype=np.complex128)
-        out[:, self.band:] = 0.0
-        return out
 
     def symbol(self, spec: MultiplierSpec) -> np.ndarray:
         """Band columns of the multiplier, zero outside the 2/3 band."""
@@ -356,22 +351,21 @@ class GridOperators:
         return out
 
     def to_phys(self, c, out=None):
-        """Real field of coefficients c whose columns past the band are zero.
-
-        Only the band columns of c are read; the row pass zero-pads the rest.
-        """
-        col = np.fft.ifftn(c[:, : self.band], axes=(0,), norm="forward", out=self._col)
-        return np.fft.irfftn(col, s=self.shape[1:], axes=(1,), norm="forward", out=out)
+        """Real field of the band columns of c: its columns past the band read as zero."""
+        np.fft.ifftn(c[:, : self.band], axes=(0,), norm="forward", out=self._cols)
+        return np.fft.irfftn(self._pad, s=self.shape[1:], axes=(1,), norm="forward", out=out)
 
     def apply(self, sym, c, out=None):
         """Real field of a stored symbol times the band columns of c."""
-        return self.to_phys(np.multiply(sym, c[:, : self.band], out=self._spec), out=out)
+        return self.to_phys(np.multiply(sym, c[:, : self.band], out=self._cols), out=out)
 
     def to_spec(self, w, out=None):
-        """Band columns of the 2/3-truncated spectrum of the real field w."""
-        row = np.fft.rfftn(w, axes=(1,), norm="forward", out=self._row)
-        spec = np.fft.fftn(row[:, : self.band], axes=(0,), norm="forward", out=out)
-        spec[self.cut] = 0.0
+        """The 2/3-truncated half-plane spectrum of the real field w, in out (a new array if None)."""
+        spec = np.fft.rfftn(w, axes=(1,), norm="forward", out=out)
+        band = spec[:, : self.band]
+        np.fft.fftn(band, axes=(0,), norm="forward", out=band)
+        spec[:, self.band:] = 0.0
+        band[self.cut] = 0.0
         return spec
 
     def speed(self, f1, f2) -> float:
@@ -396,6 +390,14 @@ class GridOperators:
         last, fields = self._last
         self._last = (None, None)
         return fields if last is c else build(c)
+
+
+@functools.lru_cache(maxsize=8)
+def _integrating_factor(grid: Grid2D, alpha: float, dt: float) -> np.ndarray:
+    """Read-only E = exp(-dt |xi|^alpha) on the half-plane, complex: the cast every complex product would make."""
+    E = half_plane(np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))).astype(complex)
+    E.flags.writeable = False
+    return E
 
 
 def integrate(
@@ -438,8 +440,7 @@ def integrate(
     full-plane copy of the last state whose velocity check passed. Returns
     (final_coeffs, n_steps, max_velocity_seen), final_coeffs full-plane.
     """
-    E = np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
-    E = half_plane(E).astype(np.complex128)  # the cast every complex product would make
+    E = _integrating_factor(grid, alpha, dt)
     c = good = np.array(half_plane(coeffs0), dtype=np.complex128)
     spare, pred = np.empty_like(c), np.empty_like(c)
     prev = None  # the tendency of the previous step's state
@@ -495,6 +496,7 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     sees every recorded half-plane state after the norms are taken. The
     extras are the run's entries of the run record (see ``RunResult``).
     """
+    started = time.perf_counter()
     profile = profile or build_dyadic_profile()
     grid = flux.grid
     coeffs = make_initial_coefficients(grid, config.initial, config.seed)
@@ -510,15 +512,21 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
         )
     norms = list(config.norms) or [BesovParams(0.0, 2.0, 1.0)]
     times, rows = [], []  # one row of norm values per record
+    spans = []  # (start, seconds) of each record
 
     def record(t, c):
+        begun = time.perf_counter()
         times.append(t)
         rows.append(spectral_besov_norms(grid, c, norms, profile))
         if on_sample is not None:
             on_sample(t, c)
+        spans.append((begun, time.perf_counter() - begun))
 
     final_c, n_steps, vmax = integrate(grid, coeffs, config.alpha, config.dt, config.T, flux.rhs,
                                       flux.max_velocity, config.sample_times, record)
+    stepped, record_s = spans[0][0], sum(seconds for _, seconds in spans)  # the loop follows the t = 0 record
+    timings = {"init_s": stepped - started, "integrate_s": time.perf_counter() - stepped - record_s,
+               "record_s": record_s}
     peak_courant = config.dt * vmax * grid.n / grid.L
     times, values = np.asarray(times), np.asarray(rows)
     keep = times > 0  # NormSeries wants positive times; drop the t = 0 record
@@ -538,4 +546,5 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
             "final_time": n_steps * config.dt,
             "config_hash_run": config.config_hash(),
         },
+        timings=timings,
     )

@@ -74,7 +74,8 @@ class _KSFlux(GridOperators):
         super().__init__(grid)
         self.inv_lap = self.symbol(MultiplierSpec.inverse_laplacian())
         self.div1, self.div2 = -self.d1, -self.d2
-        self._psi, self._f = self.spectral(), self.spectral()
+        self._psi = np.empty((grid.n, self.band), dtype=np.complex128)
+        self._f = np.empty(self.half, dtype=np.complex128)  # the second forward transform
         self._g1, self._g2 = self.physical(), self.physical()
 
     def grad_psi(self, c_u):
@@ -86,10 +87,10 @@ class _KSFlux(GridOperators):
         """Spectral tendency -div(u grad psi) of u's band part, dealiased, zero mode 0; a new array."""
         g1, g2 = self.recall(c_u, self.grad_psi)
         w, prod = self.work
-        w = self.to_phys(self.truncate(c_u, self._spec), out=w)
-        out = self.tendency()
-        f1 = self.to_spec(np.multiply(w, g1, out=prod), out=out[:, : self.band])
-        f2 = self.to_spec(np.multiply(w, g2, out=prod), out=self._f)
+        w = self.to_phys(self.truncate(c_u, self._cols), out=w)
+        out = self.to_spec(np.multiply(w, g1, out=prod))
+        f2 = self.to_spec(np.multiply(w, g2, out=prod), out=self._f)[:, : self.band]
+        f1 = out[:, : self.band]
         np.add(np.multiply(self.div1, f1, out=f1), np.multiply(self.div2, f2, out=f2), out=f1)
         return out
 
@@ -101,7 +102,7 @@ def ks_potential(u: RealField) -> RealField:
     """Mean-free potential psi solving -Laplace psi = u - mean(u) for the 2/3 band part of u,
     with the stepper's own inverse Laplacian; a new array on every call."""
     flux = _KSFlux.on(u.grid)
-    return RealField(u.grid, flux.to_phys(np.multiply(flux.inv_lap, flux.to_spec(u.values))))
+    return RealField(u.grid, flux.apply(flux.inv_lap, flux.to_spec(u.values)))
 
 
 def ks_rhs(u: RealField) -> RealField:

@@ -83,9 +83,7 @@ class _SQGFlux(GridOperators):
         g, adv = self.work
         np.multiply(u1, self.apply(self.g1, c_theta, g), out=adv)
         np.add(adv, np.multiply(u2, self.apply(self.g2, c_theta, g), out=g), out=adv)
-        out = self.tendency()
-        self.to_spec(adv, out=out[:, : self.band])
-        return out
+        return self.to_spec(adv)
 
     def max_velocity(self, c_theta):
         return self.speed(*self.remember(c_theta, self.velocity(c_theta)))

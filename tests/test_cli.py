@@ -401,13 +401,15 @@ def test_outputs_honour_the_umask(tmp_path, rng, umask):
 @pytest.mark.parametrize("run", ["oracle", "linear", "sqg", "ks"])
 def test_run_record_timings_and_byte_identical_reruns(tmp_path, run):
     cfg = validate_config(_SMALL_RUNS[run])
+    phases = {"init_s", "integrate_s", "record_s"} if run in ("sqg", "ks") else set()
     for out in ("a", "b"):
         result = execute(cfg, tmp_path / out)
         assert result.exit_code == 0
         timings = json.loads((tmp_path / out / "run.json").read_text())["timings"]
         assert timings == result.record["timings"]
-        assert set(timings) == {"series_s", "fit_s", "write_s"}
+        assert set(timings) == {"series_s", "fit_s", "write_s"} | phases
         assert all(math.isfinite(v) and v > 0 for v in timings.values())
+        assert sum(timings[key] for key in phases) <= timings["series_s"]  # the phases are inside it
     csvs = sorted(path.name for path in (tmp_path / "a").glob("*.csv"))
     assert len(csvs) == 2
     for name in csvs:
@@ -554,6 +556,14 @@ class TestMain:
         path = write_config(tmp_path, {"kind": "oracle", "dimension": dimension})
         assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"dimension {dimension} is too large" in capsys.readouterr().err
+
+    def test_oracle_series_that_underflows_exits_2_with_a_legible_refusal(self, tmp_path, capsys):
+        # a ball density of dimension 100 decays past the smallest double at the late samples
+        path = write_config(tmp_path, {"kind": "oracle", "dimension": 100})
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "FitError" in err and "values inside the fit window are nonpositive, the first at t = " in err
+        assert "a value that underflowed to 0 cannot be fitted in log scale" in err
 
     @pytest.mark.parametrize("kind,extra", [("oracle", {}), ("sqg", {"n": 32})])
     def test_oversized_sample_schedule_exits_2_before_any_allocation(self, tmp_path, capsys, monkeypatch,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclab import evolution
 from fraclab.evolution import (
     MAX_SAMPLES,
     InitialSpectrum,
@@ -21,13 +22,18 @@ from fraclab.keller_segel import KSState, _KSFlux, ks_rhs, ks_step
 from fraclab.littlewood_paley import BesovParams
 from fraclab.spectral import (
     Grid2D,
+    MultiplierSpec,
     RealField,
     SpectralError,
     SpectralField,
+    dealias_mask,
+    forward_half_plane,
     forward_transform,
     hermitian_defect,
     hermitian_noise,
+    inverse_real,
     inverse_transform,
+    multiplier_symbol,
 )
 from fraclab.sqg import SQGState, _SQGFlux, sqg_rhs, sqg_step
 from helpers import convolution_product_coefficients, padded_product_coefficients, random_band_field
@@ -452,3 +458,79 @@ class TestVelocityReuse:
         got = flux.rhs(c1)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
         assert not np.array_equal(got, flux.rhs(c0))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+class TestBandTransforms:
+    """The band-pruned transforms of GridOperators against spectral's unpruned rfft2 pair."""
+
+    def _coefficients(self, n, rng):
+        # a non-Hermitian half-plane with content everywhere: the Nyquist column,
+        # the columns past the band and the rows outside it included
+        c = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
+        assert np.all(c != 0)
+        return c
+
+    def test_to_phys_inverts_the_band_columns(self, n, rng):
+        flux = _SQGFlux.on(Grid2D(n, 2 * math.pi))
+        c = self._coefficients(n, rng)
+        want = inverse_real(np.where(np.arange(n // 2 + 1) < flux.band, c, 0.0))
+        got = flux.to_phys(c)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_to_spec_is_the_truncated_forward_half_plane(self, n, rng):
+        g = Grid2D(n, 2 * math.pi)
+        flux = _KSFlux.on(g)
+        w = rng.standard_normal((n, n))
+        want = np.where(half_plane(dealias_mask(g)), forward_half_plane(w), 0.0)
+        out = np.full((n, n // 2 + 1), np.nan, dtype=complex)
+        assert flux.to_spec(w, out=out) is out
+        for got in (out, flux.to_spec(w)):
+            assert got.shape == want.shape
+            assert np.array_equal(got == 0, want == 0)  # every mode past the band is exactly 0
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_padding_past_the_band_stays_zero(self, n, rng):
+        for flux_class in (_SQGFlux, _KSFlux):
+            flux = flux_class.on(Grid2D(n, 2 * math.pi))
+            c = self._coefficients(n, rng)
+            flux.to_spec(flux.to_phys(c))
+            flux.rhs(flux.to_spec(rng.standard_normal((n, n))))
+            assert not np.any(flux._pad[:, flux.band:])
+
+
+_FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+              "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.mark.parametrize("equation", ["sqg", "ks"])
+def test_an_ab2_step_makes_ten_fft_calls(equation, rng, monkeypatch):
+    flux_class, _, mean = _EQUATIONS[equation]
+    g = Grid2D(32, 2 * math.pi * 4)
+    flux = flux_class.on(g)
+    c0 = _band_state(g, rng, mean, 0.5)
+    calls = []
+    for name in _FFT_NAMES:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(None) or _fn(*a, **k))
+    counts = []
+    for steps in (1, 2, 3):
+        del calls[:]
+        _run(g, c0, 0.01, steps * 0.01, flux)
+        counts.append(len(calls))
+    assert counts == [20, 30, 40]  # the RK2 starter step: 10 transforms; each AB2 step: 5
+
+
+def test_integrating_factor_is_built_once_and_read_only(rng):
+    g = Grid2D(32, 2 * math.pi)
+    evolution._integrating_factor.cache_clear()
+    w = random_band_field(g, rng).values
+    state = SQGState(RealField(g, 0.5 * w / np.abs(w).max()), 0.0, 0.7)
+    for _ in range(3):
+        state = sqg_step(state, 0.05)
+    info = evolution._integrating_factor.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    E = evolution._integrating_factor(g, 0.7, 0.05)
+    assert not E.flags.writeable
+    fresh = half_plane(np.exp(-0.05 * multiplier_symbol(g, MultiplierSpec.fractional_laplacian(0.7))))
+    assert np.array_equal(E, fresh.astype(complex))
