@@ -382,9 +382,9 @@ def _oracle_series(config: dict, claim: DecayClaim, profile):
 
 
 def _radial_grid_coefficients(grid: Grid2D, density: RadialSpectralDensity) -> np.ndarray:
-    # c_k = rho(|xi_k|) / L^2 samples the continuum spectrum on the lattice
-    c = density.rho_array(grid.xi_mag) / grid.L ** 2
-    c = np.where(dealias_mask(grid), c, 0.0)
+    # c_k = rho(|xi_k|) / L^2 samples the continuum spectrum on the lattice's rfft2 half-plane
+    c = density.rho_array(half_plane(grid.xi_mag)) / grid.L ** 2
+    c = np.where(half_plane(dealias_mask(grid)), c, 0.0)
     c[0, 0] = 0.0
     return c.astype(np.complex128)
 
@@ -393,7 +393,7 @@ def _linear_series(config: dict, claim: DecayClaim, profile):
     grid = Grid2D(config["n"], config["L"])
     density = RadialSpectralDensity(**config["density"])
     # the exact semigroup exp(-t |xi|^alpha) on the half-plane of a real spectrum
-    base = half_plane(_radial_grid_coefficients(grid, density))
+    base = _radial_grid_coefficients(grid, density)
     times = log_spaced_times(config["t_lo"], config["t_hi"], config["samples_per_decade"])
     decay_params = BesovParams(config["ell"], config["p"], 1.0)
     preserved_params = BesovParams(-config["s"], config["p"], math.inf)

@@ -24,14 +24,16 @@ runs coincide with ``evolve_linear`` by construction. The shipped runs have
 dt |xi|^alpha <= 0.04 at the band edge, where the exponential-time-differencing
 weights of ETD2 would differ from these only at first order in that number.
 
-The state is real, so its spectrum is Hermitian and the loop keeps only the
-rfft2 half-plane: an (n, n/2 + 1) array of columns k2 = 0..n/2
-(``half_plane``). E, the state, every tendency and every recorded state live
-in that layout (the norms read the half-plane directly), and ``full_plane``
-rebuilds the full (n, n) spectrum by Hermitian extension only for the final
-state and the last good state of an abort. Column n/2 (the Nyquist column,
-which is its own mirror) is kept as it is; the 2/3-rule mask zeroes it in
-every tendency, so the nonlinearity never writes there.
+The state is real, so its spectrum is Hermitian and everything from the
+seeded data to the solvers' outputs keeps only the rfft2 half-plane: an
+(n, n/2 + 1) array of columns k2 = 0..n/2 (``half_plane``). The seeded data,
+E, the state, every tendency, every recorded state and the final state of
+``integrate`` live in that layout (the norms read the half-plane directly),
+and ``full_plane`` rebuilds the full (n, n) spectrum by Hermitian extension
+only where a full-plane object is handed out: ``run_flow``'s final field and
+the last good state of an abort. Column n/2 (the Nyquist column, which is its
+own mirror) is kept as it is; the 2/3-rule mask zeroes it in every tendency,
+so the nonlinearity never writes there.
 
 An equation module supplies only its physics: a state class, its
 critical-norm index, and a flux, which is a ``GridOperators`` subclass with
@@ -99,8 +101,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "GridOperators",
-    "half_plane",
-    "full_plane",
     "make_initial_coefficients",
     "integrate",
     "run_flow",
@@ -161,6 +161,8 @@ class InitialSpectrum:
     def __post_init__(self):
         if not (self.epsilon >= 0):
             raise SpectralError(f"amplitude epsilon must be >= 0, got {self.epsilon}")
+        if not math.isfinite(self.s_data):
+            raise SpectralError(f"data regularity s_data must be finite, got {self.s_data}")
         if self.j_lo > self.j_hi:
             raise SpectralError(f"shell range requires j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
         if not (self.taper > 0):
@@ -183,14 +185,9 @@ class RunConfig:
     smallness_budget: float = 1e-2
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf):
-            raise SpectralError(f"dt must be positive and finite, got {self.dt}")
-        if not (0 < self.T < math.inf):
-            raise SpectralError(f"T must be positive and finite, got {self.T}")
         if not (0.0 < self.alpha <= 2.0):
             raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not (0 < self.smallness_budget < math.inf):
-            raise SpectralError(f"smallness_budget must be positive and finite, got {self.smallness_budget}")
+        _require_positive_finite(dt=self.dt, T=self.T, smallness_budget=self.smallness_budget)
         times = np.array([float(t) for t in self.sample_times])
         if len(times) > MAX_SAMPLES:
             raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")
@@ -236,6 +233,12 @@ class RunResult:
     timings: dict  # seconds up to the t = 0 record (init_s), in records (record_s), in the rest (integrate_s)
 
 
+def _require_positive_finite(**values):
+    for name, value in values.items():
+        if not (0 < value < math.inf):
+            raise SpectralError(f"{name} must be positive and finite, got {value}")
+
+
 def log_spaced_times(t_lo: float, t_hi: float, per_decade: int) -> np.ndarray:
     """Logarithmically spaced sample times, at least per_decade per decade."""
     count = sample_count(t_lo, t_hi, per_decade)
@@ -272,24 +275,23 @@ def step_schedule(T: float, dt: float) -> tuple[int, float]:
 
 
 def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) -> np.ndarray:
-    """Unit-scale random coefficients under the configured envelope.
+    """Unit-scale random half-plane coefficients under the configured envelope.
 
-    Deterministic in (grid, spec, seed). The caller rescales to the target
-    critical norm.
+    Deterministic in (grid, spec, seed): the half-plane of one Hermitian
+    ``hermitian_noise`` draw times the envelope, entry by entry. The caller
+    rescales to the target critical norm.
     """
-    z = hermitian_noise(grid, np.random.default_rng(seed))  # Hermitian: the field is real
-    r = grid.xi_mag
+    z = half_plane(hermitian_noise(grid, np.random.default_rng(seed)))  # Hermitian: the field is real
+    r = half_plane(grid.xi_mag)
     band = (
-        dealias_mask(grid)
+        half_plane(dealias_mask(grid))
         & (r > 0.75 * 2.0 ** spec.j_lo)
         & (r < (8.0 / 3.0) * 2.0 ** spec.j_hi)
-        & (r > 0)
+        & (r > 0)  # leaves the mean out
     )
     safe_r = np.where(r > 0, r, 1.0)
     envelope = safe_r ** (spec.s_data - 1.0) * np.exp(-r / spec.taper)
-    coeffs = np.where(band, envelope * z, 0.0)
-    coeffs[0, 0] = 0.0
-    return coeffs
+    return np.where(band, envelope * z, 0.0)
 
 
 class GridOperators:
@@ -416,8 +418,9 @@ def integrate(
     The first step is IF-RK2 and every later one IF-AB2 (see the module
     docstring), so a single step (T = dt) is exactly the RK2 step.
 
-    coeffs0 is the full-plane spectrum of a real field; only its half-plane
-    (columns k2 = 0..n/2) is read, and the loop steps that half-plane. So
+    coeffs0 is the (n, n/2 + 1) half-plane of a real field's spectrum, or
+    its full (n, n) plane: only the first n/2 + 1 columns are read (the rule
+    of irfft2), so both give the same run. The loop steps that half-plane, and
     rhs(c) -> spectral nonlinear term and max_velocity(c) -> max |u| on the
     grid for the CFL check both receive (n, n/2 + 1) arrays; the Nyquist
     column n/2 of the state is kept as it is. rhs(c) returns a new half-plane
@@ -437,11 +440,14 @@ def integrate(
     new copy of the half-plane state, which the callback may keep. Sample
     times past ``step_schedule(T, dt)[1]`` are dropped; ``RunConfig`` refuses
     them. A non-finite velocity or state raises NumericalAbort with a
-    full-plane copy of the last state whose velocity check passed. Returns
-    (final_coeffs, n_steps, max_velocity_seen), final_coeffs full-plane.
+    full-plane copy of the last state whose velocity check passed, and a dt
+    or T that is not positive and finite raises SpectralError. Returns
+    (final_coeffs, n_steps, max_velocity_seen), final_coeffs the (n, n/2 + 1)
+    half-plane of the final state.
     """
+    _require_positive_finite(dt=dt, T=T)
     E = _integrating_factor(grid, alpha, dt)
-    c = good = np.array(half_plane(coeffs0), dtype=np.complex128)
+    c = good = np.array(coeffs0[:, : grid.n // 2 + 1], dtype=np.complex128)
     spare, pred = np.empty_like(c), np.empty_like(c)
     prev = None  # the tendency of the previous step's state
     t = 0.0
@@ -483,7 +489,7 @@ def integrate(
             record(t, c.copy())
     if not np.all(np.isfinite(c.view(np.float64))):
         raise NumericalAbort(t, full_plane(good))
-    return full_plane(c), n_steps, vmax_seen
+    return c, n_steps, vmax_seen
 
 
 def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: RunConfig,
@@ -501,11 +507,11 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     grid = flux.grid
     coeffs = make_initial_coefficients(grid, config.initial, config.seed)
     # measured on the half-plane, like every record, so a run builds one p = 2 layout
-    raw = spectral_besov_norm(grid, half_plane(coeffs), critical, profile)
+    raw = spectral_besov_norm(grid, coeffs, critical, profile)
     if raw > 0:
         coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
-    crit = spectral_besov_norm(grid, half_plane(coeffs), critical, profile)
-    if crit > config.smallness_budget * (1.0 + 1e-9):
+    crit = spectral_besov_norm(grid, coeffs, critical, profile)
+    if not crit <= config.smallness_budget * (1.0 + 1e-9):  # a NaN norm is refused too
         raise SpectralError(
             f"initial critical norm {crit:.3e} exceeds the smallness budget "
             f"{config.smallness_budget:.3e}"
@@ -534,7 +540,7 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     return RunResult(
         series={p.label(): NormSeries(times[keep], values[keep, i], f"{prefix}:{p.label()}")
                 for i, p in enumerate(norms)},
-        final_values=inverse_transform(SpectralField(grid, final_c, check=False)),
+        final_values=inverse_transform(SpectralField(grid, full_plane(final_c), check=False)),
         extras={
             "initial_norms": {p.label(): float(v) for p, v in zip(norms, values[0])},
             "initial_critical_norm": crit,

@@ -29,14 +29,7 @@ import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
-from .spectral import (
-    MultiplierSpec,
-    RealField,
-    SpectralError,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-)
+from .spectral import MultiplierSpec, RealField, SpectralError, forward_half_plane, inverse_real
 
 __all__ = ["KSState", "ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
 
@@ -112,11 +105,12 @@ def ks_rhs(u: RealField) -> RealField:
 
 
 def ks_step(state: KSState, dt: float) -> KSState:
-    """One integrating-factor RK2 step; raises CFLError when dt is too big."""
+    """One integrating-factor RK2 step on the rfft2 half-plane; raises CFLError when dt is
+    too big and SpectralError unless dt is positive and finite."""
     grid, flux = state.u.grid, _KSFlux.on(state.u.grid)
-    c = integrate(grid, forward_transform(state.u).coefficients, state.alpha, dt, dt,
+    c = integrate(grid, forward_half_plane(state.u.values), state.alpha, dt, dt,
                   flux.rhs, flux.max_velocity, [], lambda t, c: None)[0]
-    return KSState(inverse_transform(SpectralField(grid, c, check=False)), state.t + dt, state.alpha)
+    return KSState(RealField(grid, inverse_real(c)), state.t + dt, state.alpha)
 
 
 def run_ks(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult:

@@ -32,8 +32,9 @@ indices of the modes in the block and their squared phi times a column
 weight (2 on the columns that stand for their mirror too). One gather of
 |c|^2 and one reduceat then give every block energy. Other p multiply the
 half-plane by each block mask's half-plane columns and take one irfft2 per
-block (spectral.inverse_real); they, project and bony_decompose share one
-bounded cache of block masks.
+block (spectral.inverse_real); they and bony_decompose share one bounded
+cache of read-only half-plane block masks. project alone multiplies a full
+(n, n) plane, which may be non-Hermitian, so it builds its full mask.
 
 Along the linear semigroup c * exp(-t |xi|^alpha), spectral_besov_series
 takes alpha, builds the rates |xi|^alpha with spectral.multiplier_symbol and
@@ -237,14 +238,19 @@ def block_multiplier(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) ->
     return mask
 
 
-# The masks of the per-block paths (p != 2 norms, project, bony_decompose):
-# bony_decompose at n = 256 reads 18 of them, 0.5 MiB each.
-_block_mask = functools.lru_cache(maxsize=32)(block_multiplier)
+# The masks of the per-block paths (p != 2 norms, bony_decompose): bony_decompose
+# at n = 256 reads 18 of them, 0.26 MiB each.
+@functools.lru_cache(maxsize=32)
+def _block_mask(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> np.ndarray:
+    """The half-plane columns of block_multiplier, read-only and contiguous."""
+    mask = np.ascontiguousarray(half_plane(block_multiplier(grid, j, kind, profile)))
+    mask.setflags(write=False)
+    return mask
 
 
 def project(field: SpectralField, j: int, kind: str, profile: DyadicProfile) -> SpectralField:
     """Annulus block (kind='block') or low-pass (kind='low_pass') at level j."""
-    mask = _block_mask(field.grid, j, kind, profile)
+    mask = block_multiplier(field.grid, j, kind, profile)
     return SpectralField(field.grid, mask * field.coefficients, check=False)
 
 
@@ -325,7 +331,7 @@ def _level_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile: DyadicProf
         return levels, grid.L * np.sqrt(sums)
     out = np.empty(len(levels))
     for i, j in enumerate(levels):
-        w = np.abs(inverse_real(half_plane(_block_mask(grid, int(j), "block", profile)) * coeffs))
+        w = np.abs(inverse_real(_block_mask(grid, int(j), "block", profile) * coeffs))
         out[i] = float(w.max()) if math.isinf(p) else float((grid.h ** 2 * np.sum(w ** p)) ** (1.0 / p))
     return levels, out
 
@@ -504,11 +510,11 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
     cg[0, 0] = 0.0
     rng = block_range(grid)
 
-    blocks_f = {j: inverse_real(half_plane(_block_mask(grid, j, "block", profile)) * cf) for j in rng}
-    blocks_g = {j: inverse_real(half_plane(_block_mask(grid, j, "block", profile)) * cg) for j in rng}
+    blocks_f = {j: inverse_real(_block_mask(grid, j, "block", profile) * cf) for j in rng}
+    blocks_g = {j: inverse_real(_block_mask(grid, j, "block", profile) * cg) for j in rng}
     # low-pass at level j-1 = sum of blocks k <= j-2
-    lows_f = {j: inverse_real(half_plane(_block_mask(grid, j - 1, "low_pass", profile)) * cf) for j in rng}
-    lows_g = {j: inverse_real(half_plane(_block_mask(grid, j - 1, "low_pass", profile)) * cg) for j in rng}
+    lows_f = {j: inverse_real(_block_mask(grid, j - 1, "low_pass", profile) * cf) for j in rng}
+    lows_g = {j: inverse_real(_block_mask(grid, j - 1, "low_pass", profile) * cg) for j in rng}
 
     t_fg = np.zeros((grid.n, grid.n))
     t_gf = np.zeros((grid.n, grid.n))

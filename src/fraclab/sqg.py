@@ -29,14 +29,7 @@ import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
-from .spectral import (
-    MultiplierSpec,
-    RealField,
-    SpectralError,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-)
+from .spectral import MultiplierSpec, RealField, SpectralError, forward_half_plane, inverse_real
 
 __all__ = ["SQGState", "sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
 
@@ -104,11 +97,12 @@ def sqg_rhs(theta: RealField) -> RealField:
 
 
 def sqg_step(state: SQGState, dt: float) -> SQGState:
-    """One integrating-factor RK2 step; raises CFLError when dt is too big."""
+    """One integrating-factor RK2 step on the rfft2 half-plane; raises CFLError when dt is
+    too big and SpectralError unless dt is positive and finite."""
     grid, flux = state.theta.grid, _SQGFlux.on(state.theta.grid)
-    c = integrate(grid, forward_transform(state.theta).coefficients, state.alpha, dt, dt,
+    c = integrate(grid, forward_half_plane(state.theta.values), state.alpha, dt, dt,
                   flux.rhs, flux.max_velocity, [], lambda t, c: None)[0]
-    return SQGState(inverse_transform(SpectralField(grid, c, check=False)), state.t + dt, state.alpha)
+    return SQGState(RealField(grid, inverse_real(c)), state.t + dt, state.alpha)
 
 
 def run_sqg(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult:

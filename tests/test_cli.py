@@ -27,7 +27,7 @@ from fraclab.decay import NormSeries
 from fraclab.evolution import log_spaced_times
 from fraclab.littlewood_paley import BesovParams, build_dyadic_profile, spectral_besov_norms
 from fraclab.semigroup import RadialSpectralDensity, evolve_linear, oracle_besov_series
-from fraclab.spectral import Grid2D, SpectralField
+from fraclab.spectral import Grid2D, SpectralField, full_plane
 from helpers import random_band_field
 
 
@@ -248,8 +248,8 @@ class TestLinearKind:
         profile = build_dyadic_profile()
         decay, preserved = cli._linear_series(cfg, cli._claim(cfg), profile)[:2]
         grid = Grid2D(cfg["n"], cfg["L"])
-        base = SpectralField(grid, cli._radial_grid_coefficients(grid, RadialSpectralDensity(**cfg["density"])),
-                             check=False)
+        half = cli._radial_grid_coefficients(grid, RadialSpectralDensity(**cfg["density"]))
+        base = SpectralField(grid, full_plane(half), check=False)
         params = [BesovParams(cfg["ell"], p, 1.0), BesovParams(-cfg["s"], p, math.inf)]
         times = log_spaced_times(cfg["t_lo"], cfg["t_hi"], cfg["samples_per_decade"])
         loop = np.array([

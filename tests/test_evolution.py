@@ -11,8 +11,6 @@ from fraclab.evolution import (
     InitialSpectrum,
     NumericalAbort,
     RunConfig,
-    full_plane,
-    half_plane,
     integrate,
     log_spaced_times,
     make_initial_coefficients,
@@ -29,6 +27,8 @@ from fraclab.spectral import (
     dealias_mask,
     forward_half_plane,
     forward_transform,
+    full_plane,
+    half_plane,
     hermitian_defect,
     hermitian_noise,
     inverse_real,
@@ -82,15 +82,21 @@ class TestInitialSpectrum:
         with pytest.raises(SpectralError, match="taper"):
             InitialSpectrum(epsilon=1.0, j_lo=0, j_hi=1, taper=0.0)
 
+    @pytest.mark.parametrize("s_data", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_data_regularity(self, s_data):
+        with pytest.raises(SpectralError, match="s_data must be finite"):
+            InitialSpectrum(epsilon=1.0, j_lo=0, j_hi=1, s_data=s_data)
+
     def test_coefficients_deterministic_and_hermitian(self):
         g = Grid2D(64, 2 * math.pi * 8)
         spec = InitialSpectrum(epsilon=1.0, j_lo=-3, j_hi=0)
         a = make_initial_coefficients(g, spec, 42)
         b = make_initial_coefficients(g, spec, 42)
         c = make_initial_coefficients(g, spec, 43)
+        assert a.shape == (64, 33)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-        assert hermitian_defect(a) == 0.0
+        assert hermitian_defect(full_plane(a)) == 0.0
         assert a[0, 0] == 0.0
 
     def test_band_restriction(self):
@@ -98,7 +104,7 @@ class TestInitialSpectrum:
         spec = InitialSpectrum(epsilon=1.0, j_lo=-2, j_hi=-1)
         c = make_initial_coefficients(g, spec, 7)
         nz = np.abs(c) > 0
-        r = g.xi_mag[nz]
+        r = half_plane(g.xi_mag)[nz]
         assert r.min() > 0.75 * 2.0 ** -2
         assert r.max() < (8.0 / 3.0) * 2.0 ** -1
 
@@ -220,7 +226,7 @@ class TestIntegrate:
         assert [c.shape for c in recorded] == [(32, 17)] * 3
         assert len({id(c) for c in recorded}) == 3
         assert np.array_equal(recorded[0], half_plane(c0))
-        assert np.array_equal(recorded[-1], half_plane(final))
+        assert final.shape == (32, 17) and np.array_equal(recorded[-1], final)
 
     def test_nan_tendency_aborts_with_finite_last_good(self):
         # the tendency turns the state to NaN in the fourth step (t = 0.3 -> 0.4);
@@ -308,6 +314,54 @@ class TestHalfPlaneStepper:
         got = forward_transform(out.u).coefficients
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
+    def test_a_full_plane_and_its_half_plane_give_the_same_run(self, flux_class, rng):
+        g = Grid2D(32, 2 * math.pi)
+        flux = flux_class.on(g)
+        c0 = _band_state(g, rng, 1.0, 0.5)
+        runs = []
+        for coeffs in (c0, np.ascontiguousarray(half_plane(c0))):
+            records = []
+            final = integrate(g, coeffs, 1.0, 0.02, 0.1, flux.rhs, flux.max_velocity, [0.04, 0.1],
+                              lambda t, c: records.append((t, c)))[0]
+            runs.append([(0.1, final)] + records)
+        assert len(runs[0]) == len(runs[1]) == 4  # the final state and the records at t = 0, 0.04, 0.1
+        for (t, a), (u, b) in zip(*runs, strict=True):
+            assert t == u and a.shape == b.shape == (32, 17)
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_step_makes_no_full_plane_transform(self, rng, monkeypatch):
+        g = Grid2D(32, 2 * math.pi)
+        w = random_band_field(g, rng).values
+        w = 0.5 * w / np.abs(w).max()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full-plane FFT was called")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        monkeypatch.setattr(np.fft, "ifft2", refuse)
+        assert sqg_step(SQGState(RealField(g, w), 0.0, 1.0), 0.05).t == 0.05
+        assert ks_step(KSState(RealField(g, 1.0 + w), 0.0, 1.0), 0.05).t == 0.05
+
+    @pytest.mark.parametrize("dt", [-0.05, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("equation", ["sqg", "ks"])
+    def test_a_step_refuses_a_dt_that_is_not_positive_and_finite(self, equation, dt, rng):
+        # a negative dt would amplify through E = exp(-dt |xi|^alpha)
+        g = Grid2D(32, 2 * math.pi)
+        field = RealField(g, 0.1 * random_band_field(g, rng).values)
+        with pytest.raises(SpectralError, match="dt must be positive and finite"):
+            if equation == "sqg":
+                sqg_step(SQGState(field, 0.0, 1.0), dt)
+            else:
+                ks_step(KSState(field, 0.0, 1.0), dt)
+
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
+    def test_integrate_refuses_a_T_that_is_not_positive_and_finite(self, T):
+        g = Grid2D(16, 2 * math.pi)
+        with pytest.raises(SpectralError, match="T must be positive and finite"):
+            integrate(g, np.zeros((16, 9), complex), 1.0, 0.1, T, rhs=np.zeros_like,
+                      max_velocity=lambda c: 0.0, sample_times=[], record=lambda t, c: None)
+
 
 _EQUATIONS = {"sqg": (_SQGFlux, _sqg_tendency, 0.0), "ks": (_KSFlux, _ks_tendency, 1.0)}  # flux, oracle, mean
 
@@ -353,7 +407,7 @@ class TestMultistep:
             return c
 
         ref = reference(dt / 8)
-        errors = [_rel_err(_run(g, c0, h, T, flux)[0], ref) for h in (dt, dt / 2, dt / 4)]
+        errors = [_rel_err(full_plane(_run(g, c0, h, T, flux)[0]), ref) for h in (dt, dt / 2, dt / 4)]
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
         assert orders.min() >= 1.8  # measured 1.92-2.03
         assert errors[0] <= 10 * _rel_err(reference(dt), ref)  # measured 3.7-4.7x
@@ -375,7 +429,7 @@ class TestMultistep:
             for _ in range(steps):
                 n0 = flux.rhs(c)
                 c = E * c + 0.5 * h * (E * n0 + flux.rhs(E * (c + h * n0)))
-            return full_plane(c)
+            return c
 
         ref = rk2(dt / 8, 1600)
         assert _rel_err(final, ref) <= 5 * _rel_err(rk2(dt, 200), ref)  # measured 1.1-2.1x
@@ -422,7 +476,7 @@ def test_handed_out_arrays_survive_later_steps(flux_class, rng):
         run(0.2, nan_step=3, record=lambda t, c: None)
     assert info.value.t == pytest.approx(0.06)  # the fourth velocity check saw the NaN state
     kept.append(info.value.last_good)
-    kept += [flux.rhs(half_plane(c0)), flux.rhs(half_plane(kept[-2]))]
+    kept += [flux.rhs(half_plane(c0)), flux.rhs(kept[-2])]
     snapshot = [a.copy() for a in kept]
     run(0.1, record=lambda t, c: None)
     for a, b in zip(kept, snapshot, strict=True):

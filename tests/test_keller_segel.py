@@ -155,7 +155,7 @@ class TestRun:
         coeffs = make_initial_coefficients(grid, cfg.initial, cfg.seed)
         crit = spectral_besov_norm(grid, coeffs, ks_critical_norm_params(), profile)
         coeffs *= cfg.initial.epsilon / crit
-        base = SpectralField(grid, coeffs, check=False)
+        base = SpectralField(grid, full_plane(coeffs), check=False)
         dec = res.series["B0_2_1"]
         for t, v in zip(dec.times, dec.values):
             lin = evolve_linear(base, cfg.alpha, float(t)).coefficients

@@ -360,6 +360,24 @@ class TestLevelTable:
         for a, b in zip(cold, warm, strict=True):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("kind", ["block", "low_pass"])
+    def test_block_mask_cache_holds_read_only_half_planes(self, profile, kind):
+        g = Grid2D(32, 7.0)
+        for j in block_range(g):
+            mask = _block_mask(g, j, kind, profile)
+            assert mask.shape == (32, 17) and mask.flags.c_contiguous and not mask.flags.writeable
+            assert mask.tobytes() == np.ascontiguousarray(half_plane(block_multiplier(g, j, kind, profile))).tobytes()
+            assert _block_mask(g, j, kind, profile) is mask
+
+    @pytest.mark.parametrize("kind", ["block", "low_pass"])
+    def test_project_is_the_full_mask_product(self, profile, kind):
+        # on a non-Hermitian plane too: project reads every column
+        g = Grid2D(32, 7.0)
+        c = random_complex_coefficients(g, np.random.default_rng(15))
+        for j in block_range(g):
+            got = project(SpectralField(g, c, check=False), j, kind, profile).coefficients
+            assert got.tobytes() == (block_multiplier(g, j, kind, profile) * c).tobytes()
+
     def test_profile_instances_share_one_layout(self, monkeypatch):
         g = Grid2D(32, 7.0)
         c = hermitian_data(g, 5)

@@ -1,4 +1,5 @@
-"""Ownership rule of the package: an underscore name stays inside its module."""
+"""Ownership rules of the package: an underscore name stays inside its module,
+and the solver and norm modules stay on the rfft2 half-plane."""
 
 import ast
 from pathlib import Path
@@ -6,19 +7,29 @@ from pathlib import Path
 import fraclab
 
 PACKAGE = Path(fraclab.__file__).parent
+# the full-plane conversions, which only the SpectralField boundary needs
+FULL_PLANE_NAMES = {"forward_transform", "inverse_transform", "full_plane"}
+HALF_PLANE_MODULES = ("sqg", "keller_segel", "littlewood_paley")
 
 
-def private_imports(path: Path) -> list[str]:
-    """Each `from <fraclab module> import _name` in one source file; dunder names are public."""
+def package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each `from <fraclab module> import name` in one source file."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("fraclab")):
-            found += [f"{path.name}:{node.lineno} imports {alias.name}"
-                      for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+            found += [(node.lineno, alias.name) for alias in node.names]
     return found
 
 
 def test_no_module_imports_a_private_name_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 10
-    assert [hit for path in modules for hit in private_imports(path)] == []
+    assert [f"{path.name}:{line} imports {name}" for path in modules for line, name in package_imports(path)
+            if name.startswith("_") and not name.endswith("__")] == []
+
+
+def test_solver_and_norm_modules_import_no_full_plane_conversion():
+    paths = [PACKAGE / f"{module}.py" for module in HALF_PLANE_MODULES]
+    assert all(package_imports(path) for path in paths)
+    assert [f"{path.name}:{line} imports {name}" for path in paths for line, name in package_imports(path)
+            if name in FULL_PLANE_NAMES] == []

@@ -166,9 +166,9 @@ class TestRun:
         coeffs = make_initial_coefficients(grid, cfg.initial, cfg.seed)
         crit = spectral_besov_norm(grid, coeffs, critical_norm_params(cfg.alpha), profile)
         coeffs *= cfg.initial.epsilon / crit
-        from fraclab.spectral import SpectralField
+        from fraclab.spectral import SpectralField, full_plane
 
-        base = SpectralField(grid, coeffs, check=False)
+        base = SpectralField(grid, full_plane(coeffs), check=False)
         dec = res.series["B0_2_1"]
         for t, v in zip(dec.times, dec.values):
             lin = evolve_linear(base, cfg.alpha, float(t)).coefficients
@@ -178,6 +178,12 @@ class TestRun:
     def test_smallness_budget_enforced(self, profile):
         with pytest.raises(SpectralError, match="smallness budget"):
             run_sqg(_small_run_config(epsilon=0.5), profile)
+
+    def test_a_non_finite_critical_norm_is_refused(self, profile):
+        # epsilon = inf scales the data to inf and, on the empty modes, NaN: a
+        # NaN norm, which no test of the form norm > budget refuses
+        with np.errstate(invalid="ignore"), pytest.raises(SpectralError, match="smallness budget"):
+            run_sqg(_small_run_config(epsilon=math.inf), profile)
 
     def test_initial_critical_norm_reported(self, profile):
         res = run_sqg(_small_run_config(), profile)
