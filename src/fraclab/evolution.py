@@ -28,12 +28,12 @@ The state is real, so its spectrum is Hermitian and everything from the
 seeded data to the solvers' outputs keeps only the rfft2 half-plane: an
 (n, n/2 + 1) array of columns k2 = 0..n/2 (``half_plane``). The seeded data,
 E, the state, every tendency, every recorded state and the final state of
-``integrate`` live in that layout (the norms read the half-plane directly),
-and ``full_plane`` rebuilds the full (n, n) spectrum by Hermitian extension
-only where a full-plane object is handed out: ``run_flow``'s final field and
-the last good state of an abort. Column n/2 (the Nyquist column, which is its
-own mirror) is kept as it is; the 2/3-rule mask zeroes it in every tendency,
-so the nonlinearity never writes there.
+``integrate`` live in that layout (the norms read it directly, and
+``run_flow``'s final field is its irfft2). ``full_plane`` rebuilds the full
+(n, n) spectrum by Hermitian extension only for the last good state of an
+abort, the one full-plane object handed out. Column n/2 (the Nyquist column,
+which is its own mirror) is kept as it is; the 2/3-rule mask zeroes it in
+every tendency, so the nonlinearity never writes there.
 
 An equation module supplies only its physics: a state class, its
 critical-norm index, and a flux, which is a ``GridOperators`` subclass with
@@ -84,12 +84,11 @@ from .spectral import (
     MultiplierSpec,
     RealField,
     SpectralError,
-    SpectralField,
     dealias_mask,
     full_plane,
     half_plane,
     hermitian_noise,
-    inverse_transform,
+    inverse_real,
     multiplier_symbol,
 )
 
@@ -159,8 +158,8 @@ class InitialSpectrum:
     taper: float = 1.0
 
     def __post_init__(self):
-        if not (self.epsilon >= 0):
-            raise SpectralError(f"amplitude epsilon must be >= 0, got {self.epsilon}")
+        if not (0 <= self.epsilon < math.inf):
+            raise SpectralError(f"amplitude epsilon must be finite and >= 0, got {self.epsilon}")
         if not math.isfinite(self.s_data):
             raise SpectralError(f"data regularity s_data must be finite, got {self.s_data}")
         if self.j_lo > self.j_hi:
@@ -397,7 +396,7 @@ class GridOperators:
 @functools.lru_cache(maxsize=8)
 def _integrating_factor(grid: Grid2D, alpha: float, dt: float) -> np.ndarray:
     """Read-only E = exp(-dt |xi|^alpha) on the half-plane, complex: the cast every complex product would make."""
-    E = half_plane(np.exp(-dt * multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))).astype(complex)
+    E = np.exp(-dt * half_plane(multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))).astype(complex)
     E.flags.writeable = False
     return E
 
@@ -440,12 +439,15 @@ def integrate(
     new copy of the half-plane state, which the callback may keep. Sample
     times past ``step_schedule(T, dt)[1]`` are dropped; ``RunConfig`` refuses
     them. A non-finite velocity or state raises NumericalAbort with a
-    full-plane copy of the last state whose velocity check passed, and a dt
-    or T that is not positive and finite raises SpectralError. Returns
-    (final_coeffs, n_steps, max_velocity_seen), final_coeffs the (n, n/2 + 1)
-    half-plane of the final state.
+    full-plane copy of the last state whose velocity check passed; a coeffs0 of
+    another shape, or a dt or T that is not positive and finite, raises
+    SpectralError. Returns (final_coeffs, n_steps, max_velocity_seen),
+    final_coeffs the (n, n/2 + 1) half-plane of the final state.
     """
     _require_positive_finite(dt=dt, T=T)
+    if coeffs0.shape not in ((grid.n, grid.n // 2 + 1), (grid.n, grid.n)):
+        raise SpectralError(f"coeffs0 has shape {coeffs0.shape}, neither the half-plane ({grid.n}, "
+                            f"{grid.n // 2 + 1}) nor the full plane ({grid.n}, {grid.n}) of its grid")
     E = _integrating_factor(grid, alpha, dt)
     c = good = np.array(coeffs0[:, : grid.n // 2 + 1], dtype=np.complex128)
     spare, pred = np.empty_like(c), np.empty_like(c)
@@ -540,7 +542,7 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     return RunResult(
         series={p.label(): NormSeries(times[keep], values[keep, i], f"{prefix}:{p.label()}")
                 for i, p in enumerate(norms)},
-        final_values=inverse_transform(SpectralField(grid, full_plane(final_c), check=False)),
+        final_values=RealField(grid, inverse_real(final_c)),
         extras={
             "initial_norms": {p.label(): float(v) for p, v in zip(norms, values[0])},
             "initial_critical_norm": crit,

@@ -18,7 +18,8 @@ Low-pass at level j: multiply by chi(2^-j |xi|) (all blocks below j).
 Every level is the same bump rescaled. Since 2^-j is a power of two, the
 block's open annulus 3/4 < 2^-j |xi| < 8/3 is found exactly by two
 comparisons on |xi|, and a block mask evaluates phi only there (at most
-about 1/9 of the plane); it is exactly 0 elsewhere.
+about 1/9 of the plane); it is exactly 0 elsewhere. Each mask is real and
+even, so block_multiplier builds it on the rfft2 half-plane (n, n/2 + 1).
 
 Every Besov-type norm is one pipeline: the L^p norm of each block, then the
 weighted l^r sum over levels, always of a real field and always computed on
@@ -31,10 +32,9 @@ block masks, none of which it keeps: level by level, the flat half-plane
 indices of the modes in the block and their squared phi times a column
 weight (2 on the columns that stand for their mirror too). One gather of
 |c|^2 and one reduceat then give every block energy. Other p multiply the
-half-plane by each block mask's half-plane columns and take one irfft2 per
-block (spectral.inverse_real); they and bony_decompose share one bounded
-cache of read-only half-plane block masks. project alone multiplies a full
-(n, n) plane, which may be non-Hermitian, so it builds its full mask.
+half-plane by each block mask and take one irfft2 per block; they and
+bony_decompose share one bounded cache of the masks. project alone multiplies
+a full (n, n) plane, which may be non-Hermitian, by the mirrored mask.
 
 Along the linear semigroup c * exp(-t |xi|^alpha), spectral_besov_series
 takes alpha, builds the rates |xi|^alpha with spectral.multiplier_symbol and
@@ -219,38 +219,36 @@ def block_range(grid: Grid2D) -> BlockRange:
 
 
 def block_multiplier(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> np.ndarray:
-    """A new read-only mask: phi(2^-j |xi|) for kind='block', chi(2^-j |xi|) for 'low_pass'."""
+    """A new read-only (n, n/2 + 1) mask: phi(2^-j |xi|) for kind='block', chi(2^-j |xi|) for 'low_pass'."""
     if kind not in ("block", "low_pass"):
         raise SpectralError(f"projection kind must be 'block' or 'low_pass', got {kind!r}")
     scale = 2.0 ** -float(j)
+    xi = half_plane(grid.xi_mag)
     if kind == "block":
-        # phi(r 2^-j) is exactly 0 outside 3/4 < r 2^-j < 8/3, and scaling by
-        # a power of two is exact, so the window is found on xi_mag itself
-        xi = grid.xi_mag.ravel()
-        inside = np.flatnonzero((xi > profile.inner_edge / scale) & (xi < 2.0 * profile.outer_edge / scale))
-        mask = np.zeros(grid.xi_mag.shape)
-        mask.ravel()[inside] = profile.phi_array(xi[inside] * scale)
-        mask[0, 0] = 0.0
+        # phi(r 2^-j) is exactly 0 outside 3/4 < r 2^-j < 8/3, the mean included, and
+        # scaling by a power of two is exact, so the window is found on xi_mag itself
+        inside = (xi > profile.inner_edge / scale) & (xi < 2.0 * profile.outer_edge / scale)
+        mask = np.zeros(xi.shape)
+        mask[inside] = profile.phi_array(xi[inside] * scale)
     else:
-        mask = profile.chi_array(grid.xi_mag * scale)
+        mask = profile.chi_array(xi * scale)
         mask[0, 0] = 1.0  # low-pass keeps the mean
     mask.setflags(write=False)
     return mask
 
 
 # The masks of the per-block paths (p != 2 norms, bony_decompose): bony_decompose
-# at n = 256 reads 18 of them, 0.26 MiB each.
+# at n = 256 reads 18 of them, 0.25 MiB each.
 @functools.lru_cache(maxsize=32)
 def _block_mask(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) -> np.ndarray:
-    """The half-plane columns of block_multiplier, read-only and contiguous."""
-    mask = np.ascontiguousarray(half_plane(block_multiplier(grid, j, kind, profile)))
-    mask.setflags(write=False)
-    return mask
+    return block_multiplier(grid, j, kind, profile)
 
 
 def project(field: SpectralField, j: int, kind: str, profile: DyadicProfile) -> SpectralField:
     """Annulus block (kind='block') or low-pass (kind='low_pass') at level j."""
-    mask = block_multiplier(field.grid, j, kind, profile)
+    n = field.grid.n
+    # the mask is radial, so column n - k2 of the full plane repeats half-plane column k2
+    mask = block_multiplier(field.grid, j, kind, profile)[:, np.r_[: n // 2 + 1, n // 2 - 1: 0: -1]]
     return SpectralField(field.grid, mask * field.coefficients, check=False)
 
 
@@ -293,7 +291,7 @@ class _Layout(NamedTuple):
 
 
 # 0.94 MiB at n = 256. Each level's mask is built, read and dropped: keeping
-# them would hold 9 x 0.5 MiB at n = 256.
+# them would hold 9 x 0.25 MiB at n = 256.
 @functools.cache
 def _level_layout(grid: Grid2D, profile: DyadicProfile) -> _Layout:
     cols = grid.n // 2 + 1
@@ -301,7 +299,7 @@ def _level_layout(grid: Grid2D, profile: DyadicProfile) -> _Layout:
     col_weight[[0, -1]] = 1.0
     index, weight = [], []
     for j in block_range(grid):  # one level at a time: no (levels, n, n) stack
-        mask = half_plane(block_multiplier(grid, j, "block", profile))
+        mask = block_multiplier(grid, j, "block", profile)
         flat = np.flatnonzero(mask)
         index.append(flat)
         weight.append(np.square(mask.ravel()[flat]) * col_weight[flat % cols])

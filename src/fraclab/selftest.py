@@ -47,7 +47,9 @@ from .spectral import (
     apply_fourier_multiplier,
     dealias,
     dealias_mask,
+    forward_half_plane,
     forward_transform,
+    half_plane,
     hermitian_defect,
     hermitian_noise,
     inverse_real,
@@ -119,9 +121,8 @@ def random_band_field(grid: Grid2D, rng, zero_mean: bool = True) -> RealField:
 def shell_field(grid: Grid2D, j: int, rng, profile) -> RealField:
     """Random field spectrally supported in the level-j annulus."""
     mask = block_multiplier(grid, j, "block", profile)
-    c = np.where(mask > 0, hermitian_noise(grid, rng), 0.0)
-    c[0, 0] = 0.0
-    return inverse_transform(SpectralField(grid, c, check=False))
+    c = np.where(mask > 0, half_plane(hermitian_noise(grid, rng)), 0.0)  # the mean is in no block
+    return RealField(grid, inverse_real(c))
 
 
 def _scaled_field(grid: Grid2D, rng, amplitude: float, zero_mean: bool = True) -> RealField:
@@ -233,7 +234,7 @@ def lp_partition_of_unity(rng, radii=10_000):
 
 @_check("lp.almost_orthogonality", 1e-12)
 def lp_almost_orthogonality(rng, grid=GRID, samples=10):
-    masks = {j: block_multiplier(grid, j, "block", PROFILE) for j in block_range(grid)}
+    masks = {j: PROFILE.phi_array(grid.xi_mag * 2.0 ** -j) for j in block_range(grid)}  # full planes, as _l2 reads
     worst = 0.0
     for _ in range(samples):
         c = forward_transform(random_band_field(grid, rng)).coefficients
@@ -252,7 +253,7 @@ def lp_paraproduct_remote_zero(rng, grid=GRID, pairs=4):
     worst = 0.0
     for _ in range(pairs):
         f, g = random_band_field(grid, rng), random_band_field(grid, rng)
-        cf, cg = forward_transform(f).coefficients, forward_transform(g).coefficients
+        cf, cg = forward_half_plane(f.values), forward_half_plane(g.values)
         scale = lebesgue_norm(f, 2.0) * lebesgue_norm(g, 2.0)
         for j in levels:
             low = inverse_real(block_multiplier(grid, j - 1, "low_pass", PROFILE) * cf)
@@ -305,8 +306,7 @@ def lp_bernstein_smoothing_stability(rng, grid=DENSE):
     # genuine log factors in the sup norm.
     consts = []
     for j in (3, 4, 5):
-        kernel = block_multiplier(grid, j, "low_pass", PROFILE).astype(complex)
-        f = inverse_transform(SpectralField(grid, kernel, check=False))
+        f = RealField(grid, inverse_real(block_multiplier(grid, j, "low_pass", PROFILE)))
         consts.append(lebesgue_norm(f, math.inf) / (2.0 ** j * lebesgue_norm(f, 2.0)))
     lo, hi = min(consts), max(consts)
     return (hi - lo) / lo, f"drift of ||f||_inf / (2^j ||f||_2) in [{lo:.4f}, {hi:.4f}] over levels"

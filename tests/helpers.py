@@ -61,17 +61,29 @@ def padded_product_coefficients(cf: np.ndarray, cg: np.ndarray, band: int) -> np
     return out
 
 
+def reference_mask(grid: Grid2D, j: int, kind: str, profile) -> np.ndarray:
+    """phi(2^-j |xi|) (kind 'block') or chi(2^-j |xi|) ('low_pass') on the whole (n, n) plane.
+
+    Taken from the profile alone, not from the block-mask builder under test:
+    phi(0) = 0 puts the mean in no block, and the low-pass keeps it.
+    """
+    r = grid.xi_mag * 2.0 ** -float(j)
+    if kind == "block":
+        return profile.phi_array(r)
+    mask = profile.chi_array(r)
+    mask[0, 0] = 1.0
+    return mask
+
+
 def reference_block_norms(grid: Grid2D, coeffs: np.ndarray, p: float, profile, levels) -> np.ndarray:
     """Per-level block L^p norms by one full mask product per level.
 
-    p = 2 sums |block_multiplier(j) * c|^2 (Parseval); other p take the real
+    p = 2 sums |reference_mask(j) * c|^2 (Parseval); other p take the real
     part of each block's inverse FFT. Test-only reference for the level table.
     """
-    from fraclab.littlewood_paley import block_multiplier
-
     out = []
     for j in levels:
-        masked = block_multiplier(grid, int(j), "block", profile) * coeffs
+        masked = reference_mask(grid, int(j), "block", profile) * coeffs
         if p == 2.0:
             out.append(grid.L * math.sqrt(float(np.sum(np.abs(masked) ** 2))))
             continue

@@ -82,6 +82,12 @@ class TestInitialSpectrum:
         with pytest.raises(SpectralError, match="taper"):
             InitialSpectrum(epsilon=1.0, j_lo=0, j_hi=1, taper=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_refuses_a_non_finite_amplitude(self, epsilon):
+        # inf would pass a test of the form epsilon >= 0 and scale the seeded data to inf and NaN
+        with pytest.raises(SpectralError, match="epsilon must be finite and >= 0"):
+            InitialSpectrum(epsilon=epsilon, j_lo=0, j_hi=1)
+
     @pytest.mark.parametrize("s_data", [math.nan, math.inf, -math.inf])
     def test_refuses_a_non_finite_data_regularity(self, s_data):
         with pytest.raises(SpectralError, match="s_data must be finite"):
@@ -360,6 +366,13 @@ class TestHalfPlaneStepper:
         g = Grid2D(16, 2 * math.pi)
         with pytest.raises(SpectralError, match="T must be positive and finite"):
             integrate(g, np.zeros((16, 9), complex), 1.0, 0.1, T, rhs=np.zeros_like,
+                      max_velocity=lambda c: 0.0, sample_times=[], record=lambda t, c: None)
+
+    @pytest.mark.parametrize("shape", [(16, 5), (8, 9), (16, 12), (9,)])
+    def test_integrate_refuses_a_plane_that_is_neither_half_nor_full(self, shape):
+        g = Grid2D(16, 6.28)
+        with pytest.raises(SpectralError, match=rf"shape \({shape[0]},.*\(16, 9\).*\(16, 16\)"):
+            integrate(g, np.zeros(shape, complex), 1.0, 0.1, 0.2, rhs=np.zeros_like,
                       max_velocity=lambda c: 0.0, sample_times=[], record=lambda t, c: None)
 
 

@@ -40,9 +40,16 @@ from fraclab.spectral import (
     full_plane,
     half_plane,
     hermitian_noise,
+    inverse_real,
     multiplier_symbol,
 )
-from helpers import random_band_field, random_complex_coefficients, reference_block_norms, shell_field
+from helpers import (
+    random_band_field,
+    random_complex_coefficients,
+    reference_block_norms,
+    reference_mask,
+    shell_field,
+)
 
 
 class TestProfile:
@@ -268,21 +275,23 @@ class TestLevelTable:
         c = hermitian_data(g, n + 1)
         levels, norms = block_norms(SpectralField(g, c, check=False), 2.0, profile)
         for j, norm in zip(levels, norms):
-            w = np.fft.ifft2(block_multiplier(g, int(j), "block", profile) * c * (n * n))
+            w = inverse_real(block_multiplier(g, int(j), "block", profile) * half_plane(c))
             assert norm == pytest.approx(math.sqrt(g.h ** 2 * float(np.sum(np.abs(w) ** 2))), rel=1e-12)
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_windowed_block_mask_bit_identical_to_full_plane_phi(self, profile, n, L):
-        # the mask evaluates phi only inside its annulus window; outside it phi
-        # of the scaled radius is exactly +0.0, so every byte of the plane agrees
+        # the block mask evaluates phi only inside its annulus window; outside it
+        # phi of the scaled radius is exactly +0.0, so every byte of the
+        # half-plane agrees with the first n/2 + 1 columns of the full-plane
+        # phi; the low-pass mask is chi there
         g = Grid2D(n, L)
         rng_ = block_range(g)
-        for j in range(rng_.j_min - 1, rng_.j_max + 2):  # one level past each end
-            direct = profile.phi_array(g.xi_mag * 2.0 ** -j)
-            direct[0, 0] = 0.0
-            mask = block_multiplier(g, j, "block", profile)
-            assert mask.tobytes() == direct.tobytes()
-            assert not mask.flags.writeable
+        for kind in ("block", "low_pass"):
+            for j in range(rng_.j_min - 1, rng_.j_max + 2):  # one level past each end
+                direct = np.ascontiguousarray(half_plane(reference_mask(g, j, kind, profile)))
+                mask = block_multiplier(g, j, kind, profile)
+                assert mask.shape == (n, n // 2 + 1) and mask.flags.c_contiguous and not mask.flags.writeable
+                assert mask.tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("n,L", TABLE_GRIDS)
     def test_at_most_two_adjacent_levels_summing_to_one(self, profile, n, L):
@@ -306,7 +315,7 @@ class TestLevelTable:
         mirrors = np.where((k2 == 0) | (k2 == n // 2), 1.0, 2.0)
         decoded = decoded_layout(_level_layout(g, profile), n * (n // 2 + 1))
         for j, encoded in zip(rng_, decoded, strict=True):
-            half = half_plane(block_multiplier(g, j, "block", profile))
+            half = block_multiplier(g, j, "block", profile)
             assert np.array_equal(encoded, (np.square(half) * mirrors).ravel())
 
     @staticmethod
@@ -366,7 +375,7 @@ class TestLevelTable:
         for j in block_range(g):
             mask = _block_mask(g, j, kind, profile)
             assert mask.shape == (32, 17) and mask.flags.c_contiguous and not mask.flags.writeable
-            assert mask.tobytes() == np.ascontiguousarray(half_plane(block_multiplier(g, j, kind, profile))).tobytes()
+            assert mask.tobytes() == block_multiplier(g, j, kind, profile).tobytes()
             assert _block_mask(g, j, kind, profile) is mask
 
     @pytest.mark.parametrize("kind", ["block", "low_pass"])
@@ -376,7 +385,7 @@ class TestLevelTable:
         c = random_complex_coefficients(g, np.random.default_rng(15))
         for j in block_range(g):
             got = project(SpectralField(g, c, check=False), j, kind, profile).coefficients
-            assert got.tobytes() == (block_multiplier(g, j, kind, profile) * c).tobytes()
+            assert got.tobytes() == (reference_mask(g, j, kind, profile) * c).tobytes()
 
     def test_profile_instances_share_one_layout(self, monkeypatch):
         g = Grid2D(32, 7.0)
@@ -571,7 +580,7 @@ class TestDampedSeries:
         g = Grid2D(n, L)
         rng_ = block_range(g)
         j = (rng_.j_min + rng_.j_max) // 2
-        c = np.where(block_multiplier(g, j, "block", profile) > 0, hermitian_noise(g, np.random.default_rng(n)), 0.0)
+        c = np.where(reference_mask(g, j, "block", profile) > 0, hermitian_noise(g, np.random.default_rng(n)), 0.0)
         levels = np.arange(rng_.j_min, rng_.j_max + 1)
         missed = reference_block_norms(g, c, 2.0, profile, levels) == 0.0
         assert missed[0] and missed[-1] and not missed.all()

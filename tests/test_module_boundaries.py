@@ -1,5 +1,6 @@
 """Ownership rules of the package: an underscore name stays inside its module,
-and the solver and norm modules stay on the rfft2 half-plane."""
+the solver and norm modules stay on the rfft2 half-plane, and the run driver
+and the command line transform no full plane."""
 
 import ast
 from pathlib import Path
@@ -28,8 +29,18 @@ def test_no_module_imports_a_private_name_of_another():
             if name.startswith("_") and not name.endswith("__")] == []
 
 
-def test_solver_and_norm_modules_import_no_full_plane_conversion():
-    paths = [PACKAGE / f"{module}.py" for module in HALF_PLANE_MODULES]
+def imports_of(modules, names) -> list[str]:
+    """Each import of one of names by one of the package modules."""
+    paths = [PACKAGE / f"{module}.py" for module in modules]
     assert all(package_imports(path) for path in paths)
-    assert [f"{path.name}:{line} imports {name}" for path in paths for line, name in package_imports(path)
-            if name in FULL_PLANE_NAMES] == []
+    return [f"{path.name}:{line} imports {name}" for path in paths for line, name in package_imports(path)
+            if name in names]
+
+
+def test_solver_and_norm_modules_import_no_full_plane_conversion():
+    assert imports_of(HALF_PLANE_MODULES, FULL_PLANE_NAMES) == []
+
+
+def test_the_run_driver_and_command_line_import_no_full_plane_transform():
+    # evolution keeps full_plane for NumericalAbort.last_good, the one full plane it hands out
+    assert imports_of(("evolution", "cli"), {"forward_transform", "inverse_transform"}) == []
