@@ -8,17 +8,19 @@ closed-form function of the regularity/integrability parameters:
     --------------  ---------------  ---------------------------------------
     linear          B^ell_{p,1}      -(ell + s) / alpha
     sqg             B^ell_{p,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
-    ks              B^ell_{p,1}      -(ell + s) - 2 (1/r - 1/p)   [alpha = 1]
-    ks_subcritical  B^ell_{p,1}      -(ell + s)/alpha - (2/alpha)(1/r - 1/p)
+    ks              B^ell_{p,1}      the sqg exponent at alpha = 1
+    ks_subcritical  B^ell_{p,1}      the sqg exponent, alpha in (1, 2]
     lebesgue        L^r              -s/alpha - (2/alpha)(1 - 1/r - 1/p)
 
 Here s indexes the negative-regularity class B^{-s}_{.,inf} the initial data
 sits in (B^{-s}_{r,inf} for the nonlinear families), which is preserved by
 the flow and converts into decay of the higher norms; the
--(2/alpha)(1/r - 1/p) term is the gain of the L^r -> L^p smoothing. The
-``ks`` family is the alpha = 1 specialization of ``sqg`` and the two
-formulas agree identically there. ``ks_subcritical`` is the
-``sqg`` formula on the ``ks`` ranges, for Keller-Segel with alpha in (1, 2].
+-(2/alpha)(1/r - 1/p) term is the gain of the L^r -> L^p smoothing. The four
+nonlinear families come from one energy argument and share one admissible
+range, the sqg one, with two narrowings (``DecayClaim``): Keller-Segel (``ks``
+at alpha = 1, ``ks_subcritical`` for alpha in (1, 2]) keeps s and ell in a
+narrower window, and ``lebesgue`` is the (2, p) claim at ell = 1 - 2/r, its
+L^r rate read off the B^{1-2/r}_{2,1} decay.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ __all__ = [
 CLAIM_FAMILIES = ("linear", "sqg", "ks", "ks_subcritical", "lebesgue")
 
 
+# The dissipation exponents each nonlinear family admits: (constraint, test).
+_NONLINEAR_ALPHA = {
+    "sqg": ("alpha in (0, 1]", lambda alpha: 0.0 < alpha <= 1.0),
+    "ks": ("alpha = 1", lambda alpha: alpha == 1.0),
+    "ks_subcritical": ("alpha in (1, 2] (ks is alpha = 1)", lambda alpha: 1.0 < alpha <= 2.0),
+    "lebesgue": ("alpha in (0, 1]", lambda alpha: 0.0 < alpha <= 1.0),
+}
+
+
 class ClaimError(ValueError):
     """Decay-claim parameters outside the validity range of the claim."""
 
@@ -57,18 +68,21 @@ class FitError(ValueError):
 class DecayClaim:
     """One decay statement: family plus parameters (s, ell, alpha, p, r).
 
-    Parameter ranges per family (violations raise ClaimError citing the
-    constraint):
+    The linear range (violations raise ClaimError citing the constraint):
+    s >= 0, alpha in (0, 2], p in [2, inf), ell > -s.
 
-    - linear:   s >= 0, ell > -s, alpha in (0, 2], p in [2, inf)
-    - sqg:      alpha in (0, 1], 2 <= r <= p < inf, -2/p < s < 1 + 2/p,
-                -s - 2(1/r - 1/p) <= ell <= 1 + 2/p - alpha
-    - ks:       alpha = 1, 2 <= r <= p < inf, 1 - 2/p < s < 1 + 2/p,
-                -s - 2(1/r - 1/p) <= ell <= -1 + 2/p
-    - ks_subcritical: alpha in (1, 2], with the ks ranges of s, ell, r, p
-    - lebesgue: alpha in (0, 1], 2 <= r < inf, p in [2, inf),
-                -2/p < s < 1 + 2/p, with the implied Besov index
-                ell = 1 - 2/r inside the sqg range for (2, p)
+    The nonlinear families share one range, checked in this order:
+
+    1. alpha in (0, 1] for sqg and lebesgue, alpha = 1 for ks, alpha in
+       (1, 2] for ks_subcritical;
+    2. 2 <= r <= p < inf;
+    3. -2/p < s < 1 + 2/p;
+    4. -s - 2(1/r - 1/p) <= ell <= 1 + 2/p - alpha.
+
+    Two narrowings: ks and ks_subcritical raise the lower s bound to 1 - 2/p
+    and lower the upper ell bound to -1 + 2/p; lebesgue takes 2 <= p < inf
+    and 2 <= r < inf in place of step 2 and is then checked as the (2, p)
+    claim at ell = 1 - 2/r (its ell is not read).
     """
 
     family: str
@@ -85,7 +99,10 @@ class DecayClaim:
             raise ClaimError(
                 f"unknown claim family {self.family!r}; expected one of {CLAIM_FAMILIES}"
             )
-        getattr(self, f"_check_{self.family}")()
+        if self.family == "linear":
+            self._check_linear()
+        else:
+            self._check_nonlinear()
 
     def _check_linear(self):
         if self.s < 0:
@@ -100,76 +117,36 @@ class DecayClaim:
                 "the sum ell + s sets the decay rate and must be positive"
             )
 
-    def _check_r_le_p(self, family):
-        if not (2.0 <= self.r <= self.p < math.inf):
+    def _check_nonlinear(self):
+        family, s, p = self.family, self.s, self.p
+        text, admissible = _NONLINEAR_ALPHA[family]
+        if not admissible(self.alpha):
+            raise ClaimError(f"{family} claims require {text}, got alpha={self.alpha}")
+        ell, r, ell_name, r_name = self.ell, self.r, "ell", "r"
+        if family == "lebesgue":
+            if not (2.0 <= p < math.inf):
+                raise ClaimError(f"lebesgue claims require 2 <= p < inf, got p={p}")
+            if not (2.0 <= r < math.inf):
+                raise ClaimError(f"lebesgue claims require 2 <= r < inf, got r={r}")
+            # the L^r rate is read off the B^{1-2/r}_{2,1} decay, so the rest
+            # is the range of the (2, p) claim at that index
+            ell, r, ell_name, r_name = 1.0 - 2.0 / r, 2.0, "1 - 2/r", "2"
+        elif not (2.0 <= r <= p < math.inf):
+            raise ClaimError(f"{family} claims require 2 <= r <= p < inf, got r={r}, p={p}")
+        if family in ("ks", "ks_subcritical"):  # the narrower Keller-Segel window of s and ell
+            s_lo, s_lo_text, hi, hi_text = 1.0 - 2.0 / p, "1 - 2/p", -1.0 + 2.0 / p, "-1 + 2/p"
+        else:
+            s_lo, s_lo_text, hi, hi_text = -2.0 / p, "-2/p", 1.0 + 2.0 / p - self.alpha, "1 + 2/p - alpha"
+        if not (s_lo < s < 1.0 + 2.0 / p):
             raise ClaimError(
-                f"{family} claims require 2 <= r <= p < inf, got r={self.r}, p={self.p}"
+                f"{family} claims require {s_lo_text} < s < 1 + 2/p "
+                f"(= {s_lo} < s < {1.0 + 2.0 / p}), got s={s}"
             )
-
-    def _check_sqg(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ClaimError(f"sqg claims require alpha in (0, 1], got alpha={self.alpha}")
-        self._check_r_le_p("sqg")
-        if not (-2.0 / self.p < self.s < 1.0 + 2.0 / self.p):
+        lo = -s - 2.0 * (1.0 / r - 1.0 / p)
+        if not (lo <= ell <= hi):
             raise ClaimError(
-                f"sqg claims require -2/p < s < 1 + 2/p "
-                f"(= {-2.0 / self.p} < s < {1.0 + 2.0 / self.p}), got s={self.s}"
-            )
-        lo = -self.s - 2.0 * (1.0 / self.r - 1.0 / self.p)
-        hi = 1.0 + 2.0 / self.p - self.alpha
-        if not (lo <= self.ell <= hi):
-            raise ClaimError(
-                f"sqg claims require -s - 2(1/r - 1/p) <= ell <= 1 + 2/p - alpha "
-                f"(= {lo} <= ell <= {hi}), got ell={self.ell}"
-            )
-
-    def _check_ks(self):
-        if self.alpha != 1.0:
-            raise ClaimError(f"ks claims require alpha = 1, got alpha={self.alpha}")
-        self._check_ks_ranges("ks")
-
-    def _check_ks_subcritical(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ClaimError(
-                f"ks_subcritical claims require alpha in (1, 2] (ks is alpha = 1), got alpha={self.alpha}"
-            )
-        self._check_ks_ranges("ks_subcritical")
-
-    def _check_ks_ranges(self, family):
-        self._check_r_le_p(family)
-        if not (1.0 - 2.0 / self.p < self.s < 1.0 + 2.0 / self.p):
-            raise ClaimError(
-                f"{family} claims require 1 - 2/p < s < 1 + 2/p "
-                f"(= {1.0 - 2.0 / self.p} < s < {1.0 + 2.0 / self.p}), got s={self.s}"
-            )
-        lo = -self.s - 2.0 * (1.0 / self.r - 1.0 / self.p)
-        hi = -1.0 + 2.0 / self.p
-        if not (lo <= self.ell <= hi):
-            raise ClaimError(
-                f"{family} claims require -s - 2(1/r - 1/p) <= ell <= -1 + 2/p "
-                f"(= {lo} <= ell <= {hi}), got ell={self.ell}"
-            )
-
-    def _check_lebesgue(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ClaimError(f"lebesgue claims require alpha in (0, 1], got alpha={self.alpha}")
-        if not (2.0 <= self.p < math.inf):
-            raise ClaimError(f"lebesgue claims require 2 <= p < inf, got p={self.p}")
-        if not (2.0 <= self.r < math.inf):
-            raise ClaimError(f"lebesgue claims require 2 <= r < inf, got r={self.r}")
-        if not (-2.0 / self.p < self.s < 1.0 + 2.0 / self.p):
-            raise ClaimError(
-                f"lebesgue claims require -2/p < s < 1 + 2/p, got s={self.s}"
-            )
-        # the L^r rate is read off the B^{1-2/r}_{2,1} decay, so that index
-        # must be admissible for the (2, p) chain
-        implied = 1.0 - 2.0 / self.r
-        lo = -self.s - 2.0 * (0.5 - 1.0 / self.p)
-        hi = 1.0 + 2.0 / self.p - self.alpha
-        if not (lo <= implied <= hi):
-            raise ClaimError(
-                f"lebesgue claims need the implied index 1 - 2/r = {implied} inside "
-                f"[{lo}, {hi}]; adjust r, s, or alpha"
+                f"{family} claims require -s - 2(1/{r_name} - 1/p) <= {ell_name} <= {hi_text} "
+                f"(= {lo} <= {ell_name} <= {hi}), got {ell_name}={ell}"
             )
 
 
@@ -178,12 +155,10 @@ def theoretical_exponent(claim: DecayClaim) -> float:
     s, ell, alpha, p, r = claim.s, claim.ell, claim.alpha, claim.p, claim.r
     if claim.family == "linear":
         return -(ell + s) / alpha
-    if claim.family in ("sqg", "ks_subcritical"):
-        return -(ell + s) / alpha - (2.0 / alpha) * (1.0 / r - 1.0 / p)
-    if claim.family == "ks":
-        return -(ell + s) - 2.0 * (1.0 / r - 1.0 / p)
-    # lebesgue
-    return -s / alpha - (2.0 / alpha) * (1.0 - 1.0 / r - 1.0 / p)
+    if claim.family == "lebesgue":
+        return -s / alpha - (2.0 / alpha) * (1.0 - 1.0 / r - 1.0 / p)
+    # sqg and ks_subcritical; ks is the alpha = 1 row
+    return -(ell + s) / alpha - (2.0 / alpha) * (1.0 / r - 1.0 / p)
 
 
 @dataclass

@@ -27,13 +27,12 @@ weights of ETD2 would differ from these only at first order in that number.
 The state is real, so its spectrum is Hermitian and everything from the
 seeded data to the solvers' outputs keeps only the rfft2 half-plane: an
 (n, n/2 + 1) array of columns k2 = 0..n/2 (``half_plane``). The seeded data,
-E, the state, every tendency, every recorded state and the final state of
-``integrate`` live in that layout (the norms read it directly, and
-``run_flow``'s final field is its irfft2). ``full_plane`` rebuilds the full
-(n, n) spectrum by Hermitian extension only for the last good state of an
-abort, the one full-plane object handed out. Column n/2 (the Nyquist column,
-which is its own mirror) is kept as it is; the 2/3-rule mask zeroes it in
-every tendency, so the nonlinearity never writes there.
+E, the state, every tendency, every recorded state, the final state of
+``integrate`` and the last good state of an abort live in that layout (the
+norms read it directly, and ``run_flow``'s final field is its irfft2).
+Column n/2 (the Nyquist column, which is its own mirror) is kept as it is;
+the 2/3-rule mask zeroes it in every tendency, so the nonlinearity never
+writes there.
 
 An equation module supplies only its physics: a state class, its
 critical-norm index, and a flux, which is a ``GridOperators`` subclass with
@@ -85,7 +84,6 @@ from .spectral import (
     RealField,
     SpectralError,
     dealias_mask,
-    full_plane,
     half_plane,
     hermitian_noise,
     inverse_real,
@@ -130,8 +128,8 @@ class CFLError(RuntimeError):
 
 
 class NumericalAbort(RuntimeError):
-    """Solution became non-finite; carries the last state that passed the
-    velocity check."""
+    """Solution became non-finite; carries a copy of the (n, n/2 + 1)
+    half-plane of the last state that passed the velocity check."""
 
     def __init__(self, t: float, last_good: np.ndarray):
         super().__init__(f"non-finite solution detected at t = {t:.6g}; aborting")
@@ -345,12 +343,6 @@ class GridOperators:
         sym = multiplier_symbol(self.grid, spec)[:, : self.band]
         return np.ascontiguousarray(np.where(self.mask, sym, 0.0))
 
-    def truncate(self, c, out):
-        """The band columns of half-plane c, with the rows outside the band zeroed, in out."""
-        out[...] = c[:, : self.band]
-        out[self.cut] = 0.0
-        return out
-
     def to_phys(self, c, out=None):
         """Real field of the band columns of c: its columns past the band read as zero."""
         np.fft.ifftn(c[:, : self.band], axes=(0,), norm="forward", out=self._cols)
@@ -439,7 +431,7 @@ def integrate(
     new copy of the half-plane state, which the callback may keep. Sample
     times past ``step_schedule(T, dt)[1]`` are dropped; ``RunConfig`` refuses
     them. A non-finite velocity or state raises NumericalAbort with a
-    full-plane copy of the last state whose velocity check passed; a coeffs0 of
+    half-plane copy of the last state whose velocity check passed; a coeffs0 of
     another shape, or a dt or T that is not positive and finite, raises
     SpectralError. Returns (final_coeffs, n_steps, max_velocity_seen),
     final_coeffs the (n, n/2 + 1) half-plane of the final state.
@@ -462,7 +454,7 @@ def integrate(
     for step in range(n_steps):
         vmax = max_velocity(c)
         if not math.isfinite(vmax):
-            raise NumericalAbort(t, full_plane(good))
+            raise NumericalAbort(t, good.copy())
         vmax_seen = max(vmax_seen, vmax)
         if dt * vmax * courant > CFL_LIMIT:
             raise CFLError(vmax, dt)
@@ -487,10 +479,10 @@ def integrate(
             while next_i < len(samples) and samples[next_i] <= reach:
                 next_i += 1  # several samples may fall inside one step
             if not np.all(np.isfinite(c.view(np.float64))):
-                raise NumericalAbort(t, full_plane(good))
+                raise NumericalAbort(t, good.copy())
             record(t, c.copy())
     if not np.all(np.isfinite(c.view(np.float64))):
-        raise NumericalAbort(t, full_plane(good))
+        raise NumericalAbort(t, good.copy())
     return c, n_steps, vmax_seen
 
 

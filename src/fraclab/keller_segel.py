@@ -60,11 +60,14 @@ class _KSFlux(GridOperators):
     """Chemotactic drift down the self-generated potential on one grid.
 
     The stored symbols carry the 2/3 mask, and the outer divergence symbols
-    carry the tendency's sign.
+    carry the tendency's sign. ``band_part`` is the mask itself as a complex
+    symbol (complex, so a product with it makes no cast): ``apply`` with it
+    reads u's band part.
     """
 
     def __init__(self, grid):
         super().__init__(grid)
+        self.band_part = self.mask.astype(np.complex128)
         self.inv_lap = self.symbol(MultiplierSpec.inverse_laplacian())
         self.div1, self.div2 = -self.d1, -self.d2
         self._psi = np.empty((grid.n, self.band), dtype=np.complex128)
@@ -80,7 +83,7 @@ class _KSFlux(GridOperators):
         """Spectral tendency -div(u grad psi) of u's band part, dealiased, zero mode 0; a new array."""
         g1, g2 = self.recall(c_u, self.grad_psi)
         w, prod = self.work
-        w = self.to_phys(self.truncate(c_u, self._cols), out=w)
+        w = self.apply(self.band_part, c_u, out=w)
         out = self.to_spec(np.multiply(w, g1, out=prod))
         f2 = self.to_spec(np.multiply(w, g2, out=prod), out=self._f)[:, : self.band]
         f1 = out[:, : self.band]

@@ -622,6 +622,21 @@ class TestMain:
         assert (env_dir / "run.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_without_out_flag_the_config_out_key_then_the_default_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        small = {"kind": "oracle", "alpha": 2.0, "s": 1.0, "ell": 0.0, "seed": 3, "tolerance_pct": 10.0,
+                 "t_lo": 10.0, "t_hi": 100.0, "samples_per_decade": 10}
+        assert main(["oracle", "--config", str(write_config(tmp_path, small | {"out": "from-config"}))]) == 0
+        assert (tmp_path / "from-config" / "run.json").exists()
+        path = write_config(tmp_path, small, name="default.json")
+        assert main(["oracle", "--config", str(path)]) == 0
+        # threads has no effect, so an override leaves the default name as it is
+        assert main(["oracle", "--config", str(path), "--threads", "4"]) == 0
+        [out] = (tmp_path / "runs").iterdir()
+        config_hash = json.loads((out / "run.json").read_text())["config_hash"]
+        assert out.name == f"oracle-seed3-{config_hash[:8]}"
+
     def test_seed_and_tolerance_overrides(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)
         path = write_config(

@@ -26,9 +26,15 @@ class TestClaims:
             DecayClaim("linear", s=1.0, ell=-1.0, alpha=1.0)
         with pytest.raises(ClaimError, match="alpha"):
             DecayClaim("linear", s=1.0, ell=0.0, alpha=2.5)
+        for p in (1.0, math.inf):
+            with pytest.raises(ClaimError, match="linear claims require 2 <= p < inf"):
+                DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=p)
 
     def test_sqg_ranges(self):
         DecayClaim("sqg", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ClaimError, match="sqg claims require alpha in \\(0, 1\\]"):
+                DecayClaim("sqg", s=1.0, ell=0.0, alpha=alpha, p=2.0, r=2.0)
         with pytest.raises(ClaimError, match="-2/p < s < 1 \\+ 2/p"):
             DecayClaim("sqg", s=2.5, ell=0.0, alpha=1.0, p=2.0, r=2.0)
         with pytest.raises(ClaimError, match="2 <= r <= p"):
@@ -58,6 +64,28 @@ class TestClaims:
             DecayClaim("ks_subcritical", s=1.0, ell=-1.6, alpha=1.5, p=4.0, r=2.0)
         with pytest.raises(ClaimError, match="2 <= r <= p"):
             DecayClaim("ks_subcritical", s=1.0, ell=0.0, alpha=1.5, p=2.0, r=4.0)
+
+    def test_lebesgue_ranges(self):
+        DecayClaim("lebesgue", s=0.5, alpha=1.0, p=4.0, r=3.0)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ClaimError, match="lebesgue claims require alpha in \\(0, 1\\]"):
+                DecayClaim("lebesgue", s=0.5, alpha=alpha, p=4.0, r=3.0)
+        for p in (1.0, math.inf):
+            with pytest.raises(ClaimError, match="lebesgue claims require 2 <= p < inf"):
+                DecayClaim("lebesgue", s=0.5, alpha=1.0, p=p, r=3.0)
+        # r is the Lebesgue exponent of the decaying norm, not bounded by p
+        DecayClaim("lebesgue", s=0.5, alpha=1.0, p=2.0, r=3.0)
+        for r in (1.0, math.inf):
+            with pytest.raises(ClaimError, match="lebesgue claims require 2 <= r < inf"):
+                DecayClaim("lebesgue", s=0.5, alpha=1.0, p=4.0, r=r)
+        for s in (-0.5, 1.5):
+            with pytest.raises(ClaimError, match="lebesgue claims require -2/p < s < 1 \\+ 2/p"):
+                DecayClaim("lebesgue", s=s, alpha=1.0, p=4.0, r=3.0)
+        # the rest is the range of the (2, p) claim at the implied index 1 - 2/r
+        for s, p, r in ((0.5, 4.0, 8.0), (-0.5, 2.0, 2.0)):
+            with pytest.raises(ClaimError, match="lebesgue claims require -s - 2\\(1/2 - 1/p\\) <= 1 - 2/r "
+                                                 "<= 1 \\+ 2/p - alpha .*, got 1 - 2/r="):
+                DecayClaim("lebesgue", s=s, alpha=1.0, p=p, r=r)
 
     def test_unknown_family(self):
         with pytest.raises(ClaimError, match="unknown claim family"):

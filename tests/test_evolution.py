@@ -266,6 +266,29 @@ class TestIntegrate:
         assert np.all(np.isfinite(good.view(np.float64)))
         assert good[2, 0] == pytest.approx(0.5 * math.exp(-2.0 * 0.3), rel=1e-12)
 
+    @pytest.mark.parametrize("sample_times", [[0.1, 0.2], [0.1]], ids=["at-a-sample", "after-the-last-step"])
+    def test_a_non_finite_state_aborts_with_the_half_plane_of_the_last_good_one(self, sample_times, rng):
+        # a zero tendency in the RK2 first step, NaN from the second on, and a velocity
+        # stub that never looks: the NaN state at t = 0.2 is caught at its sample, or
+        # after the last step when none is due there
+        g = Grid2D(32, 2 * math.pi)
+        c0 = half_plane(hermitian_noise(g, rng))
+        calls, recorded = [], []
+
+        def rhs(c):
+            calls.append(None)
+            return np.zeros_like(c) if len(calls) <= 2 else np.full_like(c, np.nan)
+
+        with pytest.raises(NumericalAbort) as info:
+            integrate(g, c0, 1.0, 0.1, 0.2, rhs=rhs, max_velocity=lambda c: 0.0,
+                      sample_times=sample_times, record=lambda t, c: recorded.append(t))
+        assert info.value.t == pytest.approx(0.2)
+        assert recorded == pytest.approx([0.0, 0.1])
+        good = info.value.last_good
+        assert good.shape == (32, 17) and good.dtype == np.complex128
+        # the state at t = 0.1, the last whose velocity check passed: E c0
+        assert np.array_equal(good, evolution._integrating_factor(g, 1.0, 0.1) * c0)
+
 
 def _reference_step(g, c, alpha, dt, tendency):
     """Full-plane integrating-factor RK2 step, written out independently."""

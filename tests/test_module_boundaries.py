@@ -1,6 +1,6 @@
 """Ownership rules of the package: an underscore name stays inside its module,
-the solver and norm modules stay on the rfft2 half-plane, and the run driver
-and the command line transform no full plane."""
+the solver and norm modules stay on the rfft2 half-plane, and so do the run
+driver and the command line."""
 
 import ast
 from pathlib import Path
@@ -42,5 +42,5 @@ def test_solver_and_norm_modules_import_no_full_plane_conversion():
 
 
 def test_the_run_driver_and_command_line_import_no_full_plane_transform():
-    # evolution keeps full_plane for NumericalAbort.last_good, the one full plane it hands out
-    assert imports_of(("evolution", "cli"), {"forward_transform", "inverse_transform"}) == []
+    # NumericalAbort.last_good is a half-plane too, so evolution needs no full_plane either
+    assert imports_of(("evolution", "cli"), FULL_PLANE_NAMES) == []
