@@ -289,10 +289,6 @@ def validate_config(raw: dict) -> dict:
     for key in {"oracle": ("p", "r"), "linear": ("r",)}.get(kind, ()):
         if out[key] != 2.0:
             raise ConfigError(f"{kind} runs measure with {key} = 2 only, got {key} = {out[key]:g}")
-    # With r = 2 a lebesgue claim is about L^2 (implied index 1 - 2/r = 0), and the
-    # oracle's sum of 2^{j ell} b_j measures a norm of that index only at ell = 0.
-    if out.get("theorem") == "lebesgue" and out["ell"] != 0.0:
-        raise ConfigError(f"lebesgue runs measure with ell = 0 only, got ell = {out['ell']:g}")
     _claim(out)  # range check
 
     if kind == "oracle":

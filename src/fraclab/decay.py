@@ -80,9 +80,9 @@ class DecayClaim:
     4. -s - 2(1/r - 1/p) <= ell <= 1 + 2/p - alpha.
 
     Two narrowings: ks and ks_subcritical raise the lower s bound to 1 - 2/p
-    and lower the upper ell bound to -1 + 2/p; lebesgue takes 2 <= p < inf
-    and 2 <= r < inf in place of step 2 and is then checked as the (2, p)
-    claim at ell = 1 - 2/r (its ell is not read).
+    and lower the upper ell bound to -1 + 2/p; lebesgue requires ell = 0
+    (an L^r norm has no ell), takes 2 <= p < inf and 2 <= r < inf in place
+    of step 2 and is then checked as the (2, p) claim at ell = 1 - 2/r.
     """
 
     family: str
@@ -124,6 +124,8 @@ class DecayClaim:
             raise ClaimError(f"{family} claims require {text}, got alpha={self.alpha}")
         ell, r, ell_name, r_name = self.ell, self.r, "ell", "r"
         if family == "lebesgue":
+            if ell != 0.0:
+                raise ClaimError(f"lebesgue claims require ell = 0 (an L^r norm has no ell), got ell={ell}")
             if not (2.0 <= p < math.inf):
                 raise ClaimError(f"lebesgue claims require 2 <= p < inf, got p={p}")
             if not (2.0 <= r < math.inf):

@@ -85,6 +85,7 @@ from .spectral import (
     SpectralError,
     dealias_mask,
     half_plane,
+    half_plane_of,
     hermitian_noise,
     inverse_real,
     multiplier_symbol,
@@ -182,8 +183,7 @@ class RunConfig:
     smallness_budget: float = 1e-2
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
+        MultiplierSpec.fractional_laplacian(self.alpha)  # range check
         _require_positive_finite(dt=self.dt, T=self.T, smallness_budget=self.smallness_budget)
         times = np.array([float(t) for t in self.sample_times])
         if len(times) > MAX_SAMPLES:
@@ -410,8 +410,8 @@ def integrate(
     docstring), so a single step (T = dt) is exactly the RK2 step.
 
     coeffs0 is the (n, n/2 + 1) half-plane of a real field's spectrum, or
-    its full (n, n) plane: only the first n/2 + 1 columns are read (the rule
-    of irfft2), so both give the same run. The loop steps that half-plane, and
+    its full (n, n) plane, which half_plane_of checks and halves as for the
+    norms, so both give the same run. The loop steps that half-plane, and
     rhs(c) -> spectral nonlinear term and max_velocity(c) -> max |u| on the
     grid for the CFL check both receive (n, n/2 + 1) arrays; the Nyquist
     column n/2 of the state is kept as it is. rhs(c) returns a new half-plane
@@ -432,16 +432,14 @@ def integrate(
     times past ``step_schedule(T, dt)[1]`` are dropped; ``RunConfig`` refuses
     them. A non-finite velocity or state raises NumericalAbort with a
     half-plane copy of the last state whose velocity check passed; a coeffs0 of
-    another shape, or a dt or T that is not positive and finite, raises
-    SpectralError. Returns (final_coeffs, n_steps, max_velocity_seen),
-    final_coeffs the (n, n/2 + 1) half-plane of the final state.
+    another shape or a non-Hermitian one (check_hermitian), or a dt or T that
+    is not positive and finite, raises SpectralError. Returns (final_coeffs,
+    n_steps, max_velocity_seen), final_coeffs the (n, n/2 + 1) half-plane of
+    the final state.
     """
     _require_positive_finite(dt=dt, T=T)
-    if coeffs0.shape not in ((grid.n, grid.n // 2 + 1), (grid.n, grid.n)):
-        raise SpectralError(f"coeffs0 has shape {coeffs0.shape}, neither the half-plane ({grid.n}, "
-                            f"{grid.n // 2 + 1}) nor the full plane ({grid.n}, {grid.n}) of its grid")
     E = _integrating_factor(grid, alpha, dt)
-    c = good = np.array(coeffs0[:, : grid.n // 2 + 1], dtype=np.complex128)
+    c = good = np.array(half_plane_of(grid, coeffs0), dtype=np.complex128)
     spare, pred = np.empty_like(c), np.empty_like(c)
     prev = None  # the tendency of the previous step's state
     t = 0.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
-from .spectral import MultiplierSpec, RealField, SpectralError, forward_half_plane, inverse_real
+from .spectral import MultiplierSpec, RealField, forward_half_plane, inverse_real
 
 __all__ = ["KSState", "ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
 
@@ -43,8 +43,7 @@ class KSState:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
+        MultiplierSpec.fractional_laplacian(self.alpha)  # range check
 
     def psi(self) -> RealField:
         """Chemoattractant concentration derived from the current density."""

@@ -23,9 +23,9 @@ even, so block_multiplier builds it on the rfft2 half-plane (n, n/2 + 1).
 
 Every Besov-type norm is one pipeline: the L^p norm of each block, then the
 weighted l^r sum over levels, always of a real field and always computed on
-its rfft2 half-plane (n, n/2 + 1). A half-plane is used as it is; a full
-(n, n) plane must pass the Hermitian check of SpectralField and is then read
-through its half-plane; a RealField is transformed with rfft2. The levels
+its rfft2 half-plane (n, n/2 + 1), entered through spectral.half_plane_of:
+a half-plane as it is, a full (n, n) plane only after check_hermitian; a
+RealField is transformed with rfft2. The levels
 are those of block_range(grid). For p = 2 the block norms come from
 Parseval through a level-sorted layout, cached per grid and built from the
 block masks, none of which it keeps: level by level, the flat half-plane
@@ -59,10 +59,10 @@ from .spectral import (
     RealField,
     SpectralField,
     SpectralError,
-    check_hermitian,
     dealias_mask,
     forward_half_plane,
     half_plane,
+    half_plane_of,
     inverse_real,
     multiplier_symbol,
 )
@@ -266,19 +266,8 @@ def _coeffs_of(field) -> tuple[Grid2D, np.ndarray]:
     if isinstance(field, RealField):
         return field.grid, forward_half_plane(field.values)
     if isinstance(field, SpectralField):
-        return field.grid, _half_plane_of(field.grid, field.coefficients)
+        return field.grid, half_plane_of(field.grid, field.coefficients)
     raise SpectralError(f"expected RealField or SpectralField, got {type(field).__name__}")
-
-
-def _half_plane_of(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
-    """The half-plane as it is (unchecked, uncopied); a full plane checked by check_hermitian, then halved."""
-    if coeffs.shape == (grid.n, grid.n // 2 + 1):
-        return coeffs
-    if coeffs.shape != (grid.n, grid.n):
-        raise SpectralError(f"coefficient shape {coeffs.shape} is neither the full nor the half plane "
-                            f"of grid n = {grid.n}")
-    check_hermitian(coeffs)
-    return half_plane(coeffs)
 
 
 class _Layout(NamedTuple):
@@ -359,7 +348,7 @@ def spectral_besov_norms(grid: Grid2D, coeffs: np.ndarray, params_seq, profile: 
     The block norms are taken once per distinct p and then combined into
     every requested norm, in the order given.
     """
-    coeffs = _half_plane_of(grid, coeffs)
+    coeffs = half_plane_of(grid, coeffs)
     blocks = {}
     for params in params_seq:
         if params.p not in blocks:
@@ -411,7 +400,7 @@ def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, alpha: float, times,
     damped plane. Other p take spectral_besov_norms of the damped
     half-plane at each time.
     """
-    coeffs = _half_plane_of(grid, coeffs)
+    coeffs = half_plane_of(grid, coeffs)
     rates = half_plane(multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
     times = np.asarray(times, dtype=np.float64)
     if not np.all((times >= 0.0) & (times < math.inf)):

@@ -12,6 +12,13 @@ on three objects defined here:
 With that normalization a single cosine mode has coefficients exactly 1/2 at
 k and -k, the k = 0 coefficient equals the field mean, and Parseval reads
 ||f||_{L^2}^2 = L^2 * sum_k |c_k|^2.
+
+A real field's spectrum has one rule, c(-k) = conj(c(k)) up to 1e-12 of
+max |c_k| (``check_hermitian``), met by every full (n, n) plane that enters:
+a checked ``SpectralField``, ``inverse_transform`` and ``half_plane_of`` (the
+entry of the norms and of ``evolution.integrate``). rfft2/irfft2 are the one
+whole-plane transform pair: ``forward_transform`` is the Hermitian extension
+(``full_plane``) of the rfft2 half-plane.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "check_hermitian",
     "hermitian_noise",
     "half_plane",
+    "half_plane_of",
     "full_plane",
     "forward_half_plane",
     "inverse_real",
@@ -166,12 +174,15 @@ class SpectralField:
             check_hermitian(self.coefficients)
 
 
+def _mirror(c: np.ndarray) -> np.ndarray:
+    """c(-k) at every k of an (n, n) plane."""
+    idx = (-np.arange(c.shape[0])) % c.shape[0]
+    return c[np.ix_(idx, idx)]
+
+
 def hermitian_defect(coefficients: np.ndarray) -> float:
     """Max |c(-k) - conj(c(k))| over the grid (0 for a real field's spectrum)."""
-    n = coefficients.shape[0]
-    idx = (-np.arange(n)) % n
-    mirrored = np.conj(coefficients[np.ix_(idx, idx)])
-    return float(np.abs(coefficients - mirrored).max())
+    return float(np.abs(coefficients - np.conj(_mirror(coefficients))).max())
 
 
 def check_hermitian(coefficients: np.ndarray) -> None:
@@ -191,13 +202,25 @@ def hermitian_noise(grid: Grid2D, rng) -> np.ndarray:
     ``rng``; every seeded spectrum of the package is built from this draw.
     """
     z = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
-    idx = (-np.arange(grid.n)) % grid.n
-    return 0.5 * (z + np.conj(z[np.ix_(idx, idx)]))
+    return 0.5 * (z + np.conj(_mirror(z)))
 
 
 def half_plane(c: np.ndarray) -> np.ndarray:
     """The rfft2 half-plane (columns k2 = 0..n/2) of full-plane coefficients, as a view."""
     return c[..., : c.shape[-1] // 2 + 1]
+
+
+def half_plane_of(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
+    """A real field's half-plane coefficients: an (n, n/2 + 1) half-plane as it is (unchecked,
+    uncopied), an (n, n) plane after check_hermitian; any other shape raises SpectralError."""
+    n = grid.n
+    if coeffs.shape == (n, n // 2 + 1):
+        return coeffs
+    if coeffs.shape != (n, n):
+        raise SpectralError(f"coefficients have shape {coeffs.shape}, neither the half-plane ({n}, "
+                            f"{n // 2 + 1}) nor the full plane ({n}, {n}) of its grid")
+    check_hermitian(coeffs)
+    return half_plane(coeffs)
 
 
 def full_plane(h: np.ndarray) -> np.ndarray:
@@ -214,25 +237,15 @@ def full_plane(h: np.ndarray) -> np.ndarray:
 
 
 def forward_transform(field: RealField) -> SpectralField:
-    """Real field -> coefficients with f(x) = sum_k c_k exp(i xi_k . x)."""
-    return SpectralField(field.grid, np.fft.fft2(field.values, norm="forward"), check=False)
+    """Real field -> coefficients with f(x) = sum_k c_k exp(i xi_k . x): the Hermitian
+    extension of the rfft2 half-plane."""
+    return SpectralField(field.grid, full_plane(forward_half_plane(field.values)), check=False)
 
 
 def inverse_transform(spec: SpectralField) -> RealField:
-    """Coefficients -> real field; the imaginary residue must be negligible.
-
-    Raises ``SpectralError`` if the inverse has relative imaginary residue
-    above 1e-9, which indicates non-Hermitian input.
-    """
-    w = np.fft.ifft2(spec.coefficients, norm="forward")
-    scale = float(np.abs(w.real).max()) or 1.0
-    residue = float(np.abs(w.imag).max())
-    if residue > 1e-9 * scale:
-        raise SpectralError(
-            f"inverse transform has imaginary residue {residue:.3e} (scale {scale:.3e}); "
-            "input coefficients are not the spectrum of a real field"
-        )
-    return RealField(spec.grid, np.ascontiguousarray(w.real))
+    """Coefficients -> real field by irfft2; raises SpectralError unless the
+    coefficients pass check_hermitian (also when built with check=False)."""
+    return RealField(spec.grid, inverse_real(half_plane_of(spec.grid, spec.coefficients)))
 
 
 def forward_half_plane(values: np.ndarray) -> np.ndarray:
@@ -278,9 +291,7 @@ class MultiplierSpec:
             raise SpectralError(f"unknown multiplier kind {self.kind!r}")
         if self.kind == "fractional_laplacian":
             if self.alpha is None or not (0.0 < self.alpha <= 2.0):
-                raise SpectralError(
-                    f"fractional_laplacian requires alpha in (0, 2], got {self.alpha}"
-                )
+                raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.kind in _ODD_KINDS:
             if self.axis not in (1, 2):
                 raise SpectralError(f"{self.kind} requires component index 1 or 2, got {self.axis}")

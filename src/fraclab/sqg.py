@@ -29,7 +29,7 @@ import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
-from .spectral import MultiplierSpec, RealField, SpectralError, forward_half_plane, inverse_real
+from .spectral import MultiplierSpec, RealField, forward_half_plane, inverse_real
 
 __all__ = ["SQGState", "sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
 
@@ -43,8 +43,7 @@ class SQGState:
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise SpectralError(f"alpha must be in (0, 2], got {self.alpha}")
+        MultiplierSpec.fractional_laplacian(self.alpha)  # range check
 
 
 def critical_norm_params(alpha: float, p: float = 2.0) -> BesovParams:

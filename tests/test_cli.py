@@ -115,8 +115,8 @@ class TestLoadConfig:
             ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 8}', "oracle runs measure with p = 2 only"),
             ('{"kind": "oracle", "r": 4}', "oracle runs measure with r = 2 only"),
             ('{"kind": "linear", "n": 64, "r": 4}', "linear runs measure with r = 2 only"),
-            ('{"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}', "lebesgue runs measure with ell = 0 only"),
-            ('{"kind": "oracle", "theorem": "lebesgue", "ell": -0.5}', "lebesgue runs measure with ell = 0 only"),
+            ('{"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}', "lebesgue claims require ell = 0"),
+            ('{"kind": "oracle", "theorem": "lebesgue", "ell": -0.5}', "lebesgue claims require ell = 0"),
         ],
     )
     def test_rejected_before_any_computation(self, tmp_path, text, match):
@@ -664,13 +664,14 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "payload",
-        [{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}, {"kind": "linear", "n": 64, "r": 4},
-         {"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}],
+        "payload, message",
+        [({"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}, "runs measure with"),
+         ({"kind": "linear", "n": 64, "r": 4}, "runs measure with"),
+         ({"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}, "lebesgue claims require ell = 0")],
     )
-    def test_unread_exponent_exits_2_before_computing(self, tmp_path, capsys, monkeypatch, payload):
+    def test_unread_exponent_exits_2_before_computing(self, tmp_path, capsys, monkeypatch, payload, message):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)
         path = write_config(tmp_path, payload)
         assert main([payload["kind"], "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "runs measure with" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -87,6 +87,12 @@ class TestClaims:
                                                  "<= 1 \\+ 2/p - alpha .*, got 1 - 2/r="):
                 DecayClaim("lebesgue", s=s, alpha=1.0, p=p, r=r)
 
+    def test_lebesgue_claims_refuse_an_ell_they_would_not_read(self):
+        DecayClaim("lebesgue", s=0.5, ell=0.0, alpha=1.0, p=4.0, r=3.0)
+        for ell in (0.5, -0.5):
+            with pytest.raises(ClaimError, match=f"lebesgue claims require ell = 0 .*, got ell={ell}"):
+                DecayClaim("lebesgue", s=0.5, ell=ell, alpha=1.0, p=4.0, r=3.0)
+
     def test_unknown_family(self):
         with pytest.raises(ClaimError, match="unknown claim family"):
             DecayClaim("heat", s=1.0)

@@ -398,6 +398,15 @@ class TestHalfPlaneStepper:
             integrate(g, np.zeros(shape, complex), 1.0, 0.1, 0.2, rhs=np.zeros_like,
                       max_velocity=lambda c: 0.0, sample_times=[], record=lambda t, c: None)
 
+    def test_integrate_refuses_a_full_plane_that_is_not_hermitian(self):
+        g = Grid2D(16, 6.28)
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        assert hermitian_defect(c) > 0.5 * np.abs(c).max()
+        with pytest.raises(SpectralError, match="not Hermitian-symmetric"):
+            integrate(g, c, 1.0, 0.1, 0.2, rhs=np.zeros_like,
+                      max_velocity=lambda c: 0.0, sample_times=[], record=lambda t, c: None)
+
 
 _EQUATIONS = {"sqg": (_SQGFlux, _sqg_tendency, 0.0), "ks": (_KSFlux, _ks_tendency, 1.0)}  # flux, oracle, mean
 

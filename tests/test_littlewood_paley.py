@@ -450,7 +450,7 @@ class TestLevelTable:
 
     def test_rejects_a_plane_of_another_width(self, profile):
         g = Grid2D(16, 2 * math.pi)
-        with pytest.raises(SpectralError, match="neither the full nor the half plane"):
+        with pytest.raises(SpectralError, match=r"\(16, 12\), neither the half-plane \(16, 9\) nor the full plane"):
             spectral_besov_norm(g, np.zeros((16, 12), complex), BesovParams(0, 2, 1), profile)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])

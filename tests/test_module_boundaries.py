@@ -1,6 +1,7 @@
 """Ownership rules of the package: an underscore name stays inside its module,
 the solver and norm modules stay on the rfft2 half-plane, and so do the run
-driver and the command line."""
+driver and the command line; rfft2/irfft2 are the only whole-plane transform
+pair, and only spectral decides whether a full plane is a real field's spectrum."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,26 @@ def test_solver_and_norm_modules_import_no_full_plane_conversion():
 def test_the_run_driver_and_command_line_import_no_full_plane_transform():
     # NumericalAbort.last_good is a half-plane too, so evolution needs no full_plane either
     assert imports_of(("evolution", "cli"), FULL_PLANE_NAMES) == []
+
+
+def names_used(path: Path) -> set[str]:
+    """Every attribute, bare name and imported name in one source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def test_no_module_names_a_complex_whole_plane_transform():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if names_used(path) & {"fft2", "ifft2"}] == []
+
+
+def test_only_spectral_decides_hermitian_symmetry():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py")) if "check_hermitian" in names_used(path)] == [
+        "spectral.py"
+    ]

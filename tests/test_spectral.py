@@ -3,6 +3,7 @@
 import errno
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 
 from fraclab import bsvf
 from fraclab.bsvf import read_bsvf, write_bsvf
+from fraclab.keller_segel import KSState
 from fraclab.selftest import spectral_hermitian, spectral_multiplier_linearity, spectral_roundtrip
+from fraclab.semigroup import RadialSpectralDensity, evolve_linear, oracle_block_norm
 from fraclab.spectral import (
     Grid2D,
     MultiplierSpec,
@@ -24,6 +27,7 @@ from fraclab.spectral import (
     hermitian_defect,
     inverse_transform,
 )
+from fraclab.sqg import SQGState
 from helpers import convolution_product_coefficients, random_band_field
 
 
@@ -78,8 +82,47 @@ class TestTransforms:
     def test_hermitian_output(self, rng):
         assert spectral_hermitian(rng, grid=Grid2D(32, 1.0), samples=1).value <= 1e-13
 
+    @pytest.mark.parametrize("shape", [(32, 16), (16, 16), (32, 17)])
+    def test_fields_refuse_a_shape_of_another_grid(self, shape):
+        g = Grid2D(32, 1.0)
+        with pytest.raises(SpectralError, match=rf"field shape {re.escape(str(shape))} does not match"):
+            RealField(g, np.zeros(shape))
+        with pytest.raises(SpectralError, match=rf"coefficient shape {re.escape(str(shape))} does not match"):
+            SpectralField(g, np.zeros(shape, complex))
+
+    def test_non_finite_coefficient_rejected_with_index(self):
+        g = Grid2D(32, 1.0)
+        c = np.zeros((32, 32), complex)
+        c[3, 4] = complex(0.0, math.inf)  # the float64 view puts the imaginary part at column 2 * 4 + 1
+        with pytest.raises(SpectralError, match=r"non-finite coefficient near index \(3, 9\)"):
+            SpectralField(g, c, check=False)
+
+    def test_inverse_refuses_an_unchecked_plane_the_checked_field_refuses(self, rng):
+        g = Grid2D(32, 1.0)
+        c = forward_transform(random_band_field(g, rng)).coefficients
+        c[1, 2] += 1e-11 * np.abs(c).max()
+        with pytest.raises(SpectralError, match="not Hermitian-symmetric"):
+            SpectralField(g, c)
+        with pytest.raises(SpectralError, match="not Hermitian-symmetric"):
+            inverse_transform(SpectralField(g, c, check=False))
+
 
 class TestMultipliers:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 2.5, math.nan])
+    @pytest.mark.parametrize("entry", ["multiplier", "sqg_state", "ks_state", "evolve_linear", "oracle_block_norm"])
+    def test_every_alpha_entry_refuses_alpha_outside_0_2_with_one_message(self, entry, alpha, profile):
+        g = Grid2D(16, 1.0)
+        calls = {
+            "multiplier": lambda: MultiplierSpec.fractional_laplacian(alpha),
+            "sqg_state": lambda: SQGState(RealField(g, np.zeros((16, 16))), 0.0, alpha),
+            "ks_state": lambda: KSState(RealField(g, np.ones((16, 16))), 0.0, alpha),
+            "evolve_linear": lambda: evolve_linear(SpectralField(g, np.zeros((16, 16))), alpha, 1.0),
+            "oracle_block_norm": lambda: oracle_block_norm(RadialSpectralDensity.ball_indicator(1.0), -2, 1.0,
+                                                           alpha, profile),
+        }
+        with pytest.raises(SpectralError, match=rf"^alpha must be in \(0, 2\], got {alpha}$"):
+            calls[entry]()
+
     def test_fractional_laplacian_on_cosine(self):
         g = Grid2D(64, 3.0)
         x1, _ = g.coordinates()
