@@ -48,8 +48,8 @@ from .semigroup import (
     oracle_block_norm,
 )
 from .evolution import InitialSpectrum, RunConfig, RunResult, log_spaced_times
-from .sqg import SQGState, run_sqg, sqg_rhs, sqg_step, sqg_velocity
-from .keller_segel import KSState, ks_potential, ks_rhs, ks_step, run_ks
+from .sqg import run_sqg, sqg_rhs, sqg_step, sqg_velocity
+from .keller_segel import ks_potential, ks_rhs, ks_step, run_ks
 
 __all__ = [
     "__version__",
@@ -88,12 +88,10 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "log_spaced_times",
-    "SQGState",
     "run_sqg",
     "sqg_rhs",
     "sqg_step",
     "sqg_velocity",
-    "KSState",
     "ks_potential",
     "ks_rhs",
     "ks_step",

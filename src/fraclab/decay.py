@@ -201,10 +201,6 @@ class FitResult:
     window: tuple[float, float]
     n_samples: int = 0
 
-    def amplitude(self) -> float:
-        """Empirical prefactor C with value ~ C (1 + t)^slope."""
-        return math.exp(self.intercept)
-
 
 def fit_decay_slope(series: NormSeries, window: tuple[float, float]) -> FitResult:
     """Fit log(value) = slope * log(1 + t) + intercept over the window.

@@ -34,10 +34,10 @@ Column n/2 (the Nyquist column, which is its own mirror) is kept as it is;
 the 2/3-rule mask zeroes it in every tendency, so the nonlinearity never
 writes there.
 
-An equation module supplies only its physics: a state class, its
-critical-norm index, and a flux, which is a ``GridOperators`` subclass with
-``rhs(c)`` -> N(c) and ``max_velocity(c)`` -> max |u| for the CFL check,
-both on half-plane coefficients. ``max_velocity(c)`` keeps the physical
+An equation module supplies only its physics: its critical-norm index and
+a flux, which is a ``GridOperators`` subclass with ``rhs(c)`` -> N(c) and
+``max_velocity(c)`` -> max |u| for the CFL check, both on half-plane
+coefficients. ``max_velocity(c)`` keeps the physical
 fields it built, and the ``rhs`` call that follows on the same array reuses
 them, so the velocity of the step's state is transformed once per step.
 ``integrate`` is the only time loop (a single step is an ``integrate`` call

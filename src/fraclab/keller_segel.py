@@ -13,7 +13,7 @@ conserved exactly because the divergence kills the zero mode.
 The critical exponent is alpha = 1; subcritical alpha in (1, 2] is allowed.
 Positivity of u is not enforced by the spectral scheme; the running minimum
 is tracked and reported.
-Only the physics lives here: the state, the critical-norm index, the flux
+Only the physics lives here: the critical-norm index, the flux
 ``_KSFlux`` and the per-sample mass and minimum tracking; the time loop and
 the run driver are the shared ones of ``evolution``. The tendency is
 dealiased by the 2/3 rule on its input and its output: ``ks_rhs``,
@@ -23,31 +23,13 @@ n/3 of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
 from .spectral import MultiplierSpec, RealField, forward_half_plane, inverse_real
 
-__all__ = ["KSState", "ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
-
-
-@dataclass
-class KSState:
-    """Cell density u at time t with dissipation exponent alpha."""
-
-    u: RealField
-    t: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        MultiplierSpec.fractional_laplacian(self.alpha)  # range check
-
-    def psi(self) -> RealField:
-        """Chemoattractant concentration derived from the current density."""
-        return ks_potential(self.u)
+__all__ = ["ks_potential", "ks_rhs", "ks_step", "run_ks", "ks_critical_norm_params"]
 
 
 def ks_critical_norm_params(p: float = 2.0) -> BesovParams:
@@ -106,13 +88,14 @@ def ks_rhs(u: RealField) -> RealField:
     return RealField(u.grid, flux.to_phys(flux.rhs(flux.to_spec(u.values))))
 
 
-def ks_step(state: KSState, dt: float) -> KSState:
-    """One integrating-factor RK2 step on the rfft2 half-plane; raises CFLError when dt is
-    too big and SpectralError unless dt is positive and finite."""
-    grid, flux = state.u.grid, _KSFlux.on(state.u.grid)
-    c = integrate(grid, forward_half_plane(state.u.values), state.alpha, dt, dt,
+def ks_step(u: RealField, alpha: float, dt: float) -> RealField:
+    """u after one integrating-factor RK2 step of size dt on the rfft2 half-plane; raises
+    CFLError when dt is too big and SpectralError unless alpha is in (0, 2] and dt is positive
+    and finite."""
+    grid, flux = u.grid, _KSFlux.on(u.grid)
+    c = integrate(grid, forward_half_plane(u.values), alpha, dt, dt,
                   flux.rhs, flux.max_velocity, [], lambda t, c: None)[0]
-    return KSState(RealField(grid, inverse_real(c)), state.t + dt, state.alpha)
+    return RealField(grid, inverse_real(c))
 
 
 def run_ks(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult:

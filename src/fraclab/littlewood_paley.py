@@ -105,17 +105,14 @@ def _smooth_step_array(t: np.ndarray) -> np.ndarray:
 class DyadicProfile:
     """Radial bump phi: [0, inf) -> [0, 1] supported in [3/4, 8/3].
 
-    ``chi`` is the underlying smooth cutoff. ``phi_array``/``chi_array`` are
-    the implementation; ``phi``/``chi`` evaluate them at one radius. The
+    ``phi_array`` evaluates the bump and ``chi_array`` the underlying smooth
+    cutoff, elementwise; ``phi`` evaluates the bump at one radius. The
     profile has no fields, so every instance is the same bump: instances
     compare equal and share the entries of caches keyed on a profile.
     """
 
     inner_edge = INNER_EDGE
     outer_edge = OUTER_EDGE
-
-    def chi(self, r: float) -> float:
-        return float(self.chi_array(r))
 
     def phi(self, r: float) -> float:
         return float(self.phi_array(r))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import decay, semigroup
 from .evolution import log_spaced_times
-from .keller_segel import KSState, ks_potential, ks_step
+from .keller_segel import ks_potential, ks_step
 from .littlewood_paley import (
     BesovParams,
     besov_norm,
@@ -50,12 +50,11 @@ from .spectral import (
     forward_half_plane,
     forward_transform,
     half_plane,
-    hermitian_defect,
     hermitian_noise,
     inverse_real,
     inverse_transform,
 )
-from .sqg import SQGState, sqg_step, sqg_velocity
+from .sqg import sqg_step, sqg_velocity
 
 __all__ = ["CHECKS", "PropertyResult", "random_band_field", "run_selftest", "shell_field"]
 
@@ -140,24 +139,24 @@ def _l2(grid: Grid2D, coeffs) -> float:
     return grid.L * math.sqrt(np.vdot(coeffs, coeffs).real)
 
 
-def _path(step, state, steps: int, dt: float = 0.02) -> list:
-    """The states along ``steps`` steps of size dt, the initial one first."""
-    out = [state]
+def _path(step, field: RealField, alpha: float, steps: int, dt: float = 0.02) -> list[RealField]:
+    """The fields along ``steps`` steps of size dt, the initial one first."""
+    out = [field]
     for _ in range(steps):
-        out.append(step(out[-1], dt))
+        out.append(step(out[-1], alpha, dt))
     return out
 
 
 def _sqg_paths(grid: Grid2D, rng, samples: int, amplitude: float, steps: int):
-    """theta along ``steps`` steps from each of ``samples`` seeded fields, one path at a time."""
+    """theta along ``steps`` steps at alpha = 1 from each of ``samples`` seeded fields, one path at a time."""
     for _ in range(samples):
-        yield [s.theta for s in _path(sqg_step, SQGState(_scaled_field(grid, rng, amplitude), 0.0, 1.0), steps)]
+        yield _path(sqg_step, _scaled_field(grid, rng, amplitude), 1.0, steps)
 
 
-def _dt_ratio(step, base, values) -> float:
-    """|w(h) - w(h/2)| / |w(h/2) - w(h/4)| at T = 0.4, h = 0.04 (4 at second order),
-    over single steps: the RK2 starter of ``integrate``, not its multistep path."""
-    w1, w2, w4 = (values(_path(step, base, n, dt)[-1]) for dt, n in ((0.04, 10), (0.02, 20), (0.01, 40)))
+def _dt_ratio(step, base: RealField) -> float:
+    """|w(h) - w(h/2)| / |w(h/2) - w(h/4)| at T = 0.4, h = 0.04, alpha = 1 (4 at second
+    order), over single steps: the RK2 starter of ``integrate``, not its multistep path."""
+    w1, w2, w4 = (_path(step, base, 1.0, n, dt)[-1].values for dt, n in ((0.04, 10), (0.02, 20), (0.01, 40)))
     return float(np.abs(w1 - w2).max()) / float(np.abs(w2 - w4).max())
 
 
@@ -183,13 +182,16 @@ def spectral_parseval(rng, grid=OFF_GRID, samples=20):
     return worst, f"max rel gap ||f||_2 vs L (sum |c|^2)^1/2, {samples} fields, L = {grid.L:g}"
 
 
-@_check("spectral.hermitian", 1e-12)
-def spectral_hermitian(rng, grid=GRID, samples=20):
+@_check("spectral.direct_dft", 1e-12)
+def spectral_direct_dft(rng, grid=GRID, samples=20):
+    n = grid.n
+    k = np.arange(n)
+    w = np.exp(-2j * math.pi * (np.outer(k, k) % n) / n)  # the DFT matrix, its exponents reduced mod n
     worst = 0.0
     for _ in range(samples):
-        c = forward_transform(random_band_field(grid, rng)).coefficients
-        worst = max(worst, hermitian_defect(c) / float(np.abs(c).max()))
-    return worst, f"max |c(-k) - conj c(k)| / max |c|, {samples} fields"
+        f = random_band_field(grid, rng, zero_mean=False).values
+        worst = max(worst, _rel(forward_half_plane(f), half_plane(w @ f @ w.T) / n ** 2))
+    return worst, f"max rel gap of the rfft2 half-plane vs the direct DFT (W f W^T) / n^2, {samples} fields with mean"
 
 
 @_check("spectral.multiplier_linearity", 1e-12)
@@ -429,7 +431,7 @@ def sqg_shell_steady_state(rng, grid=GRID, k2=442, amplitude=5.0, alpha=1.0, T=0
     theta = RealField(grid, amplitude * f / np.abs(f).max())
     speed = np.hypot(*(u.values for u in sqg_velocity(theta))).max() * grid.n / grid.L
     steps = math.ceil(T * speed / 0.38)  # Courant dt max|u| n / L <= 0.38 with dt = T / steps
-    end = _path(sqg_step, SQGState(theta, 0.0, alpha), steps, T / steps)[-1].theta.values
+    end = _path(sqg_step, theta, alpha, steps, T / steps)[-1].values
     linear = inverse_transform(semigroup.evolve_linear(forward_transform(theta), alpha, T)).values
     detail = f"rel err vs the linear flow at T = {T:g}, |k|^2 = {k2}, {steps} steps at Courant {T / steps * speed:.3f}"
     return _rel(end, linear), detail
@@ -453,8 +455,7 @@ def sqg_l2_monotone(rng, grid=GRID, samples=1, amplitude=0.02, steps=25):
 
 @_check("sqg.dt_self_convergence", 0.5)
 def sqg_dt_self_convergence(rng, grid=GRID, amplitude=0.5):
-    base = SQGState(_scaled_field(grid, rng, amplitude), 0.0, 1.0)
-    ratio = _dt_ratio(sqg_step, base, lambda s: s.theta.values)
+    ratio = _dt_ratio(sqg_step, _scaled_field(grid, rng, amplitude))
     return abs(ratio - 4.0), f"|error ratio - 4| of single RK2 starter steps, ratio {ratio:.2f} at T = 0.4"
 
 
@@ -465,7 +466,7 @@ def sqg_quadratic_nonlinearity(rng, grid=GRID):
 
     def dev(eps):
         theta = RealField(grid, eps * f.values)
-        end = _path(sqg_step, SQGState(theta, 0.0, 1.0), 10)[-1].theta.values
+        end = _path(sqg_step, theta, 1.0, 10)[-1].values
         lin = inverse_transform(semigroup.evolve_linear(forward_transform(theta), 1.0, 0.2)).values
         return float(np.abs(end - lin).max()) / eps
 
@@ -489,24 +490,23 @@ def ks_potential_residual(rng, grid=GRID):
 def ks_mass_conservation(rng, grid=GRID):
     # amplitude 0.1 on a background density 0.5
     u = RealField(grid, _scaled_field(grid, rng, 0.1).values + 0.5)
-    path = _path(ks_step, KSState(u, 0.0, 1.0), 25)
-    mass0 = path[0].u.mean()
-    return max(abs(s.u.mean() - mass0) for s in path[1:]) / abs(mass0), "max relative mass drift over 25 steps"
+    path = _path(ks_step, u, 1.0, 25)
+    mass0 = path[0].mean()
+    return max(abs(v.mean() - mass0) for v in path[1:]) / abs(mass0), "max relative mass drift over 25 steps"
 
 
 @_check("ks.linear_limit", 1e-3)
 def ks_linear_limit(rng, grid=GRID):
     eps = 1e-8
     u = RealField(grid, eps * _scaled_field(grid, rng, 0.1).values)
-    end = _path(ks_step, KSState(u, 0.0, 1.0), 10)[-1].u.values
+    end = _path(ks_step, u, 1.0, 10)[-1].values
     lin = inverse_transform(semigroup.evolve_linear(forward_transform(u), 1.0, 0.2)).values
     return _rel(end, lin), f"rel deviation from the linear flow at T = 0.2, amplitude {eps:g}"
 
 
 @_check("ks.dt_self_convergence", 0.5)
 def ks_dt_self_convergence(rng, grid=GRID):
-    base = KSState(_scaled_field(grid, rng, 2.0), 0.0, 1.0)
-    ratio = _dt_ratio(ks_step, base, lambda s: s.u.values)
+    ratio = _dt_ratio(ks_step, _scaled_field(grid, rng, 2.0))
     return abs(ratio - 4.0), f"|error ratio - 4| of single RK2 starter steps, ratio {ratio:.2f} at T = 0.4"
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "QuadratureError",
     "gauss_legendre_panels",
     "oracle_block_norm",
-    "oracle_l2_norm",
     "oracle_besov_series",
     "sphere_measure",
 ]
@@ -149,7 +148,7 @@ class RadialSpectralDensity:
         the Gaussian, past which rho is exactly 0 in float64."""
         return 40.0 * self.sigma if self.form == "gaussian" else self.support()[1]
 
-    def rho(self, r) -> np.ndarray:
+    def rho_array(self, r) -> np.ndarray:
         """rho at r, elementwise; a scalar r gives a 0-d array."""
         r = np.asarray(r, dtype=np.float64)
         if self.form == "ball_indicator":
@@ -159,8 +158,6 @@ class RadialSpectralDensity:
             safe = np.where(r > 0, r, 1.0)
             return np.where(inside, safe ** self.exponent, 0.0)
         return np.exp(-0.5 * (r / self.sigma) ** 2)
-
-    rho_array = rho
 
 
 class QuadratureError(RuntimeError):
@@ -173,7 +170,6 @@ class QuadratureError(RuntimeError):
 
 GL_NODES = 20  # Gauss-Legendre nodes per panel
 _SUBPANELS = (2, 4)  # panels per smooth interval: the N-node and 2N-node rules
-_GEOMETRIC_PANELS = 60  # oracle_l2_norm: panels halving toward the lower support edge
 
 
 def _legendre(x: np.ndarray, m: int):
@@ -219,17 +215,6 @@ def gauss_legendre_panels(edges, subpanels: int = 1):
     a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
     half = 0.5 * (b - a)[:, None]
     return (0.5 * (a + b)[:, None] + half * x).ravel(), (half * w).ravel()
-
-
-def _radial_rules(density: RadialSpectralDensity, edges):
-    """The N- and 2N-node rules on the panels between edges, as (nodes,
-    weights), with rho(r)^2 r^(n-1) folded into the weights."""
-    rules = []
-    for sub in _SUBPANELS:
-        r, w = gauss_legendre_panels(edges, sub)
-        g = density.rho_array(r)
-        rules.append((r, w * g * g * r ** (density.dimension - 1)))
-    return rules
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,24 +321,6 @@ def oracle_block_norm(
     rules = _level_rules(density, j, profile)
     coarse, fine = _damped_integrals(rules, alpha, np.array([float(t)]))
     _check_gap(f"block j = {j}", [t], coarse, fine, rules[1][1].sum(), rel_tol)
-    return float(_radial_norm(density, fine[0]))
-
-
-def oracle_l2_norm(
-    density: RadialSpectralDensity, t: float, alpha: float, rel_tol: float = 1e-10
-) -> float:
-    """Plain L^2 norm of the evolved solution, as one radial integral.
-
-    Panels halve in width toward the lower support edge, so an integrand
-    concentrated near the origin at large t is still resolved. Raises
-    QuadratureError when the N- and 2N-node integrals differ by more than
-    rel_tol of the value.
-    """
-    s_lo, s_hi = density.support()[0], density.outer_radius()
-    halvings = 2.0 ** -np.arange(_GEOMETRIC_PANELS, -1, -1.0)
-    edges = np.append(s_lo, s_lo + (s_hi - s_lo) * halvings)
-    coarse, fine = _damped_integrals(_radial_rules(density, edges), alpha, np.array([float(t)]))
-    _check_gap("L^2 integral", [t], coarse, fine, fine, rel_tol)
     return float(_radial_norm(density, fine[0]))
 
 

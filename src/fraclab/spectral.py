@@ -261,8 +261,7 @@ def inverse_real(coefficients: np.ndarray) -> np.ndarray:
 
 
 _ODD_KINDS = {"riesz", "partial"}
-_INVERSE_KINDS = {"inverse_laplacian", "inverse_lambda"}
-_KINDS = {"fractional_laplacian", "inverse_laplacian", "riesz", "partial", "inverse_lambda"}
+_KINDS = {"fractional_laplacian", "inverse_laplacian", "riesz", "partial"}
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,6 @@ class MultiplierSpec:
     inverse_laplacian             |xi|^-2
     riesz(i)                      i * xi_i / |xi|
     partial(i)                    i * xi_i
-    inverse_lambda                |xi|^-1
 
     The k = 0 coefficient maps to 0 for every kind. Odd symbols (riesz,
     partial) also zero the self-conjugate Nyquist line of their axis so the
@@ -312,10 +310,6 @@ class MultiplierSpec:
     def partial(cls, axis: int) -> "MultiplierSpec":
         return cls("partial", axis=axis)
 
-    @classmethod
-    def inverse_lambda(cls) -> "MultiplierSpec":
-        return cls("inverse_lambda")
-
 
 def multiplier_symbol(grid: Grid2D, m: MultiplierSpec) -> np.ndarray:
     """Symbol m(xi_k) as an (n, n) array, with zero-mode and Nyquist policy applied."""
@@ -325,8 +319,8 @@ def multiplier_symbol(grid: Grid2D, m: MultiplierSpec) -> np.ndarray:
         nz = r > 0
         sym[nz] = r[nz] ** m.alpha
         return sym
-    if m.kind in _INVERSE_KINDS:
-        sym = np.where(r > 0, r, 1.0) ** (-2.0 if m.kind == "inverse_laplacian" else -1.0)
+    if m.kind == "inverse_laplacian":
+        sym = np.where(r > 0, r, 1.0) ** -2.0
         sym[0, 0] = 0.0
         return sym
     xi_i = grid.xi1 if m.axis == 1 else grid.xi2
@@ -345,10 +339,10 @@ def multiplier_symbol(grid: Grid2D, m: MultiplierSpec) -> np.ndarray:
 def apply_fourier_multiplier(spec_field: SpectralField, m: MultiplierSpec) -> SpectralField:
     """Multiply each coefficient by the symbol m(xi_k).
 
-    Inverse kinds (inverse_laplacian, inverse_lambda) reject input whose
-    k = 0 coefficient exceeds 1e-10 in magnitude; project the mean out first.
+    inverse_laplacian rejects input whose k = 0 coefficient exceeds 1e-10
+    in magnitude; project the mean out first.
     """
-    if m.kind in _INVERSE_KINDS:
+    if m.kind == "inverse_laplacian":
         c0 = abs(spec_field.coefficients[0, 0])
         if c0 > 1e-10:
             raise SpectralError(

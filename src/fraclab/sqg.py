@@ -9,7 +9,7 @@ and damped by the fractional dissipation Lambda^alpha with unit viscosity:
 
     d theta/dt + u . grad theta + Lambda^alpha theta = 0.
 
-Only the physics lives here: the state, the critical-norm index and the flux
+Only the physics lives here: the critical-norm index and the flux
 ``_SQGFlux``. Gradients and the velocity law are applied spectrally; the
 advection product is formed pointwise and dealiased by the 2/3 rule, which
 the tendency also applies to its input: ``sqg_rhs``, ``sqg_velocity`` and the
@@ -23,27 +23,13 @@ follows the linear flow to rounding at any amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
 from .littlewood_paley import BesovParams, DyadicProfile
 from .spectral import MultiplierSpec, RealField, forward_half_plane, inverse_real
 
-__all__ = ["SQGState", "sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
-
-
-@dataclass
-class SQGState:
-    """Scalar state theta at time t with dissipation exponent alpha."""
-
-    theta: RealField
-    t: float
-    alpha: float
-
-    def __post_init__(self):
-        MultiplierSpec.fractional_laplacian(self.alpha)  # range check
+__all__ = ["sqg_velocity", "sqg_rhs", "sqg_step", "run_sqg", "critical_norm_params"]
 
 
 def critical_norm_params(alpha: float, p: float = 2.0) -> BesovParams:
@@ -95,13 +81,14 @@ def sqg_rhs(theta: RealField) -> RealField:
     return RealField(theta.grid, flux.to_phys(flux.rhs(flux.to_spec(theta.values))))
 
 
-def sqg_step(state: SQGState, dt: float) -> SQGState:
-    """One integrating-factor RK2 step on the rfft2 half-plane; raises CFLError when dt is
-    too big and SpectralError unless dt is positive and finite."""
-    grid, flux = state.theta.grid, _SQGFlux.on(state.theta.grid)
-    c = integrate(grid, forward_half_plane(state.theta.values), state.alpha, dt, dt,
+def sqg_step(theta: RealField, alpha: float, dt: float) -> RealField:
+    """theta after one integrating-factor RK2 step of size dt on the rfft2 half-plane; raises
+    CFLError when dt is too big and SpectralError unless alpha is in (0, 2] and dt is positive
+    and finite."""
+    grid, flux = theta.grid, _SQGFlux.on(theta.grid)
+    c = integrate(grid, forward_half_plane(theta.values), alpha, dt, dt,
                   flux.rhs, flux.max_velocity, [], lambda t, c: None)[0]
-    return SQGState(RealField(grid, inverse_real(c)), state.t + dt, state.alpha)
+    return RealField(grid, inverse_real(c))
 
 
 def run_sqg(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult:

@@ -156,7 +156,7 @@ class TestFit:
         fit = fit_decay_slope(series, (t[0], t[-1]))
         assert fit.slope == pytest.approx(-2.0, abs=1e-12)
         assert fit.residual <= 1e-12
-        assert fit.amplitude() == pytest.approx(2.0, rel=1e-10)
+        assert math.exp(fit.intercept) == pytest.approx(2.0, rel=1e-10)
 
     def test_constant_series(self):
         t = np.linspace(1.0, 50.0, 30)

@@ -16,7 +16,7 @@ from fraclab.evolution import (
     make_initial_coefficients,
     sample_count,
 )
-from fraclab.keller_segel import KSState, _KSFlux, ks_rhs, ks_step
+from fraclab.keller_segel import _KSFlux, ks_rhs, ks_step
 from fraclab.littlewood_paley import BesovParams
 from fraclab.spectral import (
     Grid2D,
@@ -35,7 +35,7 @@ from fraclab.spectral import (
     inverse_transform,
     multiplier_symbol,
 )
-from fraclab.sqg import SQGState, _SQGFlux, sqg_rhs, sqg_step
+from fraclab.sqg import _SQGFlux, sqg_rhs, sqg_step
 from helpers import convolution_product_coefficients, padded_product_coefficients, random_band_field
 
 
@@ -327,20 +327,20 @@ class TestHalfPlaneStepper:
         g = Grid2D(32, 2 * math.pi)
         w = random_band_field(g, rng).values
         theta = RealField(g, 0.5 * w / np.abs(w).max())
-        out = sqg_step(SQGState(theta, 0.0, 1.0), 0.05)
+        out = sqg_step(theta, 1.0, 0.05)
         ref = _reference_step(g, forward_transform(theta).coefficients, 1.0, 0.05,
                               lambda c: _sqg_tendency(g, c))
-        got = forward_transform(out.theta).coefficients
+        got = forward_transform(out).coefficients
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_ks_step_matches_full_plane_convolution_step(self, rng):
         g = Grid2D(32, 2 * math.pi)
         w = random_band_field(g, rng).values
         u = RealField(g, 1.0 + 0.5 * w / np.abs(w).max())
-        out = ks_step(KSState(u, 0.0, 1.0), 0.05)
+        out = ks_step(u, 1.0, 0.05)
         ref = _reference_step(g, forward_transform(u).coefficients, 1.0, 0.05,
                               lambda c: _ks_tendency(g, c))
-        got = forward_transform(out.u).coefficients
+        got = forward_transform(out).coefficients
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
@@ -369,8 +369,8 @@ class TestHalfPlaneStepper:
 
         monkeypatch.setattr(np.fft, "fft2", refuse)
         monkeypatch.setattr(np.fft, "ifft2", refuse)
-        assert sqg_step(SQGState(RealField(g, w), 0.0, 1.0), 0.05).t == 0.05
-        assert ks_step(KSState(RealField(g, 1.0 + w), 0.0, 1.0), 0.05).t == 0.05
+        sqg_step(RealField(g, w), 1.0, 0.05)
+        ks_step(RealField(g, 1.0 + w), 1.0, 0.05)
 
     @pytest.mark.parametrize("dt", [-0.05, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("equation", ["sqg", "ks"])
@@ -380,9 +380,9 @@ class TestHalfPlaneStepper:
         field = RealField(g, 0.1 * random_band_field(g, rng).values)
         with pytest.raises(SpectralError, match="dt must be positive and finite"):
             if equation == "sqg":
-                sqg_step(SQGState(field, 0.0, 1.0), dt)
+                sqg_step(field, 1.0, dt)
             else:
-                ks_step(KSState(field, 0.0, 1.0), dt)
+                ks_step(field, 1.0, dt)
 
     @pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
     def test_integrate_refuses_a_T_that_is_not_positive_and_finite(self, T):
@@ -624,9 +624,9 @@ def test_integrating_factor_is_built_once_and_read_only(rng):
     g = Grid2D(32, 2 * math.pi)
     evolution._integrating_factor.cache_clear()
     w = random_band_field(g, rng).values
-    state = SQGState(RealField(g, 0.5 * w / np.abs(w).max()), 0.0, 0.7)
+    theta = RealField(g, 0.5 * w / np.abs(w).max())
     for _ in range(3):
-        state = sqg_step(state, 0.05)
+        theta = sqg_step(theta, 0.7, 0.05)
     info = evolution._integrating_factor.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     E = evolution._integrating_factor(g, 0.7, 0.05)

@@ -7,7 +7,6 @@ import numpy as np
 from fraclab import keller_segel
 from fraclab.evolution import InitialSpectrum, RunConfig, log_spaced_times, run_flow
 from fraclab.keller_segel import (
-    KSState,
     ks_critical_norm_params,
     ks_potential,
     ks_rhs,
@@ -112,15 +111,8 @@ class TestStep:
     def test_subcritical_alpha_allowed(self, rng):
         g = Grid2D(32, 2 * math.pi)
         f = random_band_field(g, rng)
-        state = KSState(RealField(g, 0.01 * f.values), 0.0, 1.5)
-        out = ks_step(state, 0.05)
-        assert out.alpha == 1.5
-
-    def test_state_exposes_potential(self, rng):
-        g = Grid2D(32, 2 * math.pi)
-        u = random_band_field(g, rng)
-        state = KSState(u, 0.0, 1.0)
-        assert np.array_equal(state.psi().values, ks_potential(u).values)
+        out = ks_step(RealField(g, 0.01 * f.values), 1.5, 0.05)
+        assert out.grid == g and np.all(np.isfinite(out.values))
 
 
 def _small_run_config(seed=13, epsilon=1e-2, **overrides):

@@ -68,3 +68,24 @@ def test_only_spectral_decides_hermitian_symmetry():
     assert [path.name for path in sorted(PACKAGE.glob("*.py")) if "check_hermitian" in names_used(path)] == [
         "spectral.py"
     ]
+
+
+# imported for perfbench's tracer only, which wraps fraclab.cli.spectral_besov_norm
+KEPT_FOR_THE_TRACER = {"cli.spectral_besov_norm"}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Each name one source file imports (``__future__`` features aside) and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.stem}.{name}" for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export
+    found = [name for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+             for name in unused_imports(path)]
+    assert [name for name in found if name not in KEPT_FOR_THE_TRACER] == []

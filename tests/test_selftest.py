@@ -11,7 +11,7 @@ from fraclab.sqg import _SQGFlux
 
 # Printed by `fraclab selftest`, in this order.
 CHECK_NAMES = [
-    "spectral.roundtrip", "spectral.parseval", "spectral.hermitian",
+    "spectral.roundtrip", "spectral.parseval", "spectral.direct_dft",
     "spectral.multiplier_linearity", "spectral.power_composition", "spectral.partial_exact",
     "lp.partition_of_unity", "lp.almost_orthogonality", "lp.paraproduct_remote_zero",
     "lp.interpolation_constant_one", "lp.bernstein_annulus_stability",

@@ -25,7 +25,6 @@ from fraclab.semigroup import (
     gauss_legendre_panels,
     oracle_besov_series,
     oracle_block_norm,
-    oracle_l2_norm,
     sphere_measure,
 )
 from fraclab.spectral import (
@@ -119,11 +118,11 @@ class TestPanelRule:
 class TestDensities:
     def test_forms(self):
         ball = RadialSpectralDensity.ball_indicator(2.0)
-        assert ball.rho(1.9) == 1.0 and ball.rho(2.1) == 0.0
+        assert ball.rho_array(1.9) == 1.0 and ball.rho_array(2.1) == 0.0
         pl = RadialSpectralDensity.power_law(1.5, 0.5, 2.0)
-        assert pl.rho(1.0) == 1.0 and pl.rho(0.4) == 0.0
+        assert pl.rho_array(1.0) == 1.0 and pl.rho_array(0.4) == 0.0
         ga = RadialSpectralDensity.gaussian(0.5)
-        assert ga.rho(0.5) == pytest.approx(math.exp(-0.5))
+        assert ga.rho_array(0.5) == pytest.approx(math.exp(-0.5))
 
     def test_invalid(self):
         with pytest.raises(SpectralError):
@@ -200,23 +199,6 @@ class TestOracleBlocks:
         ball = RadialSpectralDensity.ball_indicator(1.0)
         with pytest.raises(QuadratureError, match="node-doubling gap"):
             oracle_block_norm(ball, -3, 1.0, 1.0, profile, rel_tol=1e-18)
-        with pytest.raises(QuadratureError, match="node-doubling gap"):
-            oracle_l2_norm(ball, 1.0, 1.0, rel_tol=1e-18)
-
-    def test_concentrated_integrand(self):
-        # mass within 1e-2 (t = 2e4) and 1e-4 (t = 1e8) of the origin of the
-        # unit ball
-        ball = RadialSpectralDensity.ball_indicator(1.0)
-        for t in (2.0e4, 1.0e8):
-            closed = math.sqrt((2 * math.pi) ** -2 * math.pi * (1 - math.exp(-2 * t)) / (2 * t))
-            assert oracle_l2_norm(ball, t, 2.0) == pytest.approx(closed, rel=1e-9)
-
-    def test_l2_closed_form_alpha2(self):
-        # ||u(t)||_{L^2}^2 = (2pi)^-2 * pi * (1 - exp(-2t)) / (2t) for unit-ball data
-        ball = RadialSpectralDensity.ball_indicator(1.0)
-        for t in (0.5, 1.0, 10.0, 1e3):
-            closed = math.sqrt((2 * math.pi) ** -2 * math.pi * (1 - math.exp(-2 * t)) / (2 * t))
-            assert oracle_l2_norm(ball, t, 2.0) == pytest.approx(closed, rel=1e-9)
 
     def test_partition_weighted_block_sum_reconstructs_l2(self, profile):
         # sum_j of first-power phi-weighted radial integrals telescopes back

@@ -23,7 +23,7 @@ from fraclab.spectral import (
     inverse_transform,
     multiplier_symbol,
 )
-from fraclab.sqg import SQGState, critical_norm_params, run_sqg, sqg_rhs, sqg_step, sqg_velocity
+from fraclab.sqg import critical_norm_params, run_sqg, sqg_rhs, sqg_step, sqg_velocity
 from helpers import convolution_product_coefficients, random_band_field
 
 
@@ -115,8 +115,6 @@ class TestStep:
         # alpha = 1.3, and the selftest's 16 band-edge modes of |k|^2 = 442, both at amplitude 5
         assert sqg_shell_steady_state(k2=4, alpha=1.3).value <= 1e-12
         assert sqg_shell_steady_state().value <= 1e-12
-        g = Grid2D(32, 2 * math.pi)
-        assert sqg_step(SQGState(RealField(g, np.zeros((32, 32))), 0.0, 1.3), 0.05).t == pytest.approx(0.05)
 
     def test_energy_monotone_and_mean_conserved(self, rng):
         # one step from each of the same 20 fields at amplitude 0.2
@@ -127,9 +125,9 @@ class TestStep:
     def test_cfl_violation_names_quantities(self, rng):
         g = Grid2D(64, 2 * math.pi)
         f = random_band_field(g, rng)
-        state = SQGState(RealField(g, 5.0 * f.values / np.abs(f.values).max()), 0.0, 1.0)
+        theta = RealField(g, 5.0 * f.values / np.abs(f.values).max())
         with pytest.raises(CFLError, match="max\\|u\\|") as exc:
-            sqg_step(state, 5.0)
+            sqg_step(theta, 1.0, 5.0)
         assert exc.value.dt == 5.0
         assert exc.value.max_velocity > 0
 
