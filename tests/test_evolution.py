@@ -372,6 +372,15 @@ class TestHalfPlaneStepper:
         sqg_step(RealField(g, w), 1.0, 0.05)
         ks_step(RealField(g, 1.0 + w), 1.0, 0.05)
 
+    @pytest.mark.parametrize("step", [sqg_step, ks_step], ids=["sqg", "ks"])
+    def test_step_returns_a_real_field_on_the_input_grid(self, step, rng):
+        g = Grid2D(16, 3.0)
+        field = RealField(g, 1.0 + 0.1 * random_band_field(g, rng).values)
+        out = step(field, 1.2, 0.01)
+        assert isinstance(out, RealField) and out.grid == g
+        assert out.values.shape == (16, 16) and np.all(np.isfinite(out.values))
+        assert not np.array_equal(out.values, field.values)
+
     @pytest.mark.parametrize("dt", [-0.05, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("equation", ["sqg", "ks"])
     def test_a_step_refuses_a_dt_that_is_not_positive_and_finite(self, equation, dt, rng):

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fraclab import selftest
 from fraclab.keller_segel import _KSFlux
-from fraclab.spectral import MultiplierSpec
+from fraclab.spectral import MultiplierSpec, forward_half_plane
 from fraclab.sqg import _SQGFlux
 
 # Printed by `fraclab selftest`, in this order.
@@ -65,3 +66,21 @@ def test_ks_check_sees_the_stepper_potential(monkeypatch):
     monkeypatch.setattr(flux, "inv_lap", 1.01 * flux.inv_lap)
     result = selftest.CHECKS["ks.potential_residual"]()
     assert not result.passed and result.value > 1e-3, result
+
+
+def _one_mode_off(f):
+    c = forward_half_plane(f)
+    c[1, 1] += 1e-10 * np.abs(c).max()
+    return c
+
+
+@pytest.mark.parametrize("broken", [
+    lambda f: np.conj(forward_half_plane(f)),
+    lambda f: forward_half_plane(f.T),
+    lambda f: forward_half_plane(f) * f.shape[0] ** 2,
+    _one_mode_off,
+], ids=["conjugated", "axes-swapped", "unnormalized", "one-mode-off-1e-10"])
+def test_direct_dft_check_sees_a_wrong_forward_transform(broken, monkeypatch):
+    monkeypatch.setattr(selftest, "forward_half_plane", broken)
+    result = selftest.CHECKS["spectral.direct_dft"]()
+    assert not result.passed and result.value > 1e-11, result
