@@ -55,7 +55,7 @@ scratch arrays it owns; only the tendency that ``rhs`` returns is new. The
 tendency reads only the 2/3 band of its input (the stored symbols carry the
 mask), so column passes work on the n//3 + 1 band columns and row passes on
 whole (n, n/2 + 1) half-planes (see ``GridOperators``). A step after the
-first costs 5 real transforms of two passes each (the RK2 first step: 10).
+first costs 5 real transforms of two passes each, 4 for KS (the first: 10, 8).
 """
 
 from __future__ import annotations

@@ -6,19 +6,19 @@ psi and diffuses fractionally (unit coefficients):
     du/dt + Lambda^alpha u + div(u grad psi) = 0,
     -Laplace psi = u - mean(u),  mean(psi) = 0.
 
-On the torus the potential is defined mean-free; the drift term only sees
-grad psi, which is independent of the mean of u, and the mean of u itself is
-conserved exactly because the divergence kills the zero mode.
+On the torus the potential is defined mean-free. With (a, b) = grad psi the
+drift is (Basdevant, J. Comput. Phys. 50, 1983; exact for trigonometric sums)
 
+    -div(u grad psi) = 1/2 (d11 - d22)(a^2 - b^2) + 2 d12 (ab) + mean(u) (u - mean(u)),
+
+so u enters only through its spectrum, and its mean is conserved exactly.
 The critical exponent is alpha = 1; subcritical alpha in (1, 2] is allowed.
-Positivity of u is not enforced by the spectral scheme; the running minimum
-is tracked and reported.
-Only the physics lives here: the critical-norm index, the flux
-``_KSFlux`` and the per-sample mass and minimum tracking; the time loop and
-the run driver are the shared ones of ``evolution``. The tendency is
-dealiased by the 2/3 rule on its input and its output: ``ks_rhs``,
-``ks_potential`` and the stepper see only the modes with max(|k1|, |k2|) <=
-n/3 of u.
+Positivity of u is not enforced; the running minimum is tracked and reported.
+Only the physics lives here (the critical-norm index, the flux ``_KSFlux``,
+the per-sample mass and minimum tracking); the time loop and the run driver
+are those of ``evolution``. The tendency is dealiased by the 2/3 rule on its
+input and output: ``ks_rhs``, ``ks_potential`` and the stepper see only the
+modes with max(|k1|, |k2|) <= n/3 of u.
 """
 
 from __future__ import annotations
@@ -38,20 +38,19 @@ def ks_critical_norm_params(p: float = 2.0) -> BesovParams:
 
 
 class _KSFlux(GridOperators):
-    """Chemotactic drift down the self-generated potential on one grid.
-
-    The stored symbols carry the 2/3 mask, and the outer divergence symbols
-    carry the tendency's sign. ``band_part`` is the mask itself as a complex
-    symbol (complex, so a product with it makes no cast): ``apply`` with it
-    reads u's band part.
-    """
+    """Chemotactic drift on one grid in the Basdevant form: a and b, which the
+    CFL check builds, and two forward transforms; no ``band_part`` symbol reads
+    u in physical space. The band products are exact under the 2/3 rule, and
+    the zero mode is exactly 0. The stored symbols carry the 2/3 mask; ``q1``
+    and ``q2`` are those of 1/2 (d11 - d22) and 2 d12."""
 
     def __init__(self, grid):
         super().__init__(grid)
-        self.band_part = self.mask.astype(np.complex128)
         self.inv_lap = self.symbol(MultiplierSpec.inverse_laplacian())
-        self.div1, self.div2 = -self.d1, -self.d2
-        self._psi = np.empty((grid.n, self.band), dtype=np.complex128)
+        self.q1 = 0.5 * (self.d1 * self.d1 - self.d2 * self.d2)
+        self.q2 = 2.0 * self.d1 * self.d2
+        self.mean_free = (self.inv_lap != 0).astype(np.complex128)  # the band but k = 0
+        self._psi = np.empty((grid.n, self.band), dtype=np.complex128)  # also the mean(u) u product
         self._f = np.empty(self.half, dtype=np.complex128)  # the second forward transform
         self._g1, self._g2 = self.physical(), self.physical()
 
@@ -62,13 +61,14 @@ class _KSFlux(GridOperators):
 
     def rhs(self, c_u):
         """Spectral tendency -div(u grad psi) of u's band part, dealiased, zero mode 0; a new array."""
-        g1, g2 = self.recall(c_u, self.grad_psi)
-        w, prod = self.work
-        w = self.apply(self.band_part, c_u, out=w)
-        out = self.to_spec(np.multiply(w, g1, out=prod))
-        f2 = self.to_spec(np.multiply(w, g2, out=prod), out=self._f)[:, : self.band]
+        a, b = self.recall(c_u, self.grad_psi)
+        s, d = self.work
+        out = self.to_spec(np.multiply(np.add(a, b, out=s), np.subtract(a, b, out=d), out=s))  # a^2 - b^2
+        f2 = self.to_spec(np.multiply(a, b, out=d), out=self._f)[:, : self.band]
         f1 = out[:, : self.band]
-        np.add(np.multiply(self.div1, f1, out=f1), np.multiply(self.div2, f2, out=f2), out=f1)
+        np.add(np.multiply(self.q1, f1, out=f1), np.multiply(self.q2, f2, out=f2), out=f1)
+        linear = np.multiply(self.mean_free, c_u[:, : self.band], out=self._psi)
+        np.add(f1, np.multiply(c_u[0, 0].real, linear, out=linear), out=f1)
         return out
 
     def max_velocity(self, c_u):
