@@ -501,6 +501,16 @@ def test_tendency_dealiases_its_input(rhs, tendency, rng):
 
 
 @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
+def test_tendency_is_exactly_zero_outside_the_band(flux_class, rng):
+    # a half-plane state with content on every mode, the cut rows of the band
+    # columns included, goes into rhs as it is (ks_rhs and sqg_rhs truncate first)
+    g = Grid2D(32, 3.0)
+    c = half_plane(hermitian_noise(g, rng)) / g.n
+    out = flux_class.on(g).rhs(c)
+    assert np.all(out[~half_plane(dealias_mask(g))] == 0) and np.any(out != 0)
+
+
+@pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
 def test_handed_out_arrays_survive_later_steps(flux_class, rng):
     # recorded states, the final state, last_good and rhs returns are never
     # buffers that a later step of the same flux writes into, and no tendency
