@@ -624,7 +624,7 @@ _FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"
 @pytest.mark.parametrize("equation,counts", [
     ("sqg", [20, 30, 40]),  # the RK2 starter step: 10 transforms; each AB2 step: 5
     ("ks", [16, 24, 32]),  # 8 and 4: the tendency reads u only through its spectrum
-])
+], ids=["sqg", "ks"])
 def test_fft_calls_per_step(equation, counts, rng, monkeypatch):
     flux_class, _, mean = _EQUATIONS[equation]
     g = Grid2D(32, 2 * math.pi * 4)
