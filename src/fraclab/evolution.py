@@ -53,9 +53,11 @@ reuses one predictor buffer in the first step, keeps the previous step's
 tendency and takes E from a cache, and each flux writes its products into
 scratch arrays it owns; only the tendency that ``rhs`` returns is new. The
 tendency reads only the 2/3 band of its input (the stored symbols carry the
-mask), so column passes work on the n//3 + 1 band columns and row passes on
-whole (n, n/2 + 1) half-planes (see ``GridOperators``). A step after the
-first costs 5 real transforms of two passes each, 4 for KS (the first: 10, 8).
+mask) and ``integrate`` only its n//3 + 1 band columns (the columns past them
+get E alone). In the loop these arrays are column-major, so a band block is
+contiguous; column passes work on it and row passes on whole (n, n/2 + 1)
+half-planes (see ``GridOperators``). A step after the first costs 5 real
+transforms of two passes each, 4 for KS (the first: 10, 8).
 """
 
 from __future__ import annotations
@@ -300,10 +302,12 @@ class GridOperators:
     work there alone (Orszag's pruning); row passes take a whole (n, n/2 + 1)
     half-plane, which numpy transforms without a padded copy. ``to_phys`` and
     ``apply`` fill the band columns of a zero-filled half-plane of the
-    instance, whose other columns nobody writes; ``to_spec`` transforms into
-    the caller's half-plane in place and zeroes it outside the band.
-    ``symbol`` stores a multiplier's band columns with the 2/3 mask folded
-    in, so a product with a stored symbol truncates its input to the band.
+    instance, whose other columns nobody writes; ``to_spec`` takes its row
+    pass into a row-major scratch half-plane and its column pass into the
+    caller's half-plane, which it zeroes outside the band. ``symbol`` stores
+    a multiplier's band columns with the 2/3 mask folded in, so a product
+    with a stored symbol truncates its input to the band. These arrays, and
+    the half-planes of ``to_spec``, are column-major: a band block is contiguous.
 
     Equation modules subclass it with their flux (``rhs``, ``max_velocity``)
     and allocate their scratch arrays once (``physical`` for real fields);
@@ -321,11 +325,12 @@ class GridOperators:
         self.half = (n, n // 2 + 1)
         self.band = n // 3 + 1
         self.cut = slice(self.band, n - self.band + 1)  # rows with |k1| > n/3
-        self.mask = np.ascontiguousarray(dealias_mask(grid)[:, : self.band])
+        self.mask = np.asfortranarray(dealias_mask(grid)[:, : self.band])
         self.d1 = self.symbol(MultiplierSpec.partial(1))
         self.d2 = self.symbol(MultiplierSpec.partial(2))
-        self._pad = np.zeros(self.half, dtype=np.complex128)  # nothing writes past its band columns,
-        self._cols = self._pad[:, : self.band]  # which hold symbol products and to_phys's column pass
+        self._pad = np.zeros(self.half, dtype=np.complex128, order="F")  # nothing writes past its band
+        self._cols = self._pad[:, : self.band]  # columns, which hold symbol products and to_phys's column pass
+        self._rows = np.empty(self.half, dtype=np.complex128)  # to_spec's row pass, C-ordered
         self.work = self.physical(), self.physical()  # free between method calls
         self._last = (None, None)  # (state array, its physical fields)
 
@@ -341,11 +346,12 @@ class GridOperators:
     def symbol(self, spec: MultiplierSpec) -> np.ndarray:
         """Band columns of the multiplier, zero outside the 2/3 band."""
         sym = multiplier_symbol(self.grid, spec)[:, : self.band]
-        return np.ascontiguousarray(np.where(self.mask, sym, 0.0))
+        return np.asfortranarray(np.where(self.mask, sym, 0.0))
 
     def to_phys(self, c, out=None):
-        """Real field of the band columns of c: its columns past the band read as zero."""
+        """Real field of the band columns of c, row-major: its columns past the band read as zero."""
         np.fft.ifftn(c[:, : self.band], axes=(0,), norm="forward", out=self._cols)
+        out = self.physical() if out is None else out  # irfftn would follow the column-major half-plane
         return np.fft.irfftn(self._pad, s=self.shape[1:], axes=(1,), norm="forward", out=out)
 
     def apply(self, sym, c, out=None):
@@ -353,10 +359,10 @@ class GridOperators:
         return self.to_phys(np.multiply(sym, c[:, : self.band], out=self._cols), out=out)
 
     def to_spec(self, w, out=None):
-        """The 2/3-truncated half-plane spectrum of the real field w, in out (a new array if None)."""
-        spec = np.fft.rfftn(w, axes=(1,), norm="forward", out=out)
-        band = spec[:, : self.band]
-        np.fft.fftn(band, axes=(0,), norm="forward", out=band)
+        """The 2/3-truncated half-plane spectrum of the real field w, in out (a new F-ordered array if None)."""
+        spec = np.empty(self.half, dtype=np.complex128, order="F") if out is None else out
+        rows = np.fft.rfftn(w, axes=(1,), norm="forward", out=self._rows)
+        band = np.fft.fftn(rows[:, : self.band], axes=(0,), norm="forward", out=spec[:, : self.band])
         spec[:, self.band:] = 0.0
         band[self.cut] = 0.0
         return spec
@@ -388,7 +394,8 @@ class GridOperators:
 @functools.lru_cache(maxsize=8)
 def _integrating_factor(grid: Grid2D, alpha: float, dt: float) -> np.ndarray:
     """Read-only E = exp(-dt |xi|^alpha) on the half-plane, complex: the cast every complex product would make."""
-    E = np.exp(-dt * half_plane(multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))).astype(complex)
+    lap = multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha))
+    E = np.asfortranarray(np.exp(-dt * half_plane(lap)), dtype=complex)
     E.flags.writeable = False
     return E
 
@@ -416,11 +423,11 @@ def integrate(
     grid for the CFL check both receive (n, n/2 + 1) arrays; the Nyquist
     column n/2 of the state is kept as it is. rhs(c) returns a new half-plane
     array that the loop then owns and overwrites: it holds the tendency of
-    one step over to the next and writes the AB2 product into it. The
-    tendencies of ``sqg`` and ``keller_segel`` dealias their input: they
-    read only the 2/3 band of c and return a tendency that is zero outside
-    it, so content of the state outside the band feels only the linear
-    factor.
+    one step over to the next and writes the AB2 product into it. The loop
+    reads a tendency on the band columns k2 <= n/3 alone, in both steps, and
+    gives the columns past them E alone; the tendencies of ``sqg`` and
+    ``keller_segel`` read only the 2/3 band of c and are zero outside it. Its
+    buffers are column-major like theirs; records, final_coeffs and last_good are row-major.
 
     The loop keeps two state buffers and one predictor buffer and writes
     every product into them, so the c that rhs and max_velocity see is valid
@@ -439,8 +446,9 @@ def integrate(
     """
     _require_positive_finite(dt=dt, T=T)
     E = _integrating_factor(grid, alpha, dt)
-    c = good = np.array(half_plane_of(grid, coeffs0), dtype=np.complex128)
+    c = good = np.array(half_plane_of(grid, coeffs0), dtype=np.complex128, order="F")
     spare, pred = np.empty_like(c), np.empty_like(c)
+    band, rest = slice(grid.n // 3 + 1), slice(grid.n // 3 + 1, None)  # a tendency is read on the band alone
     prev = None  # the tendency of the previous step's state
     t = 0.0
     record(t, c.copy())
@@ -458,30 +466,34 @@ def integrate(
             raise CFLError(vmax, dt)
         good = c
         n0 = rhs(c)
+        Eb, cb, sb, nb = E[:, band], c[:, band], spare[:, band], n0[:, band]
+        pb = (pred if prev is None else prev)[:, band]
         if prev is None:  # the RK2 starter step
-            # pred = E * (c + dt * n0)
-            np.multiply(E, np.add(c, np.multiply(dt, n0, out=pred), out=pred), out=pred)
+            # pred = E * (c + dt * n0) on the band, and E * c past it, which is also c' there
+            pred[:, rest] = np.multiply(E, c, out=spare)[:, rest]
+            np.multiply(Eb, np.add(cb, np.multiply(dt, nb, out=pb), out=pb), out=pb)
             n1 = rhs(pred)
-            # c' = E * c + (0.5 * dt) * (E * n0 + n1), into the other state buffer
-            np.multiply(0.5 * dt, np.add(np.multiply(E, n0, out=pred), n1, out=pred), out=pred)
-            np.add(np.multiply(E, c, out=spare), pred, out=spare)
+            # c' = E * c + (0.5 * dt) * (E * n0 + n1) on the band, into the other state buffer
+            np.multiply(0.5 * dt, np.add(np.multiply(Eb, nb, out=pb), n1[:, band], out=pb), out=pb)
+            np.add(sb, pb, out=sb)
         else:
-            # c' = E * (c + dt * (1.5 * n0 - 0.5 * E * prev)), into the other state buffer
-            np.multiply(0.5 * dt, np.multiply(E, prev, out=prev), out=prev)
-            np.subtract(np.multiply(1.5 * dt, n0, out=spare), prev, out=spare)
-            np.multiply(E, np.add(c, spare, out=spare), out=spare)
+            # c' = E * (c + dt * (1.5 * n0 - 0.5 * E * prev)) on the band, E * c past it
+            np.multiply(0.5 * dt, np.multiply(Eb, pb, out=pb), out=pb)
+            np.subtract(np.multiply(1.5 * dt, nb, out=sb), pb, out=sb)
+            np.multiply(Eb, np.add(cb, sb, out=sb), out=sb)
+            np.multiply(E[:, rest], c[:, rest], out=spare[:, rest])
         c, spare, prev = spare, c, n0
         t = (step + 1) * dt
         reach = t * (1 + SAMPLE_RTOL)  # the rule of step_schedule
         if next_i < len(samples) and samples[next_i] <= reach:
             while next_i < len(samples) and samples[next_i] <= reach:
                 next_i += 1  # several samples may fall inside one step
-            if not np.all(np.isfinite(c.view(np.float64))):
+            if not np.isfinite(c).all():
                 raise NumericalAbort(t, good.copy())
             record(t, c.copy())
-    if not np.all(np.isfinite(c.view(np.float64))):
+    if not np.isfinite(c).all():
         raise NumericalAbort(t, good.copy())
-    return c, n_steps, vmax_seen
+    return np.ascontiguousarray(c), n_steps, vmax_seen
 
 
 def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: RunConfig,

@@ -50,8 +50,8 @@ class _KSFlux(GridOperators):
         self.q1 = 0.5 * (self.d1 * self.d1 - self.d2 * self.d2)
         self.q2 = 2.0 * self.d1 * self.d2
         self.mean_free = (self.inv_lap != 0).astype(np.complex128)  # the band but k = 0
-        self._psi = np.empty((grid.n, self.band), dtype=np.complex128)  # also the mean(u) u product
-        self._f = np.empty(self.half, dtype=np.complex128)  # the second forward transform
+        self._psi = np.empty((grid.n, self.band), dtype=np.complex128, order="F")  # also the mean(u) u product
+        self._f = np.empty(self.half, dtype=np.complex128, order="F")  # the second forward transform
         self._g1, self._g2 = self.physical(), self.physical()
 
     def grad_psi(self, c_u):

@@ -16,7 +16,7 @@ from fraclab.evolution import (
     make_initial_coefficients,
     sample_count,
 )
-from fraclab.keller_segel import _KSFlux, ks_rhs, ks_step
+from fraclab.keller_segel import _KSFlux, ks_potential, ks_rhs, ks_step
 from fraclab.littlewood_paley import BesovParams
 from fraclab.spectral import (
     Grid2D,
@@ -35,7 +35,7 @@ from fraclab.spectral import (
     inverse_transform,
     multiplier_symbol,
 )
-from fraclab.sqg import _SQGFlux, sqg_rhs, sqg_step
+from fraclab.sqg import _SQGFlux, sqg_rhs, sqg_step, sqg_velocity
 from helpers import convolution_product_coefficients, padded_product_coefficients, random_band_field
 
 
@@ -345,19 +345,39 @@ class TestHalfPlaneStepper:
 
     @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
     def test_a_full_plane_and_its_half_plane_give_the_same_run(self, flux_class, rng):
+        # the full plane, its half-plane in C and in F order, and the C half-plane
+        # with every tendency handed back as a C copy (the flux's own are F-ordered):
+        # records, the final state and last_good are C-contiguous with the same bytes
         g = Grid2D(32, 2 * math.pi)
         flux = flux_class.on(g)
         c0 = _band_state(g, rng, 1.0, 0.5)
+        half = np.ascontiguousarray(half_plane(c0))
+        assert flux.rhs(half).flags.f_contiguous
+
+        def c_copy(c):
+            return np.ascontiguousarray(flux.rhs(c))
+
         runs = []
-        for coeffs in (c0, np.ascontiguousarray(half_plane(c0))):
-            records = []
-            final = integrate(g, coeffs, 1.0, 0.02, 0.1, flux.rhs, flux.max_velocity, [0.04, 0.1],
+        for coeffs, rhs in ((c0, flux.rhs), (half, flux.rhs), (np.asfortranarray(half), flux.rhs), (half, c_copy)):
+            steps, records = [], []
+
+            def max_velocity(c):
+                steps.append(None)
+                return flux.max_velocity(c)
+
+            def nan_in_step_3(c, rhs=rhs):
+                return np.full_like(c, np.nan) if len(steps) == 3 else rhs(c)
+
+            final = integrate(g, coeffs, 1.0, 0.02, 0.1, rhs, flux.max_velocity, [0.04, 0.1],
                               lambda t, c: records.append((t, c)))[0]
-            runs.append([(0.1, final)] + records)
-        assert len(runs[0]) == len(runs[1]) == 4  # the final state and the records at t = 0, 0.04, 0.1
-        for (t, a), (u, b) in zip(*runs, strict=True):
-            assert t == u and a.shape == b.shape == (32, 17)
-            assert a.tobytes() == b.tobytes()
+            with pytest.raises(NumericalAbort) as info:
+                integrate(g, coeffs, 1.0, 0.02, 0.1, nan_in_step_3, max_velocity, [], lambda t, c: None)
+            runs.append([(0.1, final)] + records + [(info.value.t, info.value.last_good)])
+        assert len(runs[0]) == 5  # the final state, the records at t = 0, 0.04, 0.1 and last_good
+        for arrays in zip(*runs, strict=True):
+            assert len({t for t, _ in arrays}) == 1
+            assert all(a.shape == (32, 17) and a.dtype == np.complex128 and a.flags.c_contiguous for _, a in arrays)
+            assert len({a.tobytes() for _, a in arrays}) == 1
 
     def test_a_step_makes_no_full_plane_transform(self, rng, monkeypatch):
         g = Grid2D(32, 2 * math.pi)
@@ -544,8 +564,64 @@ def test_handed_out_arrays_survive_later_steps(flux_class, rng):
     snapshot = [a.copy() for a in kept]
     run(0.1, record=lambda t, c: None)
     for a, b in zip(kept, snapshot, strict=True):
-        assert np.array_equal(a.view(np.float64), b.view(np.float64))
+        assert a.tobytes() == b.tobytes()
     assert not any(np.shares_memory(a, b) for a in tendencies for b in kept)
+
+
+@pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
+def test_modes_outside_the_band_feel_only_the_linear_factor(flux_class, rng):
+    # a state with content on every mode, 20 steps (one RK2, 19 AB2) recorded
+    # after each: outside the 2/3 band (the columns past it and the cut rows)
+    # every record is E applied step by step to the start, bit for bit
+    g, dt = Grid2D(32, 3.0), 2.0 ** -9
+    flux = flux_class.on(g)
+    c0 = half_plane(hermitian_noise(g, rng)) / g.n
+    outside = ~half_plane(dealias_mask(g))
+    assert np.all(c0[outside] != 0) and np.all(outside[:, flux.band:])
+    E = evolution._integrating_factor(g, 1.0, dt)[outside]
+    records = []
+    integrate(g, c0, 1.0, dt, 20 * dt, flux.rhs, flux.max_velocity, dt * np.arange(1, 21),
+              lambda t, c: records.append(c))
+    assert len(records) == 21  # t = 0 and after every step
+    want = c0[outside]
+    for c in records:
+        assert c[outside].tobytes() == want.tobytes()
+        want = E * want
+
+
+@pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
+def test_a_tendency_is_read_on_the_band_columns_alone(flux_class, rng):
+    # a stub tendency with content past the band columns gives the same run,
+    # records and final state, as the same stub with those columns zeroed
+    g, dt = Grid2D(32, 2 * math.pi), 0.02
+    flux = flux_class.on(g)
+    c0 = _band_state(g, rng, 1.0, 0.5)
+    junk = rng.standard_normal((32, 17 - flux.band)) + 1j * rng.standard_normal((32, 17 - flux.band))
+
+    def run(past_the_band):
+        def rhs(c):
+            out = flux.rhs(c)
+            out[:, flux.band:] = past_the_band
+            return out
+
+        records = []
+        final = integrate(g, c0, 1.0, dt, 5 * dt, rhs, flux.max_velocity, [dt, 3 * dt],
+                          lambda t, c: records.append(c))[0]
+        return records + [final]
+
+    plain, junked = run(0.0), run(junk)
+    assert len(plain) == len(junked) == 4  # t = 0, dt, 3 dt and the final state
+    for a, b in zip(plain, junked, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("field_of", [sqg_rhs, lambda f: sqg_velocity(f)[1], ks_rhs, ks_potential],
+                         ids=["sqg_rhs", "sqg_velocity", "ks_rhs", "ks_potential"])
+def test_physical_fields_of_the_fluxes_are_row_major(field_of, rng):
+    # the flux's half-planes are column-major; the fields it hands out are not
+    g = Grid2D(32, 2 * math.pi)
+    out = field_of(RealField(g, 1.0 + random_band_field(g, rng).values)).values
+    assert out.shape == (32, 32) and out.flags.c_contiguous
 
 
 @pytest.mark.parametrize("flux_class", [_SQGFlux, _KSFlux])
@@ -566,7 +642,7 @@ class TestVelocityReuse:
         del calls[:]
         reused = flux.rhs(c)
         assert len(calls) == cold - 2  # the two velocity fields came from max_velocity
-        assert np.array_equal(plain.view(np.float64), reused.view(np.float64))
+        assert plain.tobytes() == reused.tobytes()
 
     def test_fields_of_another_state_are_not_reused(self, flux_class, rng):
         flux = flux_class(Grid2D(32, 2 * math.pi))
@@ -574,7 +650,7 @@ class TestVelocityReuse:
         want = flux_class(flux.grid).rhs(c1)
         flux.max_velocity(c0)
         got = flux.rhs(c1)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert got.tobytes() == want.tobytes()
         assert not np.array_equal(got, flux.rhs(c0))
 
 
