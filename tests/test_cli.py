@@ -110,6 +110,14 @@ class TestLoadConfig:
             ('{"kind": "sqg", "smallness_budget": 0}', "smallness_budget must be > 0"),
             ('{"kind": "ks", "smallness_budget": -0.001}', "smallness_budget must be > 0"),
             ('{"kind": "oracle", "dimension": 0}', "dimension must be >= 1"),
+            ('{"kind": "oracle", "t_lo": 100.0, "t_hi": 10.0}', "need 0 < t_lo < t_hi"),
+            ('{"kind": "sqg", "t_lo": 2.0, "T": 2.0}', "need 0 < t_lo < t_hi"),
+            # the ranges of the initial data and of the run
+            ('{"kind": "sqg", "j_lo": 5, "j_hi": 2}', "j_lo <= j_hi, got \\[5, 2\\]"),
+            ('{"kind": "ks", "taper": 0}', "taper must be > 0"),
+            ('{"kind": "sqg", "epsilon": -1}', "epsilon must be >= 0"),
+            ('{"kind": "ks", "dt": 0}', "dt must be > 0"),
+            ('{"kind": "sqg", "T": 0}', "T must be > 0"),
             # exponents a kind never reads
             ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}', "oracle runs measure with p = 2 only"),
             ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 8}', "oracle runs measure with p = 2 only"),
@@ -581,6 +589,16 @@ class TestMain:
         assert code == 2
         assert peak < 1 << 20
         assert "more than 10000" in capsys.readouterr().err
+
+    def test_zero_predicted_exponent_exits_2_before_any_series(self, tmp_path, capsys, monkeypatch):
+        # ell = -s is inside the sqg range at p = r = 2 but predicts slope 0
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        monkeypatch.setattr(cli, "oracle_besov_series", lambda *args: pytest.fail("a series was computed"))
+        path = write_config(tmp_path, {"kind": "oracle", "theorem": "sqg", "s": 0.5, "ell": -0.5})
+        assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        failure = json.loads((tmp_path / "out" / "run.json").read_text())["failure"]
+        assert failure["type"] == "FitError" and "zero exponent" in failure["message"]
+        assert "FitError" in capsys.readouterr().err
 
     def test_oracle_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)
