@@ -36,8 +36,8 @@ from .littlewood_paley import (
 from .decay import (
     DecayClaim,
     FitResult,
+    GradedFit,
     NormSeries,
-    build_report,
     fit_decay_slope,
     theoretical_exponent,
 )
@@ -76,8 +76,8 @@ __all__ = [
     "project",
     "DecayClaim",
     "FitResult",
+    "GradedFit",
     "NormSeries",
-    "build_report",
     "fit_decay_slope",
     "theoretical_exponent",
     "RadialSpectralDensity",

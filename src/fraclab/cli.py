@@ -42,8 +42,8 @@ from .decay import (
     ClaimError,
     DecayClaim,
     FitError,
+    GradedFit,
     NormSeries,
-    build_report,
     fit_decay_slope,
     theoretical_exponent,
 )
@@ -128,7 +128,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: top level must be a JSON object")
     try:
         return validate_config(raw)
-    except (ConfigError, ClaimError, SpectralError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -185,7 +185,7 @@ def _validate_density(cfg, dimension):
         raise ConfigError("key 'density' must be an object")
     _check_unknown(cfg, _DENSITY_KEYS, "density")
     form = _want_str(cfg, "form", "ball_indicator", ("ball_indicator", "power_law", "gaussian"))
-    out = {"form": form, "dimension": _want_number(cfg, "dimension", dimension, integer=True, at_least=1)}
+    out = {"form": form, "dimension": _want_number(cfg, "dimension", dimension, integer=True)}
     if form == "ball_indicator":
         out["radius"] = _want_number(cfg, "radius", 1.0)
     elif form == "gaussian":
@@ -230,12 +230,33 @@ def _claim(config: dict) -> DecayClaim:
     )
 
 
+def _run_config(config: dict) -> RunConfig:
+    """The run of a canonical sqg/ks config. Building it refuses the ranges of the initial
+    data, the step and the sample times; validate_config counts the schedule first."""
+    return RunConfig(
+        **{key: config[key] for key in ("n", "L", "alpha", "dt", "T", "seed", "smallness_budget")},
+        initial=InitialSpectrum(
+            s_data=config["s"], **{key: config[key] for key in ("epsilon", "j_lo", "j_hi", "taper")}
+        ),
+        sample_times=log_spaced_times(config["t_lo"], config["T"], config["samples_per_decade"]),
+        norms=[BesovParams(config["ell"], config["p"], 1.0), BesovParams(-config["s"], config["r"], math.inf)],
+    )
+
+
 def validate_config(raw: dict) -> dict:
     """Validate a raw config dict; returns the canonical form, defaults filled.
 
     The canonical form revalidates to itself, which is the config round-trip
-    contract of the run record.
+    contract of the run record. A range that a library object refuses is
+    checked by building that object, and its refusal comes out as ConfigError.
     """
+    try:
+        return _canonical_config(raw)
+    except (ClaimError, SpectralError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _canonical_config(raw: dict) -> dict:
     kind = _want_str(raw, "kind", None, KINDS)
     if kind is None:
         raise ConfigError(f"config requires key 'kind' (one of {KINDS})")
@@ -271,7 +292,6 @@ def validate_config(raw: dict) -> dict:
     out["alpha"] = _want_number(raw, "alpha", 1.0)
     if kind == "oracle":
         out["theorem"] = _want_str(raw, "theorem", "linear", ("linear", "sqg", "ks", "lebesgue"))
-        out["dimension"] = _want_number(raw, "dimension", 2, integer=True, at_least=1)
     else:
         # grid-based kinds share n and L
         out["n"] = _want_number(raw, "n", 256, integer=True)
@@ -292,7 +312,12 @@ def validate_config(raw: dict) -> dict:
     _claim(out)  # range check
 
     if kind == "oracle":
-        out["density"] = _validate_density(raw.get("density"), out["dimension"])
+        # dimension and density.dimension name one value: either fills the other
+        dimension = _want_number(raw, "dimension", integer=True)
+        out["density"] = _validate_density(raw.get("density"), 2 if dimension is None else dimension)
+        out["dimension"] = out["density"]["dimension"]
+        if dimension not in (None, out["dimension"]):
+            raise ConfigError(f"dimension {dimension} and density.dimension {out['dimension']} differ")
         t_hi = out["t_hi"] = _want_number(raw, "t_hi", 1e4)
         out["t_lo"] = _want_number(raw, "t_lo", 10.0)
     elif kind == "linear":
@@ -302,31 +327,21 @@ def validate_config(raw: dict) -> dict:
         t_hi = out["t_hi"] = _want_number(raw, "t_hi", cutoff)
         out["t_lo"] = _want_number(raw, "t_lo", t_hi / 100.0)
     else:
-        out["epsilon"] = _want_number(raw, "epsilon", 1e-2, at_least=0)
-        out["smallness_budget"] = _want_number(raw, "smallness_budget", 1e-2, above=0)
         rng = block_range(grid)
-        out["j_lo"] = _want_number(raw, "j_lo", rng.j_min, integer=True)
-        out["j_hi"] = _want_number(raw, "j_hi", rng.j_max - 1, integer=True)
-        if out["j_lo"] > out["j_hi"]:
-            raise ConfigError(f"need j_lo <= j_hi, got [{out['j_lo']}, {out['j_hi']}]")
-        out["taper"] = _want_number(raw, "taper", 1.0, above=0)
-        out["dt"] = _want_number(raw, "dt", 0.02, above=0)
-        t_hi = out["T"] = _want_number(raw, "T", 1.25 * cutoff, above=0)
+        for key, default in (("epsilon", 1e-2), ("smallness_budget", 1e-2), ("j_lo", rng.j_min),
+                             ("j_hi", rng.j_max - 1), ("taper", 1.0), ("dt", 0.02), ("T", 1.25 * cutoff)):
+            out[key] = _want_number(raw, key, default, integer=key.startswith("j_"))
+        t_hi = out["T"]
         out["t_lo"] = _want_number(raw, "t_lo", max(out["dt"], t_hi / 200.0))
-    if not (0 < out["t_lo"] < t_hi):
-        raise ConfigError(f"need 0 < t_lo < t_hi (T for sqg/ks), got [{out['t_lo']}, {t_hi}]")
-    out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True, at_least=2)
-    try:  # refused before any schedule is built
-        sample_count(out["t_lo"], t_hi, out["samples_per_decade"])
-    except SpectralError as exc:
-        raise ConfigError(f"{exc}; lower samples_per_decade or narrow [t_lo, t_hi]") from None
+    out["samples_per_decade"] = _want_number(raw, "samples_per_decade", 40, integer=True)
+    sample_count(out["t_lo"], t_hi, out["samples_per_decade"])  # refused before any schedule is built
     if kind == "oracle":
         return out  # the fit window is [t_lo, t_hi]
 
     if kind == "linear":
         window = (max(1.0, out["t_lo"]), t_hi)
     else:
-        samples = log_spaced_times(out["t_lo"], t_hi, out["samples_per_decade"])
+        samples = _run_config(out).sample_times
         window = (max(1.0, 10.0 * (samples[1] - samples[0])), cutoff)
     out["window_lo"] = _want_number(raw, "window_lo", window[0])
     out["window_hi"] = _want_number(raw, "window_hi", window[1])
@@ -411,16 +426,8 @@ def _linear_series(config: dict, claim: DecayClaim, profile):
 
 def _flow_series(config: dict, claim: DecayClaim, profile):
     kind = config["kind"]
-    decay_params = BesovParams(config["ell"], config["p"], 1.0)
-    preserved_params = BesovParams(-config["s"], config["r"], math.inf)
-    run_config = RunConfig(
-        **{key: config[key] for key in ("n", "L", "alpha", "dt", "T", "seed", "smallness_budget")},
-        initial=InitialSpectrum(
-            s_data=config["s"], **{key: config[key] for key in ("epsilon", "j_lo", "j_hi", "taper")}
-        ),
-        sample_times=log_spaced_times(config["t_lo"], config["T"], config["samples_per_decade"]),
-        norms=[decay_params, preserved_params],
-    )
+    run_config = _run_config(config)
+    decay_params, preserved_params = run_config.norms
     runner = run_sqg if kind == "sqg" else run_ks
     result = runner(run_config, profile)
     extras = dict(result.extras)  # the run's own entries, under their run.json names
@@ -448,7 +455,7 @@ def _run_decay(config: dict):
     """Fit the decaying norm of a decay experiment and grade it against its claim."""
     claim = _claim(config)
     theory = theoretical_exponent(claim)
-    if theory == 0.0:  # build_report refuses it too, but only after the series are computed
+    if theory == 0.0:  # refused before the series are computed
         raise FitError("claim predicts zero exponent; relative comparison undefined")
     started = time.perf_counter()
     decay, preserved, descriptor, extras, ok = _SERIES[config["kind"]](
@@ -460,7 +467,7 @@ def _run_decay(config: dict):
     else:
         window = (config["t_lo"], config["t_hi"])
     fit = fit_decay_slope(decay, window)
-    report = build_report([fit], [claim], config["tolerance_pct"], [descriptor])
+    report = GradedFit(fit, theory, config["tolerance_pct"], descriptor)
     # write_s stays 0 unless emit_outputs writes the files
     timings = {"series_s": computed - started, **extras.pop("_timings", {}),
                "fit_s": time.perf_counter() - computed, "write_s": 0.0}
@@ -640,16 +647,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(args, config: dict) -> Path:
-    env = os.environ.get("FRACLAB_OUT")
-    if env:
-        base = Path(env)
-    elif args.out is not None:
-        base = Path(args.out)
-    elif "out" in config:
-        base = Path(config["out"])
-    else:
-        base = Path("runs") / f"{config['kind']}-seed{config['seed']}-{_canonical_hash(config)[:8]}"
-    return base
+    default = Path("runs") / f"{config['kind']}-seed{config['seed']}-{_canonical_hash(config)[:8]}"
+    return Path(os.environ.get("FRACLAB_OUT") or args.out or config.get("out", default))
 
 
 def main(argv=None) -> int:
@@ -673,12 +672,9 @@ def main(argv=None) -> int:
     record = result.record
     if "failure" in record:
         print(f"FAILED ({record['failure']['type']}): {record['failure']['message']}", file=sys.stderr)
-    for fit in record.get("fits", []):
-        theory = record.get("extras", {}).get("theory_exponent")
-        msg = f"fit slope {fit['slope']:.5f} over window {fit['window']}"
-        if theory is not None:
-            msg += f", theory {theory:.5f}"
-        print(msg)
+    for fit in record.get("fits", []):  # a decay run: its extras hold the theory exponent
+        theory = record["extras"]["theory_exponent"]
+        print(f"fit slope {fit['slope']:.5f} over window {fit['window']}, theory {theory:.5f}")
     print(f"{'PASS' if record['pass'] else 'FAIL'}  kind={record['kind']} -> {result.out_dir}")
     return result.exit_code
 

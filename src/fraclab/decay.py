@@ -1,4 +1,4 @@
-"""Theoretical decay exponents, log-log slope fitting, and comparison reports.
+"""Theoretical decay exponents, log-log slope fitting, and the graded fit.
 
 Each supported decay claim predicts ||solution(t)|| <= C (1 + t)^exponent
 for a specific homogeneous Besov (or Lebesgue) norm, with the exponent a
@@ -26,8 +26,7 @@ L^r rate read off the B^{1-2/r}_{2,1} decay.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dc_field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +38,7 @@ __all__ = [
     "NormSeries",
     "FitResult",
     "fit_decay_slope",
-    "ReportEntry",
-    "DecayReport",
-    "build_report",
+    "GradedFit",
 ]
 
 CLAIM_FAMILIES = ("linear", "sqg", "ks", "ks_subcritical", "lebesgue")
@@ -233,54 +230,28 @@ def fit_decay_slope(series: NormSeries, window: tuple[float, float]) -> FitResul
 
 
 @dataclass(frozen=True)
-class ReportEntry:
-    descriptor: str
+class GradedFit:
+    """One fitted slope graded against its theoretical exponent.
+
+    Relative error is |slope - theory| / |theory|, so theory must be nonzero;
+    the fit passes when the error is within tolerance_pct percent.
+    """
+
+    fit: FitResult
     theory: float
-    slope: float
-    relative_error: float
-    passed: bool
+    tolerance_pct: float
+    descriptor: str
 
-
-@dataclass
-class DecayReport:
-    entries: list = dc_field(default_factory=list)
-    tolerance_pct: float = 0.0
+    @property
+    def relative_error(self) -> float:
+        return abs(self.fit.slope - self.theory) / abs(self.theory)
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)  # vacuously true when empty
+        return self.relative_error <= self.tolerance_pct / 100.0
 
     def to_dict(self):
-        return {
-            "tolerance_pct": self.tolerance_pct,
-            "passed": self.passed,
-            "entries": [asdict(e) for e in self.entries],
-        }
-
-
-def build_report(
-    fits: Sequence[FitResult],
-    claims: Sequence[DecayClaim],
-    tolerance_pct: float,
-    descriptors: Sequence[str] | None = None,
-) -> DecayReport:
-    """Pair fitted slopes with theoretical exponents and grade each pair.
-
-    Relative error is |slope - theory| / |theory|; a pair passes when the
-    error is within tolerance_pct percent.
-    """
-    if len(fits) != len(claims):
-        raise FitError(f"fits ({len(fits)}) and claims ({len(claims)}) must align one-to-one")
-    if descriptors is not None and len(descriptors) != len(fits):
-        raise FitError("descriptors must align with fits")
-    report = DecayReport(tolerance_pct=float(tolerance_pct))
-    for i, (fit, claim) in enumerate(zip(fits, claims)):
-        theory = theoretical_exponent(claim)
-        if theory == 0.0:
-            raise FitError("claim predicts zero exponent; relative comparison undefined")
-        rel = abs(fit.slope - theory) / abs(theory)
-        desc = descriptors[i] if descriptors is not None else f"{claim.family}[{i}]"
-        report.entries.append(
-            ReportEntry(desc, theory, fit.slope, rel, rel <= tolerance_pct / 100.0)
-        )
-    return report
+        """The run record's report block, whose entries list holds this one fit."""
+        entry = {"descriptor": self.descriptor, "theory": self.theory, "slope": self.fit.slope,
+                 "relative_error": self.relative_error, "passed": self.passed}
+        return {"tolerance_pct": self.tolerance_pct, "passed": self.passed, "entries": [entry]}

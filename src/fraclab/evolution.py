@@ -260,7 +260,8 @@ def sample_count(t_lo: float, t_hi: float, per_decade: int) -> int:
         span = math.inf
     count = math.ceil(span) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SAMPLES:
-        raise SpectralError(f"the sample schedule has {count} times, more than {MAX_SAMPLES}")
+        raise SpectralError(f"the sample schedule has {count} times, more than {MAX_SAMPLES}; "
+                            "lower per_decade or narrow [t_lo, t_hi]")
     return max(2, count)
 
 

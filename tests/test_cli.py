@@ -75,6 +75,11 @@ class TestLoadConfig:
     def test_roundtrip_canonical(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"kind": "sqg", "seed": 4}))
         assert validate_config(cfg) == cfg
+        # dimension and density.dimension name one value, and either fills the other
+        for raw in ({"dimension": 3}, {"density": {"dimension": 3}}):
+            cfg = load_config(write_config(tmp_path, {"kind": "oracle", **raw}))
+            assert cfg["dimension"] == cfg["density"]["dimension"] == 3
+            assert validate_config(cfg) == cfg
 
     def test_window_defaults_for_runs(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"kind": "sqg"}))
@@ -104,20 +109,25 @@ class TestLoadConfig:
              "'exponent' must be a finite number"),
             ('{"kind": "oracle", "dimension": NaN}', "'dimension' must be a finite number"),
             # one range per shared key, checked for every kind
-            ('{"kind": "linear", "samples_per_decade": 1}', "samples_per_decade must be >= 2"),
-            ('{"kind": "linear", "samples_per_decade": 0}', "samples_per_decade must be >= 2"),
+            ('{"kind": "linear", "samples_per_decade": 1}', "per_decade must be an integer >= 2"),
+            ('{"kind": "linear", "samples_per_decade": 0}', "per_decade must be an integer >= 2"),
             ('{"kind": "linear", "window_lo": 5.0, "window_hi": 2.0}', "empty fit window"),
-            ('{"kind": "sqg", "smallness_budget": 0}', "smallness_budget must be > 0"),
-            ('{"kind": "ks", "smallness_budget": -0.001}', "smallness_budget must be > 0"),
+            ('{"kind": "sqg", "smallness_budget": 0}', "smallness_budget must be positive"),
+            ('{"kind": "ks", "smallness_budget": -0.001}', "smallness_budget must be positive"),
             ('{"kind": "oracle", "dimension": 0}', "dimension must be >= 1"),
+            # dimension and density.dimension name one value
+            ('{"kind": "oracle", "dimension": 3, "density": {"dimension": 2}}',
+             "dimension 3 and density.dimension 2 differ"),
+            ('{"kind": "oracle", "dimension": 2, "density": {"form": "gaussian", "dimension": 1}}',
+             "dimension 2 and density.dimension 1 differ"),
             ('{"kind": "oracle", "t_lo": 100.0, "t_hi": 10.0}', "need 0 < t_lo < t_hi"),
             ('{"kind": "sqg", "t_lo": 2.0, "T": 2.0}', "need 0 < t_lo < t_hi"),
             # the ranges of the initial data and of the run
             ('{"kind": "sqg", "j_lo": 5, "j_hi": 2}', "j_lo <= j_hi, got \\[5, 2\\]"),
-            ('{"kind": "ks", "taper": 0}', "taper must be > 0"),
-            ('{"kind": "sqg", "epsilon": -1}', "epsilon must be >= 0"),
-            ('{"kind": "ks", "dt": 0}', "dt must be > 0"),
-            ('{"kind": "sqg", "T": 0}', "T must be > 0"),
+            ('{"kind": "ks", "taper": 0}', "taper scale must be positive"),
+            ('{"kind": "sqg", "epsilon": -1}', "epsilon must be finite and >= 0"),
+            ('{"kind": "ks", "dt": 0}', "dt must be positive"),
+            ('{"kind": "sqg", "T": 0}', "need 0 < t_lo < t_hi"),
             # exponents a kind never reads
             ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}', "oracle runs measure with p = 2 only"),
             ('{"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 8}', "oracle runs measure with p = 2 only"),

@@ -1,4 +1,4 @@
-"""Decay claims, exponent table, slope fitting, and reports."""
+"""Decay claims, exponent table, slope fitting, and the graded fit."""
 
 import math
 
@@ -9,8 +9,8 @@ from fraclab.decay import (
     ClaimError,
     DecayClaim,
     FitError,
+    GradedFit,
     NormSeries,
-    build_report,
     fit_decay_slope,
     theoretical_exponent,
 )
@@ -192,22 +192,12 @@ class TestReport:
 
     def test_exact_match(self):
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=2.0)
-        report = build_report([self._fit(-0.5)], [claim], 5.0)
+        report = GradedFit(self._fit(-0.5), theoretical_exponent(claim), 5.0, "linear")
         assert report.passed
-        assert report.entries[0].relative_error <= 1e-12
+        assert report.relative_error <= 1e-12
 
     def test_two_percent_error_passes_at_five(self):
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=2.0)
-        report = build_report([self._fit(-0.51)], [claim], 5.0)
+        report = GradedFit(self._fit(-0.51), theoretical_exponent(claim), 5.0, "linear")
         assert report.passed
-        assert report.entries[0].relative_error == pytest.approx(0.02, rel=1e-6)
-
-    def test_empty_is_vacuously_passing(self):
-        report = build_report([], [], 5.0)
-        assert report.passed
-        assert report.to_dict()["entries"] == []
-
-    def test_length_mismatch(self):
-        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=2.0)
-        with pytest.raises(FitError, match="one-to-one"):
-            build_report([self._fit(-0.5)], [claim, claim], 5.0)
+        assert report.relative_error == pytest.approx(0.02, rel=1e-6)
