@@ -471,10 +471,9 @@ def _run_decay(config: dict):
     # write_s stays 0 unless emit_outputs writes the files
     timings = {"series_s": computed - started, **extras.pop("_timings", {}),
                "fit_s": time.perf_counter() - computed, "write_s": 0.0}
-    fits = [{"label": "decay", **dataclasses.asdict(fit), "window": list(fit.window)}]
     series = {f"decay_ell{config['ell']:g}_r1": decay, f"preserved_s{config['s']:g}_rinf": preserved}
     extras = {"theory_exponent": theory, **extras, "_timings": timings}
-    return series, fits, report, extras, report.passed and ok
+    return series, report, extras, report.passed and ok
 
 
 def _run_besov(config: dict):
@@ -483,7 +482,7 @@ def _run_besov(config: dict):
     result = besov_norm(field, params, build_dyadic_profile())
     extras = {**result._asdict(), "grid_n": field.grid.n, "grid_L": field.grid.L}
     print(f"{params.label()} = {result.value!r}  blocks j in [{result.j_min}, {result.j_max}]")
-    return {}, [], None, extras, True
+    return {}, None, extras, True
 
 
 def _run_selftest(config: dict):
@@ -498,7 +497,7 @@ def _run_selftest(config: dict):
         "n_checks": len(results),
         "n_failed": sum(not r.passed for r in results),
     }
-    return {}, [], None, extras, passed
+    return {}, None, extras, passed
 
 
 _RUNNERS = {**dict.fromkeys(_SERIES, _run_decay), "besov": _run_besov, "selftest": _run_selftest}
@@ -511,9 +510,9 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
     t0 = time.monotonic()
     failure = None
     exit_code = EXIT_PASS
-    series, fits, report, extras, passed = {}, [], None, {}, False
+    series, report, extras, passed = {}, None, {}, False
     try:
-        series, fits, report, extras, passed = _RUNNERS[kind](config)
+        series, report, extras, passed = _RUNNERS[kind](config)
     except (CFLError, NumericalAbort, QuadratureError) as exc:
         failure = {"type": type(exc).__name__, "message": str(exc)}
         exit_code = EXIT_NUMERICAL_ABORT
@@ -537,9 +536,8 @@ def execute(config: dict, out_dir=None) -> ExecutionResult:
     }
     if timings is not None:
         record["timings"] = timings  # wall-clock seconds, volatile: kept out of extras and the CSVs
-    if fits:
-        record["fits"] = fits
-    if report is not None:
+    if report is not None:  # a decay run: its one fit, and that fit graded
+        record["fits"] = [{"label": "decay", **dataclasses.asdict(report.fit), "window": list(report.fit.window)}]
         record["report"] = report.to_dict()
     if failure is not None:
         record["failure"] = failure
@@ -573,11 +571,9 @@ def _plot_script(record: dict, series_names) -> bytes:
     plots = []
     for name in series_names:
         plots.append(f"'{name}.csv' every ::1 using ($1+1):2 with points title '{name}'")
-    for fit in record.get("fits", []):
-        c = math.exp(fit["intercept"])
-        theory = record.get("extras", {}).get("theory_exponent")
-        if theory is not None:
-            plots.append(f"{c!r} * x ** ({theory!r}) with lines title 'theory slope {theory:g}'")
+    for fit in record.get("fits", []):  # a decay run: its extras hold the theory exponent
+        c, theory = math.exp(fit["intercept"]), record["extras"]["theory_exponent"]
+        plots.append(f"{c!r} * x ** ({theory!r}) with lines title 'theory slope {theory:g}'")
         plots.append(
             f"{c!r} * x ** ({fit['slope']!r}) with lines dashtype 2 title 'fit slope {fit['slope']:.4g}'"
         )

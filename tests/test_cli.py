@@ -147,8 +147,15 @@ class TestLoadConfig:
         assert len(log_spaced_times(cfg["t_lo"], cfg["t_hi"], cfg["samples_per_decade"])) == 10_000
         for raw in ({"kind": "oracle", "t_lo": 1.0, "t_hi": 10.0, "samples_per_decade": 10_000},
                     {"kind": "linear", "n": 16, "t_lo": 1e-300, "t_hi": 1e300, "samples_per_decade": 10 ** 300}):
-            with pytest.raises(ConfigError, match="more than 10000"):
+            with pytest.raises(ConfigError, match="more than 10000; lower per_decade or narrow"):
                 validate_config(raw)
+
+    @pytest.mark.parametrize("raw", [{"kind": "oracle", "t_lo": 100.0, "t_hi": 10.0},
+                                     {"kind": "sqg", "n": 16, "samples_per_decade": 1}])
+    def test_schedule_hint_only_on_the_sample_count_refusal(self, raw):
+        with pytest.raises(ConfigError) as refused:
+            validate_config(raw)
+        assert "narrow" not in str(refused.value)
 
     def test_shipped_configs_load_and_revalidate(self):
         paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
