@@ -176,24 +176,19 @@ def _check_unknown(cfg: dict, allowed, context="config"):
         )
 
 
-_DENSITY_KEYS = {"form", "radius", "exponent", "r_lo", "r_hi", "sigma", "dimension"}
+_DENSITY_DEFAULTS = {"radius": 1.0, "sigma": 0.25, "exponent": 0.0, "r_lo": 0.0, "r_hi": 1.0}  # the command line's
 
 
 def _validate_density(cfg, dimension):
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError("key 'density' must be an object")
-    _check_unknown(cfg, _DENSITY_KEYS, "density")
-    form = _want_str(cfg, "form", "ball_indicator", ("ball_indicator", "power_law", "gaussian"))
+    form = _want_str(cfg, "form", "ball_indicator", tuple(RadialSpectralDensity.FORMS))
+    params = RadialSpectralDensity.FORMS[form]
+    _check_unknown(cfg, {"form", "dimension", *params}, f"{form} density")  # another form's keys too
     out = {"form": form, "dimension": _want_number(cfg, "dimension", dimension, integer=True)}
-    if form == "ball_indicator":
-        out["radius"] = _want_number(cfg, "radius", 1.0)
-    elif form == "gaussian":
-        out["sigma"] = _want_number(cfg, "sigma", 0.25)
-    else:
-        out["exponent"] = _want_number(cfg, "exponent", 0.0)
-        out["r_lo"] = _want_number(cfg, "r_lo", 0.0)
-        out["r_hi"] = _want_number(cfg, "r_hi", 1.0)
+    for key in params:
+        out[key] = _want_number(cfg, key, _DENSITY_DEFAULTS[key])
     RadialSpectralDensity(**out)  # range checks
     return out
 
@@ -342,6 +337,8 @@ def _canonical_config(raw: dict) -> dict:
         window = (max(1.0, out["t_lo"]), t_hi)
     else:
         samples = _run_config(out).sample_times
+        if out["epsilon"] == 0:  # after InitialSpectrum's own range check
+            raise ConfigError("epsilon must be > 0: a zero initial field has no decay slope to fit")
         window = (max(1.0, 10.0 * (samples[1] - samples[0])), cutoff)
     out["window_lo"] = _want_number(raw, "window_lo", window[0])
     out["window_hi"] = _want_number(raw, "window_hi", window[1])

@@ -503,7 +503,8 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
 
     The initial field is the seeded shell-localized spectrum on the flux's
     grid, scaled so its critical norm equals the configured amplitude; runs
-    whose amplitude exceeds the smallness budget are refused. on_sample(t, c)
+    whose shells hold no mode, or whose amplitude exceeds the smallness
+    budget, are refused before the first step. on_sample(t, c)
     sees every recorded half-plane state after the norms are taken. The
     extras are the run's entries of the run record (see ``RunResult``).
     """
@@ -513,8 +514,10 @@ def run_flow(equation: str, flux: GridOperators, critical: BesovParams, config: 
     coeffs = make_initial_coefficients(grid, config.initial, config.seed)
     # measured on the half-plane, like every record, so a run builds one p = 2 layout
     raw = spectral_besov_norm(grid, coeffs, critical, profile)
-    if raw > 0:
-        coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
+    if raw == 0:  # a NaN raw goes on to the smallness refusal
+        raise SpectralError(f"the seeded spectrum is empty: the shells [{config.initial.j_lo}, "
+                            f"{config.initial.j_hi}] hold no mode of the grid (n={grid.n}, L={grid.L:g})")
+    coeffs *= config.initial.epsilon / raw  # epsilon = 0 zeroes the state
     crit = spectral_besov_norm(grid, coeffs, critical, profile)
     if not crit <= config.smallness_budget * (1.0 + 1e-9):  # a NaN norm is refused too
         raise SpectralError(

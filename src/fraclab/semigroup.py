@@ -80,7 +80,7 @@ def _radial_prefactor(n: int) -> float:
 class RadialSpectralDensity:
     """Radial modulus profile rho(|xi|) of an initial spectrum on R^n.
 
-    Forms:
+    Forms, with the parameters each reads (``FORMS``):
         ball_indicator(radius): rho = 1 on [0, radius], 0 beyond
         power_law(exponent, r_lo, r_hi): rho = r^exponent on [r_lo, r_hi]
         gaussian(sigma): rho = exp(-r^2 / (2 sigma^2))
@@ -88,6 +88,8 @@ class RadialSpectralDensity:
     Parameters are finite, only the Gaussian has unbounded support, and the
     dimension n keeps (2 pi)^-n omega_{n-1} a normal float (n <= 226).
     """
+
+    FORMS = {"ball_indicator": ("radius",), "power_law": ("exponent", "r_lo", "r_hi"), "gaussian": ("sigma",)}
 
     form: str
     dimension: int = 2
@@ -98,7 +100,7 @@ class RadialSpectralDensity:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.form not in ("ball_indicator", "power_law", "gaussian"):
+        if self.form not in self.FORMS:
             raise SpectralError(f"unknown density form {self.form!r}")
         if self.dimension < 1:
             raise SpectralError(f"dimension must be >= 1, got {self.dimension}")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fraclab import cli, selftest, semigroup
+from fraclab import cli, evolution, selftest, semigroup
 from fraclab.bsvf import write_bsvf
 from fraclab.cli import (
     ConfigError,
@@ -702,7 +702,10 @@ class TestMain:
         "payload, message",
         [({"kind": "oracle", "theorem": "sqg", "s": 0.5, "p": 4}, "runs measure with"),
          ({"kind": "linear", "n": 64, "r": 4}, "runs measure with"),
-         ({"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}, "lebesgue claims require ell = 0")],
+         ({"kind": "oracle", "theorem": "lebesgue", "ell": 0.5}, "lebesgue claims require ell = 0"),
+         ({"kind": "ks", "n": 16, "epsilon": 0}, "epsilon must be > 0"),
+         ({"kind": "oracle", "density": {"form": "gaussian", "radius": 5.0}},
+          "unknown key(s) ['radius'] in gaussian density")],
     )
     def test_unread_exponent_exits_2_before_computing(self, tmp_path, capsys, monkeypatch, payload, message):
         monkeypatch.delenv("FRACLAB_OUT", raising=False)
@@ -710,3 +713,15 @@ class TestMain:
         assert main([payload["kind"], "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_shells_exit_2_before_the_first_step(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("integrate entered")
+
+        monkeypatch.delenv("FRACLAB_OUT", raising=False)
+        monkeypatch.setattr(evolution, "integrate", never)
+        path = write_config(tmp_path, {"kind": "sqg", "n": 16, "j_lo": 50, "j_hi": 60})
+        assert main(["sqg", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        failure = json.loads((tmp_path / "out" / "run.json").read_text())["failure"]
+        assert failure["type"] == "SpectralError"
+        assert "the shells [50, 60] hold no mode" in failure["message"]

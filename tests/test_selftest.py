@@ -7,7 +7,7 @@ import pytest
 
 from fraclab import selftest
 from fraclab.keller_segel import _KSFlux
-from fraclab.spectral import MultiplierSpec, forward_half_plane
+from fraclab.spectral import MultiplierSpec, forward_half_plane, half_plane
 from fraclab.sqg import _SQGFlux
 
 # Printed by `fraclab selftest`, in this order.
@@ -84,3 +84,18 @@ def test_direct_dft_check_sees_a_wrong_forward_transform(broken, monkeypatch):
     monkeypatch.setattr(selftest, "forward_half_plane", broken)
     result = selftest.CHECKS["spectral.direct_dft"]()
     assert not result.passed and result.value > 1e-11, result
+
+
+def test_almost_orthogonality_check_sees_a_widened_block(monkeypatch):
+    def widened(grid, j, kind, profile):  # phi(2^-j r) + phi(0.6 2^-j r) reaches level j + 2
+        r = half_plane(grid.xi_mag) * 2.0 ** -j
+        return profile.phi_array(r) + profile.phi_array(0.6 * r)
+
+    monkeypatch.setattr(selftest, "block_multiplier", widened)
+    result = selftest.CHECKS["lp.almost_orthogonality"]()
+    assert not result.passed and result.value > 1e-12, result
+
+
+@pytest.mark.parametrize("grid", [selftest.GRID, selftest.OFF_GRID, selftest.DENSE], ids=["64-2pi", "64-3", "128-2pi"])
+def test_almost_orthogonality_reads_exactly_zero(grid):
+    assert selftest.CHECKS["lp.almost_orthogonality"](grid=grid).value == 0.0
