@@ -37,9 +37,11 @@ writes there.
 An equation module supplies only its physics: its critical-norm index and
 a flux, which is a ``GridOperators`` subclass with ``rhs(c)`` -> N(c) and
 ``max_velocity(c)`` -> max |u| for the CFL check, both on half-plane
-coefficients. ``max_velocity(c)`` keeps the physical
-fields it built, and the ``rhs`` call that follows on the same array reuses
-them, so the velocity of the step's state is transformed once per step.
+coefficients. ``max_velocity(c)`` keeps what it built from c, and the
+``rhs`` call that follows on the same array reuses it, so the velocity of
+the step's state is transformed once per step. What is kept is the flux's
+choice, not always the velocity fields: SQG keeps u, KS the drift's two
+products a^2 - b^2 and ab, which it forms in place of a and b.
 ``integrate`` is the only time loop (a single step is an ``integrate`` call
 with T = dt), and ``run_flow`` is the only driver: seeded data rescaled to
 the critical norm, the smallness refusal, norm recording at the sample
@@ -314,8 +316,9 @@ class GridOperators:
     and allocate their scratch arrays once (``physical`` for real fields);
     the two ``work`` arrays are shared scratch that no method leaves anything
     in. Products and transforms write into these arrays through ``out=``.
-    ``remember``/``recall`` let ``rhs`` reuse the physical fields that
-    ``max_velocity`` built for the same state array. ``on(grid)`` builds one
+    ``remember``/``recall`` let ``rhs`` reuse whatever ``max_velocity``
+    built for the same state array: ``recall`` hands back what was
+    remembered, which is not always the velocity fields (KS keeps products). ``on(grid)`` builds one
     instance per (subclass, grid) and reuses it.
     """
 
@@ -375,12 +378,12 @@ class GridOperators:
         return math.sqrt(s1.max())  # sqrt is monotone, so this is the max of the sqrt
 
     def remember(self, c, fields):
-        """Keep the physical fields of state c for the next ``recall``; returns them."""
+        """Keep what was built from state c for the next ``recall``; returns it."""
         self._last = (c, fields)
         return fields
 
     def recall(self, c, build):
-        """The fields remembered for this very array c, else build(c).
+        """What was remembered for this very array c, else build(c).
 
         One entry, consumed by the call, keyed on the array's identity. The
         time loop reuses its state buffers, so the key is sound only because

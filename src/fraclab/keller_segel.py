@@ -23,6 +23,8 @@ modes with max(|k1|, |k2|) <= n/3 of u.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .evolution import GridOperators, RunConfig, RunResult, integrate, run_flow
@@ -42,37 +44,53 @@ class _KSFlux(GridOperators):
     CFL check builds, and two forward transforms; no ``band_part`` symbol reads
     u in physical space. The band products are exact under the 2/3 rule, and
     the zero mode is exactly 0. The stored symbols carry the 2/3 mask; ``q1``
-    and ``q2`` are those of 1/2 (d11 - d22) and 2 d12."""
+    and ``q2`` are those of 1/2 (d11 - d22) and 2 d12, and ``grad1``, ``grad2``
+    those of d1 and d2 with the inverse Laplacian folded in, so a and b come
+    straight from u's coefficients.
+
+    ``products`` overwrites a and b in place with the drift's two products,
+    so what ``max_velocity`` remembers, and ``recall`` hands to ``rhs``, is
+    (a^2 - b^2, ab), not the fields a and b."""
 
     def __init__(self, grid):
         super().__init__(grid)
         self.inv_lap = self.symbol(MultiplierSpec.inverse_laplacian())
+        self.grad1, self.grad2 = self.d1 * self.inv_lap, self.d2 * self.inv_lap
         self.q1 = 0.5 * (self.d1 * self.d1 - self.d2 * self.d2)
         self.q2 = 2.0 * self.d1 * self.d2
         self.mean_free = (self.inv_lap != 0).astype(np.complex128)  # the band but k = 0
-        self._psi = np.empty((grid.n, self.band), dtype=np.complex128, order="F")  # also the mean(u) u product
         self._f = np.empty(self.half, dtype=np.complex128, order="F")  # the second forward transform
         self._g1, self._g2 = self.physical(), self.physical()
 
-    def grad_psi(self, c_u):
-        """Physical components of grad psi with psi = (-Laplace)^-1 (u - mean), u's band part."""
-        c_psi = np.multiply(self.inv_lap, c_u[:, : self.band], out=self._psi)  # the symbol zeroes the mean
-        return self.apply(self.d1, c_psi, self._g1), self.apply(self.d2, c_psi, self._g2)
+    def products(self, c_u):
+        """(max |grad psi|, a^2 - b^2, ab) with (a, b) = grad psi of u's band part, in the flux's arrays.
+
+        Five grid passes and one max: b^2 and a^2 + b^2 go through ``work``,
+        and a and b are overwritten with the products.
+        """
+        a, b = self.apply(self.grad1, c_u, self._g1), self.apply(self.grad2, c_u, self._g2)
+        b2, s = self.work
+        np.multiply(b, b, out=b2)
+        np.multiply(a, b, out=b)
+        np.multiply(a, a, out=a)
+        speed = math.sqrt(np.add(a, b2, out=s).max())  # sqrt is monotone, so this is the max of the sqrt
+        return speed, np.subtract(a, b2, out=a), b
 
     def rhs(self, c_u):
         """Spectral tendency -div(u grad psi) of u's band part, dealiased, zero mode 0; a new array."""
-        a, b = self.recall(c_u, self.grad_psi)
-        s, d = self.work
-        out = self.to_spec(np.multiply(np.add(a, b, out=s), np.subtract(a, b, out=d), out=s))  # a^2 - b^2
-        f2 = self.to_spec(np.multiply(a, b, out=d), out=self._f)[:, : self.band]
+        d, ab = self.recall(c_u, lambda c: self.products(c)[1:])  # a^2 - b^2 and ab
+        out = self.to_spec(d)
+        f2 = self.to_spec(ab, out=self._f)[:, : self.band]
         f1 = out[:, : self.band]
         np.add(np.multiply(self.q1, f1, out=f1), np.multiply(self.q2, f2, out=f2), out=f1)
-        linear = np.multiply(self.mean_free, c_u[:, : self.band], out=self._psi)
+        linear = np.multiply(self.mean_free, c_u[:, : self.band], out=self._cols)  # free after the products
         np.add(f1, np.multiply(c_u[0, 0].real, linear, out=linear), out=f1)
         return out
 
     def max_velocity(self, c_u):
-        return self.speed(*self.remember(c_u, self.grad_psi(c_u)))
+        speed, *fields = self.products(c_u)
+        self.remember(c_u, fields)
+        return speed
 
 
 def ks_potential(u: RealField) -> RealField:
@@ -106,7 +124,7 @@ def run_ks(config: RunConfig, profile: DyadicProfile | None = None) -> RunResult
     minima, masses = [], []
 
     def track(t, c):
-        minima.append(float(flux.to_phys(c).min()))  # c: the recorded half-plane
+        minima.append(float(flux.to_phys(c, out=flux.work[0]).min()))  # c: the recorded half-plane
         masses.append(area * c[0, 0].real)
 
     result = run_flow("ks", flux, ks_critical_norm_params(), config, profile, track)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from fraclab import keller_segel
 from fraclab.evolution import InitialSpectrum, RunConfig, log_spaced_times, run_flow
@@ -24,7 +25,9 @@ from fraclab.spectral import (
     forward_half_plane,
     forward_transform,
     full_plane,
+    half_plane,
     hermitian_noise,
+    inverse_real,
     inverse_transform,
     multiplier_symbol,
 )
@@ -114,6 +117,27 @@ class TestTendency:
         c = forward_half_plane(u.values)
         assert c[0, 0].real != 0.0
         assert keller_segel._KSFlux.on(g).rhs(c)[0, 0] == 0.0
+
+
+class TestVelocity:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_max_velocity_is_the_largest_grad_psi_on_the_full_plane(self, n, rng):
+        g = Grid2D(n, 3.0)
+        c = forward_transform(random_band_field(g, rng, zero_mean=False)).coefficients
+        c_psi = multiplier_symbol(g, MultiplierSpec.inverse_laplacian()) * dealias_mask(g) * c
+        a, b = (inverse_real(multiplier_symbol(g, MultiplierSpec.partial(i)) * c_psi) for i in (1, 2))
+        want = math.sqrt((a * a + b * b).max())
+        got = keller_segel._KSFlux.on(g).max_velocity(half_plane(c))
+        assert abs(got - want) <= 1e-14 * want
+
+    def test_rhs_and_potential_bits_do_not_depend_on_a_prior_max_velocity(self, rng):
+        g = Grid2D(64, 3.0)
+        u, other = (random_band_field(g, rng, zero_mean=False) for _ in range(2))
+        flux, c_other = keller_segel._KSFlux.on(g), forward_half_plane(other.values)
+        for of in (ks_rhs, ks_potential):
+            before = of(u).values.copy()
+            flux.max_velocity(c_other)
+            assert of(u).values.tobytes() == before.tobytes()
 
 
 class TestStep:
