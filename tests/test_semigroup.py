@@ -18,6 +18,7 @@ from fraclab.semigroup import (
     QuadratureError,
     RadialSpectralDensity,
     _SUBPANELS,
+    _damped_integrals,
     _level_rules,
     _reference_rules,
     _top_level,
@@ -284,12 +285,97 @@ class TestLevelRules:
         after = _reference_rules.cache_info()
         assert after.misses == before.misses and after.hits == before.hits + 3
         edges = (0.75, 4.0 / 3.0, 1.5)
-        rules = _reference_rules(edges, a)
-        assert _reference_rules(edges, b) is rules
-        for rule in rules:
-            for array in rule:
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
+        rule = _reference_rules(edges, a)
+        assert _reference_rules(edges, b) is rule
+        for array in rule:  # the joined nodes, weights and phi values
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def full_exp_integrals(rules, alpha, times, rows):
+    """The N- and 2N-node integrals at times[rows] from the whole exp matrix,
+    every entry exponentiated: the reference for _damped_integrals."""
+    (r_coarse, w_coarse), (r_fine, w_fine) = rules
+    e = np.exp(np.multiply.outer(-2.0 * times, np.concatenate((r_coarse, r_fine)) ** alpha))[rows]
+    return e[:, : len(w_coarse)] @ w_coarse, e[:, len(w_coarse) :] @ w_fine
+
+
+class TestDampedIntegrals:
+    """The exp matrix with its exactly-zero tail filled, not exponentiated,
+    against the whole matrix exponentiated."""
+
+    @staticmethod
+    def exp_spy(monkeypatch):
+        # the largest exponent of each row that np.exp receives
+        rows, real = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            if np.ndim(x) == 2 and np.shape(x)[1] > 0:
+                rows.extend(np.max(x, axis=1))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        return rows
+
+    @staticmethod
+    def poison_heap(shape):
+        # freed NaN blocks of the exp matrix's size, which the allocator hands
+        # back: a tail left unfilled then shows in the integrals
+        blocks = [np.full(shape, np.nan) for _ in range(8)]
+        del blocks
+
+    @staticmethod
+    def spanning_times(rules, alpha):
+        # ascending times whose rows are: normal (2), straddling -746 (3,
+        # with largest exponents -730 and -745.1, whose exp is subnormal)
+        # and wholly below -746 (2)
+        powers = np.concatenate([r for r, _ in rules]) ** alpha
+        lo, hi = powers.min(), powers.max()
+        return np.array([1.0, 10.0, 186.5 / hi + 186.5 / lo, 365.0 / lo, 372.55 / lo, 400.0 / lo, 5000.0 / lo])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_bit_identical_to_the_whole_matrix(self, profile, monkeypatch, alpha):
+        # the smallest node sits on the support's lower edge, where phi is far from 0
+        rules = _level_rules(RadialSpectralDensity.power_law(0.0, 0.5, 1.0), -1, profile)
+        times = self.spanning_times(rules, alpha)
+        x = np.multiply.outer(-2.0 * times, np.concatenate([r for r, _ in rules]) ** alpha)
+        top, bottom = x.max(axis=1), x.min(axis=1)
+        assert list(top < -746.0) == [False] * 5 + [True] * 2  # the tail
+        assert list((top >= -746.0) & (bottom < -746.0)) == [False] * 2 + [True] * 3 + [False] * 2
+        assert -745.13 <= top[3] <= -708.4 and 0.0 < np.exp(top[3]) < np.finfo(float).tiny
+        assert -745.13 <= top[4] < -745.0 and np.exp(top[4]) > 0.0
+        ref = full_exp_integrals(rules, alpha, times, np.arange(len(times)))
+        assert ref[1][3] > 0.0 and np.all(ref[1][5:] == 0.0)
+        seen = self.exp_spy(monkeypatch)
+        self.poison_heap(x.shape)
+        got = _damped_integrals(rules, alpha, times)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        assert len(seen) == 5 and min(seen) >= -746.0  # the tail never reached np.exp
+
+    def test_rule_without_nodes(self, profile, monkeypatch):
+        # level 3's annulus [6, 21.3] misses the unit ball
+        rules = _level_rules(RadialSpectralDensity.ball_indicator(1.0), 3, profile)
+        assert len(rules[0][0]) == len(rules[1][0]) == 0
+        times = log_spaced_times(1.0, 1e4, 4)
+        seen = self.exp_spy(monkeypatch)
+        got = _damped_integrals(rules, 1.0, times)
+        monkeypatch.undo()
+        ref = full_exp_integrals(rules, 1.0, times, np.arange(len(times)))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref] == [np.zeros(len(times)).tobytes()] * 2
+        assert seen == []
+
+    def test_row_sets(self, profile, monkeypatch):
+        rules = _level_rules(RadialSpectralDensity.power_law(0.0, 0.5, 1.0), -1, profile)
+        times = self.spanning_times(rules, 1.0)
+        row_sets = [np.array([0, 2, 5]), np.array([1, 2, 3]), np.array([3, 6]), np.arange(len(times))]
+        refs = [full_exp_integrals(rules, 1.0, times, rows) for rows in row_sets]
+        seen = self.exp_spy(monkeypatch)
+        self.poison_heap((len(times), len(rules[0][0]) + len(rules[1][0])))
+        got = _damped_integrals(rules, 1.0, times, row_sets)
+        assert len(got) == len(refs)
+        for pair, ref in zip(got, refs):
+            assert [a.tobytes() for a in pair] == [a.tobytes() for a in ref]
+        assert len(seen) == 5 and min(seen) >= -746.0
 
 
 class TestOracleSeries:
