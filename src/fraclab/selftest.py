@@ -238,12 +238,12 @@ def lp_partition_of_unity(rng, radii=10_000):
 
 
 @_check("lp.almost_orthogonality", 1e-12)
-def lp_almost_orthogonality(rng, grid=GRID, samples=10):
+def lp_almost_orthogonality(rng, grid=GRID):
     """max |m_i m_j| over |i - j| >= 2 bounds ||D_i D_j f||_2 / ||f||_2 for every f (Parseval), so no
-    field is drawn and ``samples`` does not change the value; a radial mask's half-plane holds its values."""
+    field is drawn; a radial mask's half-plane holds its values."""
     masks = [block_multiplier(grid, j, "block", PROFILE) for j in block_range(grid)]
     worst = max((float(np.abs(mi * mj).max()) for i, mi in enumerate(masks) for mj in masks[i + 2:]), default=0.0)
-    return worst, f"max |m_i m_j| over block masks with |i - j| >= 2; draws no field ({samples} samples unused)"
+    return worst, "max |m_i m_j| over block masks with |i - j| >= 2; draws no field"
 
 
 @_check("lp.paraproduct_remote_zero", 1e-8)

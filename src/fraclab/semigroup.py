@@ -28,9 +28,11 @@ it, is the same to the bit, and exp's slow underflow path is not taken.
 Every weight is positive and every exponential decreases in t, so computed
 block norms are monotone in t by construction. Error control compares the
 N- and 2N-node rules. One top-down level sweep feeds every Besov series
-asked for, each stopping on its own. Because the oracle lives on the
-continuum it is free of the torus infrared cutoff and reproduces
-whole-space decay rates over arbitrarily long time windows.
+asked for, each stopping on its own. Every level takes every sample time
+and a stopped time keeps its value, so a time's row has one place in every
+exp matrix and no value depends on which kinds were asked for. Because the
+oracle lives on the continuum it is free of the torus infrared cutoff and
+reproduces whole-space decay rates over arbitrarily long time windows.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ def _level_rules(density: RadialSpectralDensity, j: int, profile: DyadicProfile)
 _EXP_ZERO = -746.0
 
 
-def _damped_integrals(rules: _Rules, alpha: float, times: np.ndarray, row_sets=None):
+def _damped_integrals(rules: _Rules, alpha: float, times: np.ndarray):
     """Integrals of the N- and 2N-node rules against exp(-2 t r^alpha), at
     every time at once, from one exponent matrix over both rules' nodes
     (exponentiated in place: a second temporary made glibc re-fault its heap).
@@ -288,11 +290,7 @@ def _damped_integrals(rules: _Rules, alpha: float, times: np.ndarray, row_sets=N
     times must ascend. A row's largest exponent is -2 t min(r^alpha), so the
     rows whose largest exponent lies below -746, where exp is exactly 0, form
     a tail; it is filled with 0 and never exponentiated (numpy's exp takes
-    about 15 times as long per element where it underflows to 0).
-
-    With row_sets (index arrays into times), one pair per set, each from a
-    matmul over that set's rows alone: BLAS rounds a product's last rows by
-    another kernel, so a row's value would depend on which rows came with it."""
+    about 15 times as long per element where it underflows to 0)."""
     (_, w_coarse), (_, w_fine) = rules
     powers = rules.nodes ** alpha
     decay = -2.0 * times
@@ -305,14 +303,7 @@ def _damped_integrals(rules: _Rules, alpha: float, times: np.ndarray, row_sets=N
     np.multiply(head, powers, out=head)
     np.exp(head, out=head)
     e[live:] = 0.0
-    cut = rules.cut
-
-    def integrals(rows):
-        lo, hi = rows[0], rows[-1] + 1
-        m = e[lo:hi] if hi - lo == len(rows) else e[rows]
-        return m[:, :cut] @ w_coarse, m[:, cut:] @ w_fine
-
-    return integrals(range(len(times))) if row_sets is None else [integrals(r) for r in row_sets]
+    return e[:, : rules.cut] @ w_coarse, e[:, rules.cut :] @ w_fine
 
 
 def _check_gap(what: str, times, coarse, fine, scale, rel_tol: float) -> float:
@@ -380,9 +371,10 @@ def oracle_besov_series(
     'decay' is the l^1 sum sum_j 2^{j ell} b_j(t) whose slope the claim
     predicts; 'preserved' is the l^inf norm sup_j 2^{-j s} b_j(t) that stays
     bounded. Block L^2 norms (p = 2 semantics) come one level at a time, from
-    the top down, at the times still live for any kind. Each kind and time
-    stops on its own: the decay sum once a term falls below 1e-14 of its
-    running total, the sup after six levels without a 1e-13 relative gain.
+    the top down, at every sample time. Each kind and time stops on its own,
+    and keeps its value from then on: the decay sum once a term falls below
+    1e-14 of its running total, the sup after six levels without a 1e-13
+    relative gain.
     Each series is also summed with the N-node rule; QuadratureError is
     raised where the two differ by more than rel_tol of the value, and the
     series carries the largest relative gap as ``quadrature_gap`` and the
@@ -398,53 +390,39 @@ def oracle_besov_series(
     if len(times) > MAX_SAMPLES:
         raise SpectralError(f"{len(times)} sample times, more than {MAX_SAMPLES}")
     j_top = _top_level(density)
-    # per kind and time: the 2N-node value, the N-node value over the same
-    # levels, the levels without gain; and per kind its live times
-    fine, coarse, stall = ({k: np.zeros(len(times), dt) for k in kinds} for dt in (float, float, int))
-    live, levels = {k: np.arange(len(times)) for k in kinds}, {}
+    # per kind, the N- and 2N-node values as the two rows of one array, and
+    # the times it still sums; per time, the sup's levels without gain
+    value, live = {k: np.zeros((2, len(times))) for k in kinds}, {k: np.ones(len(times), bool) for k in kinds}
+    stall, levels = np.zeros(len(times), int), {}
     j = j_top
     while live:
-        rules, sets = _level_rules(density, j, profile), [*live.values()]
-        # per kind, its N- and 2N-node block norms as the two rows of one array
-        if len(sets) == 1 or all(len(at) == len(times) for at in sets):  # one live set
-            pair = _damped_integrals(rules, claim.alpha, times[sets[0]])
-            blocks = [_radial_norm(density, pair)] * len(sets)
-        else:  # the union of the live sets (np.union1d would import numpy.ma, about 14 ms)
-            union = np.flatnonzero(np.bincount(np.concatenate(sets), minlength=len(times)))
-            row_sets = [np.searchsorted(union, at) for at in sets]
-            pairs = _damped_integrals(rules, claim.alpha, times[union], row_sets)
-            blocks = [_radial_norm(density, pair) for pair in pairs]
+        rules = _level_rules(density, j, profile)
+        block = _radial_norm(density, _damped_integrals(rules, claim.alpha, times))
         level, j = j, j - 1
-        for kind, block in zip(list(live), blocks):
-            term_c, term_f = 2.0 ** (level * weight[kind]) * block
-            at, f, c = live[kind], fine[kind], coarse[kind]
-            rows = slice(None) if len(at) == len(times) else at  # a view while every time is live
+        for kind, at in list(live.items()):
+            terms, v = 2.0 ** (level * weight[kind]) * block, value[kind]
+            # in place where live: a time that has stopped keeps its value
             if kind == "decay":
-                f[rows] = total = f[rows] + term_f
-                c[rows] += term_c
+                np.add(v, terms, out=v, where=at)
                 # an all-zero total means the density contributes nothing near its support
-                done = np.where(
-                    total > 0.0, (term_f < _TRUNCATION * total) & (j < j_top - 4), j < j_top - 60
-                )
+                done = np.where(v[1] > 0.0, (terms[1] < _TRUNCATION * v[1]) & (j < j_top - 4), j < j_top - 60)
             else:
-                best, st = f[rows], stall[kind]
-                st[rows] = np.where(term_f > best * (1.0 + 1e-13), 0, st[rows] + 1)
-                f[rows] = best = np.maximum(best, term_f)
-                c[rows] = np.maximum(c[rows], term_c)
-                done = np.where(best > 0.0, st[rows] >= 6, j < j_top - 60)
-            if done.any():
-                live[kind] = at = at[~done]
-            if len(at) == 0:
+                stall = np.where(terms[1] > v[1] * (1.0 + 1e-13), 0, stall + 1)
+                np.maximum(v, terms, out=v, where=at)
+                done = np.where(v[1] > 0.0, stall >= 6, j < j_top - 60)
+            live[kind] = at = at & ~done
+            if not at.any():
                 levels[kind] = j_top - j
                 del live[kind]
             elif j < j_top - 400:
                 what = "level sum" if kind == "decay" else "sup over levels"
                 raise QuadratureError(
-                    f"{kind} series: {what} did not stabilize by j = {j} at t = {times[at[0]]}"
+                    f"{kind} series: {what} did not stabilize by j = {j} at t = {times[at.argmax()]}"
                 )
     series = []
     for kind in kinds:
-        gap = _check_gap(f"{kind} series", times, coarse[kind], fine[kind], fine[kind], rel_tol)
+        coarse, fine = value[kind]
+        gap = _check_gap(f"{kind} series", times, coarse, fine, fine, rel_tol)
         tag = f"oracle:{claim.family}:{kind}:s={claim.s:g},ell={claim.ell:g},alpha={claim.alpha:g}"
-        series.append(NormSeries(times, fine[kind], tag, quadrature_gap=gap, levels=levels[kind]))
+        series.append(NormSeries(times, fine, tag, quadrature_gap=gap, levels=levels[kind]))
     return tuple(series)

@@ -292,11 +292,11 @@ class TestLevelRules:
                 array[0] = 0.0
 
 
-def full_exp_integrals(rules, alpha, times, rows):
-    """The N- and 2N-node integrals at times[rows] from the whole exp matrix,
-    every entry exponentiated: the reference for _damped_integrals."""
+def full_exp_integrals(rules, alpha, times):
+    """The N- and 2N-node integrals from the whole exp matrix, every entry
+    exponentiated: the reference for _damped_integrals."""
     (r_coarse, w_coarse), (r_fine, w_fine) = rules
-    e = np.exp(np.multiply.outer(-2.0 * times, np.concatenate((r_coarse, r_fine)) ** alpha))[rows]
+    e = np.exp(np.multiply.outer(-2.0 * times, np.concatenate((r_coarse, r_fine)) ** alpha))
     return e[:, : len(w_coarse)] @ w_coarse, e[:, len(w_coarse) :] @ w_fine
 
 
@@ -344,7 +344,7 @@ class TestDampedIntegrals:
         assert list((top >= -746.0) & (bottom < -746.0)) == [False] * 2 + [True] * 3 + [False] * 2
         assert -745.13 <= top[3] <= -708.4 and 0.0 < np.exp(top[3]) < np.finfo(float).tiny
         assert -745.13 <= top[4] < -745.0 and np.exp(top[4]) > 0.0
-        ref = full_exp_integrals(rules, alpha, times, np.arange(len(times)))
+        ref = full_exp_integrals(rules, alpha, times)
         assert ref[1][3] > 0.0 and np.all(ref[1][5:] == 0.0)
         seen = self.exp_spy(monkeypatch)
         self.poison_heap(x.shape)
@@ -360,22 +360,9 @@ class TestDampedIntegrals:
         seen = self.exp_spy(monkeypatch)
         got = _damped_integrals(rules, 1.0, times)
         monkeypatch.undo()
-        ref = full_exp_integrals(rules, 1.0, times, np.arange(len(times)))
+        ref = full_exp_integrals(rules, 1.0, times)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in ref] == [np.zeros(len(times)).tobytes()] * 2
         assert seen == []
-
-    def test_row_sets(self, profile, monkeypatch):
-        rules = _level_rules(RadialSpectralDensity.power_law(0.0, 0.5, 1.0), -1, profile)
-        times = self.spanning_times(rules, 1.0)
-        row_sets = [np.array([0, 2, 5]), np.array([1, 2, 3]), np.array([3, 6]), np.arange(len(times))]
-        refs = [full_exp_integrals(rules, 1.0, times, rows) for rows in row_sets]
-        seen = self.exp_spy(monkeypatch)
-        self.poison_heap((len(times), len(rules[0][0]) + len(rules[1][0])))
-        got = _damped_integrals(rules, 1.0, times, row_sets)
-        assert len(got) == len(refs)
-        for pair, ref in zip(got, refs):
-            assert [a.tobytes() for a in pair] == [a.tobytes() for a in ref]
-        assert len(seen) == 5 and min(seen) >= -746.0
 
 
 class TestOracleSeries:
@@ -517,6 +504,64 @@ class TestJointSweep:
         claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
         with pytest.raises(SpectralError, match="kinds must be distinct names"):
             oracle_besov_series(ball, claim, [1.0, 2.0], profile, kinds)
+
+
+class TestEveryLevelTakesEveryTime:
+    """The sweep evaluates the whole schedule at every level, and a time that
+    has stopped keeps the value of its own stopping level."""
+
+    def test_shipped_config_passes_the_whole_schedule_to_every_level(self, profile, monkeypatch):
+        cfg = json.loads(_SHIPPED_ORACLE.read_text())
+        density = RadialSpectralDensity(**cfg["density"])
+        claim = DecayClaim("linear", s=cfg["s"], ell=cfg["ell"], alpha=cfg["alpha"], p=2.0, r=2.0)
+        times = log_spaced_times(cfg["t_lo"], cfg["t_hi"], cfg["samples_per_decade"])
+        assert len(times) == 121
+        passed = []
+
+        def spy(rules, alpha, times, *rest):
+            passed.append(times.tobytes())
+            return _damped_integrals(rules, alpha, times, *rest)
+
+        monkeypatch.setattr(semigroup, "_damped_integrals", spy)
+        for kinds in (("decay",), ("preserved",), ("decay", "preserved")):
+            passed.clear()
+            series = oracle_besov_series(density, claim, times, profile, kinds)
+            assert len(passed) == max(s.levels for s in series)
+            assert set(passed) == {times.tobytes()}
+
+    @pytest.mark.parametrize("kind", ["decay", "preserved"])
+    def test_a_stopped_time_keeps_the_value_of_its_own_stopping_level(self, profile, kind):
+        # on [1, 1e4] a later time's block norms peak at lower levels, so the
+        # times stop at different levels
+        ball = RadialSpectralDensity.ball_indicator(1.0)
+        claim = DecayClaim("linear", s=1.0, ell=0.0, alpha=1.0, p=2.0, r=2.0)
+        times = log_spaced_times(1.0, 1e4, 2)
+        (series,) = oracle_besov_series(ball, claim, times, profile, (kind,))
+        weight = claim.ell if kind == "decay" else -claim.s
+        j_top = _top_level(ball)
+        # the stopping rule per time, on terms built from the whole schedule:
+        # the running (N-node, 2N-node) value and, once stopped, its level count
+        value, stall, stopped = np.zeros((2, len(times))), [0] * len(times), {}
+        for count in range(1, series.levels + 1):
+            j = j_top - count + 1
+            pair = _damped_integrals(_level_rules(ball, j, profile), claim.alpha, times)
+            terms = 2.0 ** (j * weight) * semigroup._radial_norm(ball, pair)
+            for i in set(range(len(times))) - set(stopped):
+                old = value[:, i].copy()
+                if kind == "decay":
+                    value[:, i] = old + terms[:, i]
+                    done = terms[1, i] < 1e-14 * value[1, i] and count > 4
+                else:
+                    stall[i] = 0 if terms[1, i] > old[1] * (1.0 + 1e-13) else stall[i] + 1
+                    value[:, i] = np.maximum(old, terms[:, i])
+                    done = stall[i] >= 6
+                if done if value[1, i] > 0.0 else count > 60:  # a zero value waits 60 levels
+                    stopped[i] = count
+        assert len(stopped) == len(times) and max(stopped.values()) == series.levels
+        assert min(stopped.values()) < series.levels  # the times stop at different levels
+        coarse, fine = value
+        assert series.values.tobytes() == fine.tobytes()
+        assert series.quadrature_gap == (np.abs(fine - coarse) / fine).max()
 
 
 class TestGridOracleAgreement:
