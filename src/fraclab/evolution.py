@@ -284,9 +284,9 @@ def make_initial_coefficients(grid: Grid2D, spec: InitialSpectrum, seed: int) ->
     rescales to the target critical norm.
     """
     z = half_plane(hermitian_noise(grid, np.random.default_rng(seed)))  # Hermitian: the field is real
-    r = half_plane(grid.xi_mag)
+    r = grid.half.xi_mag
     band = (
-        half_plane(dealias_mask(grid))
+        dealias_mask(grid.half)
         & (r > 0.75 * 2.0 ** spec.j_lo)
         & (r < (8.0 / 3.0) * 2.0 ** spec.j_hi)
         & (r > 0)  # leaves the mean out
@@ -329,7 +329,7 @@ class GridOperators:
         self.half = (n, n // 2 + 1)
         self.band = n // 3 + 1
         self.cut = slice(self.band, n - self.band + 1)  # rows with |k1| > n/3
-        self.mask = np.asfortranarray(dealias_mask(grid)[:, : self.band])
+        self.mask = np.asfortranarray(dealias_mask(grid.half)[:, : self.band])
         self.d1 = self.symbol(MultiplierSpec.partial(1))
         self.d2 = self.symbol(MultiplierSpec.partial(2))
         self._pad = np.zeros(self.half, dtype=np.complex128, order="F")  # nothing writes past its band
@@ -349,7 +349,7 @@ class GridOperators:
 
     def symbol(self, spec: MultiplierSpec) -> np.ndarray:
         """Band columns of the multiplier, zero outside the 2/3 band."""
-        sym = multiplier_symbol(self.grid, spec)[:, : self.band]
+        sym = multiplier_symbol(self.grid.half, spec)[:, : self.band]
         return np.asfortranarray(np.where(self.mask, sym, 0.0))
 
     def to_phys(self, c, out=None):
@@ -398,8 +398,8 @@ class GridOperators:
 @functools.lru_cache(maxsize=8)
 def _integrating_factor(grid: Grid2D, alpha: float, dt: float) -> np.ndarray:
     """Read-only E = exp(-dt |xi|^alpha) on the half-plane, complex: the cast every complex product would make."""
-    lap = multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha))
-    E = np.asfortranarray(np.exp(-dt * half_plane(lap)), dtype=complex)
+    lap = multiplier_symbol(grid.half, MultiplierSpec.fractional_laplacian(alpha))
+    E = np.asfortranarray(np.exp(-dt * lap), dtype=complex)
     E.flags.writeable = False
     return E
 

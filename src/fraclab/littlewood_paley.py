@@ -61,7 +61,6 @@ from .spectral import (
     SpectralError,
     dealias_mask,
     forward_half_plane,
-    half_plane,
     half_plane_of,
     inverse_real,
     multiplier_symbol,
@@ -220,7 +219,7 @@ def block_multiplier(grid: Grid2D, j: int, kind: str, profile: DyadicProfile) ->
     if kind not in ("block", "low_pass"):
         raise SpectralError(f"projection kind must be 'block' or 'low_pass', got {kind!r}")
     scale = 2.0 ** -float(j)
-    xi = half_plane(grid.xi_mag)
+    xi = grid.half.xi_mag
     if kind == "block":
         # phi(r 2^-j) is exactly 0 outside 3/4 < r 2^-j < 8/3, the mean included, and
         # scaling by a power of two is exact, so the window is found on xi_mag itself
@@ -398,7 +397,7 @@ def spectral_besov_series(grid: Grid2D, coeffs: np.ndarray, alpha: float, times,
     half-plane at each time.
     """
     coeffs = half_plane_of(grid, coeffs)
-    rates = half_plane(multiplier_symbol(grid, MultiplierSpec.fractional_laplacian(alpha)))
+    rates = multiplier_symbol(grid.half, MultiplierSpec.fractional_laplacian(alpha))
     times = np.asarray(times, dtype=np.float64)
     if not np.all((times >= 0.0) & (times < math.inf)):
         raise SpectralError("times must be finite and nonnegative")
@@ -483,7 +482,7 @@ def bony_decompose(f: RealField, g: RealField, profile: DyadicProfile):
             f"grid mismatch: {(f.grid.n, f.grid.L)} vs {(g.grid.n, g.grid.L)}"
         )
     grid = f.grid
-    keep = half_plane(dealias_mask(grid))
+    keep = dealias_mask(grid.half)
 
     def dealiased(values):
         return np.where(keep, forward_half_plane(values), 0.0)

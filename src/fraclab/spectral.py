@@ -23,14 +23,16 @@ whole-plane transform pair: ``forward_transform`` is the Hermitian extension
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SpectralError",
     "Grid2D",
+    "HalfPlaneWavenumbers",
     "RealField",
     "SpectralField",
     "MultiplierSpec",
@@ -59,6 +61,18 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _wrapped_wavevectors(n: int) -> np.ndarray:
+    """Integer wavevectors 0..n/2-1, -n/2..-1 as float64: np.fft.fftfreq(n, 1/n) without
+    importing numpy.fft, which a run that takes no transform never needs."""
+    k = np.arange(n, dtype=np.float64)
+    k[n // 2:] -= n
+    return k
+
+
+# the public full (n, n) wavenumber planes of a grid, built together on first access
+FULL_PLANES = ("k1", "k2", "xi1", "xi2", "xi_mag")
+
+
 @dataclass
 class Grid2D:
     """Uniform n x n periodic grid on the square [0, L)^2.
@@ -70,15 +84,17 @@ class Grid2D:
 
     Derived quantities: spacing ``h = L/n``, smallest nonzero wavenumber
     ``xi_min = 2*pi/L``, Nyquist wavenumber ``xi_nyquist = pi*n/L``.
+
+    A grid stores no plane. ``half`` holds the wavenumbers of the rfft2
+    half-plane, built on first use, which the package reads. The full (n, n)
+    planes ``k1``, ``k2`` (integer wavevectors, wrapped order), ``xi1``,
+    ``xi2`` (angular wavenumbers) and ``xi_mag`` (|xi|) serve the
+    ``SpectralField`` boundary: the first read of any of them builds all
+    five (``_full_planes``), and the grid keeps them.
     """
 
     n: int
     L: float
-    k1: np.ndarray = field(init=False, repr=False)
-    k2: np.ndarray = field(init=False, repr=False)
-    xi1: np.ndarray = field(init=False, repr=False)
-    xi2: np.ndarray = field(init=False, repr=False)
-    xi_mag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)) or self.n < 8:
@@ -87,12 +103,24 @@ class Grid2D:
             raise SpectralError(f"domain length must be positive and finite, got L={self.L}")
         self.n = int(self.n)
         self.L = float(self.L)
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)  # integer wavevectors, wrapped order
-        self.k1, self.k2 = np.meshgrid(k, k, indexing="ij")
+
+    def __getattr__(self, name):
+        # called only for a name the instance lacks: a full plane before its first read
+        if name not in FULL_PLANES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(self._full_planes())
+        return self.__dict__[name]
+
+    def _full_planes(self) -> dict:
+        k = _wrapped_wavevectors(self.n)
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
         scale = 2.0 * math.pi / self.L
-        self.xi1 = scale * self.k1
-        self.xi2 = scale * self.k2
-        self.xi_mag = np.hypot(self.xi1, self.xi2)
+        xi1, xi2 = scale * k1, scale * k2
+        return {"k1": k1, "k2": k2, "xi1": xi1, "xi2": xi2, "xi_mag": np.hypot(xi1, xi2)}
+
+    @functools.cached_property
+    def half(self) -> "HalfPlaneWavenumbers":
+        return HalfPlaneWavenumbers(self)
 
     @property
     def h(self) -> float:
@@ -116,6 +144,27 @@ class Grid2D:
 
     def __hash__(self):
         return hash((self.n, self.L))
+
+
+class HalfPlaneWavenumbers:
+    """The wavenumbers of a grid's rfft2 half-plane (n, n/2 + 1), under the full planes' names.
+
+    k1 and xi1 are (n, 1) columns, k2 and xi2 (1, n/2 + 1) rows that broadcast
+    over the half-plane; xi_mag = |xi| is its one (n, n/2 + 1) array. All are
+    read-only, since every reader of the grid shares them. Every
+    value equals ``half_plane`` of the grid's full plane bit for bit, column
+    n/2 included, whose wrapped wavevector is -n/2.
+    """
+
+    def __init__(self, grid: Grid2D):
+        self.n = grid.n
+        k = _wrapped_wavevectors(grid.n)
+        self.k1, self.k2 = k[:, None], k[None, : grid.n // 2 + 1]
+        scale = 2.0 * math.pi / grid.L
+        self.xi1, self.xi2 = scale * self.k1, scale * self.k2
+        self.xi_mag = np.hypot(self.xi1, self.xi2)
+        for shared in (self.k1, self.k2, self.xi1, self.xi2, self.xi_mag):
+            shared.flags.writeable = False
 
 
 def _first_nonfinite_index(values: np.ndarray):
@@ -311,8 +360,9 @@ class MultiplierSpec:
         return cls("partial", axis=axis)
 
 
-def multiplier_symbol(grid: Grid2D, m: MultiplierSpec) -> np.ndarray:
-    """Symbol m(xi_k) as an (n, n) array, with zero-mode and Nyquist policy applied."""
+def multiplier_symbol(grid: Grid2D | HalfPlaneWavenumbers, m: MultiplierSpec) -> np.ndarray:
+    """Symbol m(xi_k) on the wavenumbers of grid, with zero-mode and Nyquist policy applied:
+    an (n, n) array for a Grid2D, the rfft2 half-plane for its ``half``."""
     r = grid.xi_mag
     if m.kind == "fractional_laplacian":
         sym = np.zeros_like(r)
@@ -323,7 +373,7 @@ def multiplier_symbol(grid: Grid2D, m: MultiplierSpec) -> np.ndarray:
         sym = np.where(r > 0, r, 1.0) ** -2.0
         sym[0, 0] = 0.0
         return sym
-    xi_i = grid.xi1 if m.axis == 1 else grid.xi2
+    xi_i = np.broadcast_to(grid.xi1 if m.axis == 1 else grid.xi2, r.shape)
     k_i = grid.k1 if m.axis == 1 else grid.k2
     if m.kind == "partial":
         sym = 1j * xi_i
@@ -353,8 +403,9 @@ def apply_fourier_multiplier(spec_field: SpectralField, m: MultiplierSpec) -> Sp
     return SpectralField(spec_field.grid, sym * spec_field.coefficients, check=False)
 
 
-def dealias_mask(grid: Grid2D) -> np.ndarray:
-    """Boolean mask of retained modes under the 2/3 rule: max(|k1|,|k2|) <= n/3."""
+def dealias_mask(grid: Grid2D | HalfPlaneWavenumbers) -> np.ndarray:
+    """Boolean mask of retained modes under the 2/3 rule, max(|k1|,|k2|) <= n/3, on the
+    wavenumbers of grid: an (n, n) array for a Grid2D, the rfft2 half-plane for its ``half``."""
     cut = grid.n / 3.0
     return (np.abs(grid.k1) <= cut) & (np.abs(grid.k2) <= cut)
 

@@ -409,6 +409,26 @@ def test_shipped_oracle_config_sweeps_each_level_once(tmp_path, monkeypatch):
     assert len(built) == result.record["extras"]["oracle_levels"] == 65
 
 
+@pytest.mark.parametrize("run, periods", [("linear", 60), ("sqg", 4.5)])
+def test_a_run_builds_no_full_wavenumber_plane(tmp_path, monkeypatch, run, periods):
+    # a length no other test uses, so no cached grid of an earlier run takes part
+    cfg = validate_config({**_SMALL_RUNS[run], "L": 2 * math.pi * periods})
+    monkeypatch.setattr(Grid2D, "_full_planes", lambda grid: pytest.fail(f"a full plane of {grid} was built"))
+    assert execute(cfg, tmp_path / "out").exit_code == 0
+
+
+def test_validating_the_largest_grid_allocates_no_plane():
+    # five full n x n float64 planes at n = 4096 would take 640 MiB
+    tracemalloc.start()
+    try:
+        cfg = validate_config({"kind": "sqg", "n": 4096})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg["n"] == 4096
+    assert peak < 16 << 20
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
 def test_outputs_honour_the_umask(tmp_path, rng, umask):
     out = tmp_path / "out"

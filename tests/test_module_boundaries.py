@@ -1,12 +1,16 @@
 """Ownership rules of the package: an underscore name stays inside its module,
 the solver and norm modules stay on the rfft2 half-plane, and so do the run
 driver and the command line; rfft2/irfft2 are the only whole-plane transform
-pair, and only spectral decides whether a full plane is a real field's spectrum."""
+pair, and only spectral decides whether a full plane is a real field's spectrum.
+The solvers, the norms, the run driver and the command line read wavenumbers
+only on the half-plane, ``grid.half``: neither a grid's full (n, n) planes nor
+multiplier_symbol or dealias_mask of a full grid."""
 
 import ast
 from pathlib import Path
 
 import fraclab
+from fraclab.spectral import FULL_PLANES
 
 PACKAGE = Path(fraclab.__file__).parent
 # the full-plane conversions, which only the SpectralField boundary needs
@@ -68,6 +72,28 @@ def test_only_spectral_decides_hermitian_symmetry():
     assert [path.name for path in sorted(PACKAGE.glob("*.py")) if "check_hermitian" in names_used(path)] == [
         "spectral.py"
     ]
+
+
+def full_plane_wavenumber_reads(path: Path) -> list[str]:
+    """Each read of a full-plane wavenumber name, and each multiplier_symbol or dealias_mask
+    call, whose grid is not a ``.half``, in one source file."""
+    def on_half(node):
+        return isinstance(node, ast.Attribute) and node.attr == "half"
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in FULL_PLANES and not on_half(node.value):
+            found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in {"multiplier_symbol", "dealias_mask"} and not on_half(node.args[0])):
+            found.append(f"{path.name}:{node.lineno} calls {node.func.id} on a full grid")
+    return found
+
+
+def test_solvers_norms_driver_and_command_line_read_no_full_wavenumber_plane():
+    modules = HALF_PLANE_MODULES + ("evolution", "cli")
+    assert all("half" in names_used(PACKAGE / f"{module}.py") for module in ("evolution", "littlewood_paley", "cli"))
+    assert [read for module in modules for read in full_plane_wavenumber_reads(PACKAGE / f"{module}.py")] == []
 
 
 # imported for perfbench's tracer only, which wraps fraclab.cli.spectral_besov_norm

@@ -24,8 +24,10 @@ from fraclab.spectral import (
     dealias,
     dealias_mask,
     forward_transform,
+    half_plane,
     hermitian_defect,
     inverse_transform,
+    multiplier_symbol,
 )
 from fraclab.sqg import sqg_step
 from helpers import convolution_product_coefficients, random_band_field
@@ -47,6 +49,78 @@ class TestGrid:
     def test_rejects_bad_L(self, L):
         with pytest.raises(SpectralError):
             Grid2D(64, L)
+
+
+def reference_planes(n, L):
+    """The full planes as a grid built them when it stored all five."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    scale = 2.0 * math.pi / L
+    xi1, xi2 = scale * k1, scale * k2
+    return {"k1": k1, "k2": k2, "xi1": xi1, "xi2": xi2, "xi_mag": np.hypot(xi1, xi2)}
+
+
+def reference_symbol(planes, n, m):
+    """multiplier_symbol on full planes, as written when every grid stored them."""
+    r = planes["xi_mag"]
+    if m.kind == "fractional_laplacian":
+        sym = np.zeros_like(r)
+        sym[r > 0] = r[r > 0] ** m.alpha
+        return sym
+    if m.kind == "inverse_laplacian":
+        sym = np.where(r > 0, r, 1.0) ** -2.0
+        sym[0, 0] = 0.0
+        return sym
+    xi_i, k_i = planes[f"xi{m.axis}"], planes[f"k{m.axis}"]
+    sym = 1j * xi_i if m.kind == "partial" else 1j * np.where(r > 0, xi_i / np.where(r > 0, r, 1.0), 0.0)
+    sym = np.where(k_i == -n // 2, 0.0, sym)
+    sym[0, 0] = 0.0
+    return sym
+
+
+EVERY_SPEC = [MultiplierSpec.fractional_laplacian(a) for a in (0.5, 1.0, 2.0)] + [
+    MultiplierSpec.inverse_laplacian(), MultiplierSpec.riesz(1), MultiplierSpec.riesz(2),
+    MultiplierSpec.partial(1), MultiplierSpec.partial(2)]
+# two lengths per size, one with integer wavenumbers; n = 8 and 16 put the Nyquist
+# row and column, the zero mode and the 2/3 cut within a few modes of each other
+GRIDS = [(n, L) for n in (8, 16, 256) for L in (2 * math.pi, 3.0)]
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestHalfPlaneWavenumbers:
+    @pytest.mark.parametrize("n, L", GRIDS)
+    def test_lazy_full_planes_are_the_stored_planes_of_before(self, n, L):
+        g, ref = Grid2D(n, L), reference_planes(n, L)
+        assert not set(ref) & set(vars(g))  # a new grid holds no plane
+        assert all(bit_equal(getattr(g, name), ref[name]) for name in ref)
+        assert all(bit_equal(multiplier_symbol(g, m), reference_symbol(ref, n, m)) for m in EVERY_SPEC)
+        assert bit_equal(dealias_mask(g), (np.abs(ref["k1"]) <= n / 3) & (np.abs(ref["k2"]) <= n / 3))
+
+    @pytest.mark.parametrize("n, L", GRIDS)
+    def test_half_plane_values_are_the_halves_of_the_full_planes(self, n, L):
+        g = Grid2D(n, L)
+        half = g.half
+        assert half is g.half and half.xi_mag.shape == (n, n // 2 + 1)
+        assert not any(getattr(half, name).flags.writeable for name in ("k1", "k2", "xi1", "xi2", "xi_mag"))
+        assert not set(reference_planes(n, L)) & set(vars(g))  # reading the half-plane builds no full plane
+        for name in ("k1", "k2", "xi1", "xi2", "xi_mag"):
+            assert bit_equal(np.broadcast_to(getattr(half, name), half.xi_mag.shape), half_plane(getattr(g, name)))
+        assert bit_equal(dealias_mask(half), half_plane(dealias_mask(g)))
+        for m in EVERY_SPEC:
+            assert bit_equal(multiplier_symbol(half, m), half_plane(multiplier_symbol(g, m))), m
+
+    def test_the_grid_builds_its_full_planes_once(self, monkeypatch):
+        builds = []
+        build = Grid2D._full_planes
+        monkeypatch.setattr(Grid2D, "_full_planes", lambda self: builds.append(self) or build(self))
+        g = Grid2D(16, 1.0)
+        g.half, g.k1, g.xi_mag, g.k2
+        assert builds == [g]
+        with pytest.raises(AttributeError, match="'Grid2D' object has no attribute 'xi3'"):
+            g.xi3
 
 
 class TestTransforms:
